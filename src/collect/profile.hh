@@ -8,6 +8,14 @@
  * needed by the overhead models. It serializes to a compact binary
  * format so collection and analysis can run as separate steps, exactly
  * like the paper's collector/analyzer split.
+ *
+ * Writers emit format version 4: a checksummed header over a
+ * dictionary-coded payload (sorted address and branch tables, samples
+ * as varint ids and cycle deltas). The encoding is canonical — equal
+ * profiles give equal bytes — so the payload checksum doubles as a
+ * content address. Every reader also accepts version 3 (the same
+ * header over fixed-width samples); version 2 needs `hbbp-tool
+ * migrate`.
  */
 
 #ifndef HBBP_COLLECT_PROFILE_HH
@@ -75,7 +83,9 @@ struct ProfileData
      * legacy versions, truncation, a checksum mismatch, or structural
      * corruption behind a self-consistent checksum — the bytes may
      * come from an untrusted peer whose checksum proves nothing, so
-     * nothing here is allowed to take the process down.
+     * nothing here is allowed to take the process down. An accepted
+     * version-4 payload re-serializes to exactly @p bytes, and
+     * *@p checksum_out is then its payloadChecksum().
      */
     static std::optional<ProfileData>
     parse(std::string_view bytes, const std::string &context,
@@ -110,10 +120,10 @@ struct ProfileData
 
     /**
      * The migration loader: additionally accepts the legacy version-2
-     * (pre-checksum) format and current-version files whose stored
-     * checksum is stale, re-deriving the checksum from the payload.
-     * @p version_out, when non-null, reports the on-disk format
-     * version. Used by `hbbp-tool migrate`.
+     * (pre-checksum) format and files whose stored checksum is stale,
+     * re-deriving the checksum from the payload. @p version_out, when
+     * non-null, reports the on-disk format version. Used by
+     * `hbbp-tool migrate`, which re-saves the result as version 4.
      */
     static ProfileData loadAnyVersion(const std::string &path,
                                       uint32_t *version_out = nullptr);
@@ -135,9 +145,11 @@ struct ProfileData
             bool *io_failed = nullptr);
 
     /**
-     * Stable FNV-1a checksum of the serialized payload. Identical
-     * profiles hash identically on every host, so shard manifests use
-     * this for duplicate detection and transfer integrity.
+     * Stable FNV-1a checksum of the serialized (version-4) payload.
+     * Identical profiles hash identically on every host, so shard
+     * manifests use this for duplicate detection and transfer
+     * integrity. It costs a full encode: callers that also need the
+     * bytes get both from serialize().
      */
     uint64_t payloadChecksum() const;
 

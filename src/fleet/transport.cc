@@ -692,7 +692,22 @@ ShardListener::serve(IncrementalAggregator &agg,
                            format("chunks do not assemble: %s",
                                   why.c_str()));
         }
-        uint64_t merged_checksum = merged->payloadChecksum();
+        // One hash per accepted shard. A single-chunk leaf's payload is
+        // the shard itself, whose checksum parse() already verified —
+        // this is also what accepts a single chunk from a version-3
+        // sender, whose manifest carries the version-3 checksum. A
+        // multi-chunk leaf serializes its assembly once: those bytes
+        // prove the manifest and are what on_accept deposits.
+        uint64_t merged_checksum = 0;
+        std::string leaf_bytes;
+        if (is_aggregate) {
+            merged_checksum = merged->payloadChecksum();
+        } else if (chunk_count == 1) {
+            merged_checksum = chunk_checksum;
+            leaf_bytes = std::move(payload);
+        } else {
+            leaf_bytes = merged->serialize(&merged_checksum);
+        }
         if (merged_checksum != m->checksum) {
             agg.noteMalformed();
             return sendAck(
@@ -711,10 +726,8 @@ ShardListener::serve(IncrementalAggregator &agg,
             accept_ref = &for_accept;
             if (is_aggregate)
                 accept_bytes = std::move(raw_chunks);
-            else if (chunk_count == 1)
-                accept_bytes.push_back(std::move(payload));
             else
-                accept_bytes.push_back(for_accept.serialize());
+                accept_bytes.push_back(std::move(leaf_bytes));
         }
         bool folded =
             is_aggregate

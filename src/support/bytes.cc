@@ -27,6 +27,29 @@ ByteReader::raw(void *data, size_t size)
     pos_ += size;
 }
 
+uint64_t
+ByteReader::varintSlow()
+{
+    uint64_t v = 0;
+    // Ends by the 10th byte: it either returns or throws there.
+    for (int shift = 0;; shift += 7) {
+        uint8_t b = u8();
+        // The 10th byte holds bit 63 only; a zero final byte after the
+        // first is padding. Either would give one value two encodings.
+        if (shift == 63 && b > 1)
+            throw ByteParseError(format("varint overflows 64 bits in "
+                                        "'%s' (corrupt %s?)",
+                                        context_.c_str(), what_));
+        if (shift > 0 && b == 0)
+            throw ByteParseError(format("non-minimal varint in '%s' "
+                                        "(corrupt %s?)",
+                                        context_.c_str(), what_));
+        v |= static_cast<uint64_t>(b & 0x7f) << shift;
+        if (b < 0x80)
+            return v;
+    }
+}
+
 std::string
 ByteReader::str()
 {

@@ -56,6 +56,17 @@ class ByteWriter
     void u32(uint32_t v) { raw(&v, sizeof(v)); }
     void u64(uint64_t v) { raw(&v, sizeof(v)); }
 
+    /** LEB128: 7 bits per byte, low group first, minimal length. */
+    void
+    varint(uint64_t v)
+    {
+        while (v >= 0x80) {
+            buf_.push_back(static_cast<char>(v | 0x80));
+            v >>= 7;
+        }
+        buf_.push_back(static_cast<char>(v));
+    }
+
     void
     str(const std::string &s)
     {
@@ -63,11 +74,30 @@ class ByteWriter
         raw(s.data(), s.size());
     }
 
+    void reserve(size_t n) { buf_.reserve(n); }
+
     const std::string &bytes() const { return buf_; }
+
+    /** Move the buffer out; the writer is empty afterwards. */
+    std::string take() { return std::move(buf_); }
 
   private:
     std::string buf_;
 };
+
+/** Map a wrapping 64-bit difference to an unsigned varint value. */
+inline uint64_t
+zigzag(uint64_t delta)
+{
+    return (delta << 1) ^ (0 - (delta >> 63));
+}
+
+/** Inverse of zigzag(). */
+inline uint64_t
+unzigzag(uint64_t v)
+{
+    return (v >> 1) ^ (0 - (v & 1));
+}
 
 /**
  * A structural parse failure: a count, length or enum that cannot be
@@ -108,6 +138,20 @@ class ByteReader
     uint32_t u32() { uint32_t v; raw(&v, sizeof(v)); return v; }
     uint64_t u64() { uint64_t v; raw(&v, sizeof(v)); return v; }
 
+    /**
+     * A ByteWriter::varint(). Only the minimal encoding is accepted —
+     * a padded or over-long varint throws — so a canonical format
+     * stays canonical through its varints.
+     */
+    uint64_t
+    varint()
+    {
+        if (pos_ < buf_.size() &&
+            static_cast<uint8_t>(buf_[pos_]) < 0x80)
+            return static_cast<uint8_t>(buf_[pos_++]);
+        return varintSlow();
+    }
+
     std::string str();
 
     /**
@@ -121,6 +165,8 @@ class ByteReader
     void expectEof();
 
   private:
+    uint64_t varintSlow();
+
     std::string_view buf_;
     size_t pos_ = 0;
     // Owned, not a reference: callers routinely pass temporaries

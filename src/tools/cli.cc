@@ -1136,11 +1136,11 @@ cmdMigrate(const MigrateOptions &opts)
     // Atomic: with no -o this overwrites the input, which may be the
     // only copy of the legacy profile — a failed write must not
     // destroy it.
-    pd.saveAtomically(out);
+    uint64_t checksum = 0;
+    pd.saveAtomically(out, &checksum);
     std::printf("migrated %s (format version %u, checksum %016llx) "
                 "-> %s\n", in.c_str(), version,
-                static_cast<unsigned long long>(pd.payloadChecksum()),
-                out.c_str());
+                static_cast<unsigned long long>(checksum), out.c_str());
     return 0;
 }
 

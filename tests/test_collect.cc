@@ -15,7 +15,9 @@
 #include "collect/collector.hh"
 #include "collect/periods.hh"
 #include "collect/profile.hh"
+#include "support/bytes.hh"
 #include "tests/helpers.hh"
+#include "tests/profile_v3.hh"
 
 namespace hbbp {
 namespace {
@@ -188,42 +190,41 @@ truncateFile(const std::string &path, long keep)
     fclose(f);
 }
 
-// The version-3 header: magic u64, version u32, payload length u64,
+// The profile header: magic u64, version u32, payload length u64,
 // payload checksum u64.
-constexpr long kHeaderBytes = 8 + 4 + 8 + 8;
+constexpr size_t kHeaderBytes = 8 + 4 + 8 + 8;
+
+/** Bytes of the payload's fixed fields: periods, class, features, PMIs. */
+constexpr size_t kFixedFieldBytes = 4 * 8 + 1 + 5 * 8 + 8;
 
 /**
- * Recompute the header checksum from the payload bytes (with the
- * shipped fnv1a — the wire contract has exactly one implementation).
- * Tamper tests use this after corrupting payload fields so the deeper
- * validation layers (count plausibility, enum ranges) are reached
- * instead of the checksum tripping first.
+ * Restamp the header's payload length and checksum of profile @p bytes
+ * after an edit (with the shipped fnv1a — the wire contract has
+ * exactly one implementation), so the deeper validation layers (count
+ * plausibility, enum ranges, canonical form) are reached instead of
+ * the header checks tripping first.
  */
 void
-fixChecksum(const std::string &path)
+restampHeader(std::string &bytes)
 {
-    std::string bytes = testutil::readFile(path);
-    ASSERT_GE(bytes.size(), static_cast<size_t>(kHeaderBytes));
-    uint64_t h = fnv1a(bytes.data() + kHeaderBytes,
-                       bytes.size() - kHeaderBytes);
+    uint64_t len = bytes.size() - kHeaderBytes;
+    uint64_t h = fnv1a(bytes.data() + kHeaderBytes, len);
+    std::memcpy(bytes.data() + 12, &len, sizeof(len));
     std::memcpy(bytes.data() + 20, &h, sizeof(h));
-    testutil::writeFile(path, bytes);
 }
 
-/**
- * Rewrite @p path as a legacy version-2 profile: same payload, but the
- * 12-byte pre-checksum header (magic + version only).
- */
+/** Apply @p edit to the payload of the profile at @p path. */
+template <typename Edit>
 void
-downgradeToVersion2(const std::string &path)
+editPayload(const std::string &path, Edit edit)
 {
     std::string bytes = testutil::readFile(path);
-    ASSERT_GE(bytes.size(), static_cast<size_t>(kHeaderBytes));
-    uint32_t v2 = 2;
-    std::string legacy = bytes.substr(0, 8);
-    legacy.append(reinterpret_cast<const char *>(&v2), sizeof(v2));
-    legacy.append(bytes.substr(kHeaderBytes));
-    testutil::writeFile(path, legacy);
+    ASSERT_GE(bytes.size(), kHeaderBytes);
+    std::string payload = bytes.substr(kHeaderBytes);
+    edit(payload);
+    bytes = bytes.substr(0, kHeaderBytes) + payload;
+    restampHeader(bytes);
+    testutil::writeFile(path, bytes);
 }
 
 } // namespace profiledeath
@@ -263,24 +264,24 @@ TEST(ProfileDeath, LoadRejectsTrailingGarbage)
 
 TEST(ProfileDeath, LoadRejectsImplausibleSampleCount)
 {
-    // Corrupt the EBS sample count (u64 straight after the 4-byte
-    // module-map count; this profile has no modules) to claim ~1e18
-    // records: load must fail the plausibility check instead of
-    // reserving petabytes.
+    // Corrupt the EBS sample count to claim ~1e18 records: load must
+    // fail the plausibility check instead of reserving petabytes. This
+    // profile has no modules and no samples, so the count is the
+    // one-byte varint after the 4-byte module-map count and the two
+    // empty table counts.
     std::string path = ::testing::TempDir() + "/huge_count.hbbp";
     ProfileData pd;
     pd.sim_periods = {1009, 101};
     pd.paper_periods = {100'000'007, 10'000'019};
     pd.save(path);
-    const long ebs_count_offset =
-        profiledeath::kHeaderBytes + 4 * 8 + 1 + 5 * 8 + 8 + 4;
-    FILE *f = fopen(path.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    fseek(f, ebs_count_offset, SEEK_SET);
-    uint64_t huge = 0x0de0b6b3a7640000ULL; // 1e18.
-    fwrite(&huge, sizeof(huge), 1, f);
-    fclose(f);
-    profiledeath::fixChecksum(path);
+    const size_t ebs_count_offset = profiledeath::kFixedFieldBytes + 4 + 2;
+    profiledeath::editPayload(path, [&](std::string &payload) {
+        ASSERT_EQ(payload.size(), ebs_count_offset + 2);
+        ASSERT_EQ(payload[ebs_count_offset], 0);
+        ByteWriter huge;
+        huge.varint(1'000'000'000'000'000'000ULL);
+        payload.replace(ebs_count_offset, 1, huge.bytes());
+    });
     EXPECT_EXIT(ProfileData::load(path), ::testing::ExitedWithCode(1),
                 "claims .* EBS sample records");
     std::remove(path.c_str());
@@ -291,15 +292,23 @@ TEST(ProfileDeath, LoadRejectsInvalidEnumValues)
     // The runtime-class byte sits right after the four period words.
     std::string path = ::testing::TempDir() + "/bad_enum.hbbp";
     profiledeath::saveSampleProfile(path);
-    const long runtime_class_offset = profiledeath::kHeaderBytes + 4 * 8;
-    FILE *f = fopen(path.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    fseek(f, runtime_class_offset, SEEK_SET);
-    fputc(0x7f, f);
-    fclose(f);
-    profiledeath::fixChecksum(path);
+    profiledeath::editPayload(path, [](std::string &payload) {
+        payload[4 * 8] = 0x7f;
+    });
     EXPECT_EXIT(ProfileData::load(path), ::testing::ExitedWithCode(1),
                 "invalid runtime class value 127");
+
+    // A module's kernel flag is the last byte of its record; version 4
+    // spells it 0 or 1, so any other value has no canonical form.
+    profiledeath::saveSampleProfile(path);
+    const size_t kernel_flag_offset =
+        profiledeath::kFixedFieldBytes + 4 + 4 + 5 + 8 + 8;
+    profiledeath::editPayload(path, [&](std::string &payload) {
+        ASSERT_EQ(payload[kernel_flag_offset], 0);
+        payload[kernel_flag_offset] = 2;
+    });
+    EXPECT_EXIT(ProfileData::load(path), ::testing::ExitedWithCode(1),
+                "invalid module kernel flag value 2");
     std::remove(path.c_str());
 }
 
@@ -328,9 +337,13 @@ TEST(ProfileDeath, LoadRejectsLegacyVersionWithMigrateHint)
     // at the wrong offsets, and the error must name the migration.
     std::string path = ::testing::TempDir() + "/legacy_v2.hbbp";
     profiledeath::saveSampleProfile(path);
-    profiledeath::downgradeToVersion2(path);
+    testutil::writeFile(path, testutil::encodeProfileV2(
+                                  ProfileData::load(path)));
     EXPECT_EXIT(ProfileData::load(path), ::testing::ExitedWithCode(1),
                 "version 2.*hbbp-tool migrate");
+    std::string why;
+    EXPECT_FALSE(ProfileData::tryLoad(path, &why).has_value());
+    EXPECT_NE(why.find("hbbp-tool migrate"), std::string::npos) << why;
     std::remove(path.c_str());
 }
 
@@ -349,15 +362,39 @@ TEST(ProfileDeath, LoadRejectsFutureVersion)
     std::remove(path.c_str());
 }
 
+namespace profileversions {
+
+/** The format version in a profile file's header. */
+uint32_t
+fileVersion(const std::string &path)
+{
+    std::string bytes = testutil::readFile(path);
+    uint32_t version = 0;
+    if (bytes.size() >= 12)
+        std::memcpy(&version, bytes.data() + 8, sizeof(version));
+    return version;
+}
+
+/** A collected profile: every field and both sample kinds populated. */
+ProfileData
+collectedProfile()
+{
+    auto kp = testutil::makeKernelProgram(20'000);
+    CollectorConfig cc;
+    cc.max_instructions = 200'000;
+    return Collector::collect(*kp.program, MachineConfig{}, cc);
+}
+
+} // namespace profileversions
+
 TEST(Profile, MigrationLoaderReadsLegacyVersion2)
 {
-    // loadAnyVersion is `hbbp-tool migrate`'s reader: a downgraded
+    // loadAnyVersion is `hbbp-tool migrate`'s reader: a version-2
     // profile round-trips to exactly the original data, and re-saving
-    // it yields a current-version file load() accepts again.
+    // it yields a version-4 file load() accepts again.
     std::string path = ::testing::TempDir() + "/migrate_me.hbbp";
-    profiledeath::saveSampleProfile(path);
-    ProfileData original = ProfileData::load(path);
-    profiledeath::downgradeToVersion2(path);
+    ProfileData original = profileversions::collectedProfile();
+    testutil::writeFile(path, testutil::encodeProfileV2(original));
 
     uint32_t version = 0;
     ProfileData legacy = ProfileData::loadAnyVersion(path, &version);
@@ -366,8 +403,196 @@ TEST(Profile, MigrationLoaderReadsLegacyVersion2)
     EXPECT_EQ(legacy.payloadChecksum(), original.payloadChecksum());
 
     legacy.save(path);
+    EXPECT_EQ(profileversions::fileVersion(path), 4u);
     EXPECT_EQ(ProfileData::load(path), original);
+    EXPECT_EQ(testutil::readFile(path), original.serialize());
     std::remove(path.c_str());
+}
+
+TEST(Profile, MigrationLoaderUpgradesVersion3)
+{
+    std::string path = ::testing::TempDir() + "/migrate_v3.hbbp";
+    ProfileData original = profileversions::collectedProfile();
+    std::string v3 = testutil::encodeProfileV3(original);
+    testutil::writeFile(path, v3);
+
+    uint32_t version = 0;
+    ProfileData read = ProfileData::loadAnyVersion(path, &version);
+    EXPECT_EQ(version, 3u);
+    EXPECT_EQ(read, original);
+
+    read.save(path);
+    EXPECT_EQ(profileversions::fileVersion(path), 4u);
+    EXPECT_EQ(ProfileData::load(path), original);
+    // The dictionary coding is the point of the upgrade.
+    EXPECT_LT(testutil::readFile(path).size() * 4, v3.size());
+    std::remove(path.c_str());
+}
+
+TEST(Profile, LoadReadsVersion3WithoutMigrate)
+{
+    // Stores, journals and checkpoints from older builds hold version-3
+    // bytes: every non-migrating reader accepts them, and reports the
+    // checksum those bytes were addressed by.
+    std::string path = ::testing::TempDir() + "/read_v3.hbbp";
+    ProfileData original = profileversions::collectedProfile();
+    uint64_t v3_checksum = 0;
+    std::string v3 = testutil::encodeProfileV3(original, &v3_checksum);
+    testutil::writeFile(path, v3);
+
+    EXPECT_EQ(ProfileData::load(path), original);
+    std::string why;
+    uint64_t checksum = 0;
+    std::optional<ProfileData> loaded =
+        ProfileData::tryLoad(path, &why, &checksum);
+    ASSERT_TRUE(loaded.has_value()) << why;
+    EXPECT_EQ(*loaded, original);
+    EXPECT_EQ(checksum, v3_checksum);
+    std::optional<uint64_t> probed = probeProfileChecksum(path, &why);
+    ASSERT_TRUE(probed.has_value()) << why;
+    EXPECT_EQ(*probed, v3_checksum);
+
+    checksum = 0;
+    std::optional<ProfileData> parsed =
+        ProfileData::parse(v3, "v3 bytes", &why, &checksum);
+    ASSERT_TRUE(parsed.has_value()) << why;
+    EXPECT_EQ(*parsed, original);
+    EXPECT_EQ(checksum, v3_checksum);
+    // Read v3, write v4: a re-serialized profile is version 4.
+    EXPECT_NE(parsed->serialize(), v3);
+    std::remove(path.c_str());
+}
+
+namespace profileversions {
+
+/**
+ * The sections after a version-4 payload's module map, hand-encoded:
+ * by default one address, one branch, one EBS sample and one
+ * single-entry LBR stack, each field overridable to break one rule.
+ */
+struct Tail
+{
+    std::vector<uint64_t> addr_deltas{0x1000};
+    /** (source delta, zigzag(target - source)) per branch. */
+    std::vector<std::pair<uint64_t, uint64_t>> branches{
+        {0x2000, zigzag(0x40)}};
+    std::vector<uint64_t> ebs_codes{0 << 1};
+    std::vector<uint64_t> lbr_ids{0};
+    /** Raw bytes of the LBR cycle delta (default: a minimal varint). */
+    std::string lbr_cycle_raw;
+    uint64_t eventing_code = 0 << 1 | 1;
+
+    std::string
+    encode() const
+    {
+        ByteWriter w;
+        w.varint(addr_deltas.size());
+        for (uint64_t d : addr_deltas)
+            w.varint(d);
+        w.varint(branches.size());
+        for (const auto &[source, target] : branches) {
+            w.varint(source);
+            w.varint(target);
+        }
+        w.varint(ebs_codes.size());
+        for (uint64_t code : ebs_codes) {
+            w.varint(code);
+            w.varint(zigzag(5));
+        }
+        w.varint(1);
+        w.u8(static_cast<uint8_t>(lbr_ids.size()));
+        for (uint64_t id : lbr_ids)
+            w.varint(id);
+        if (lbr_cycle_raw.empty())
+            w.varint(zigzag(7));
+        else
+            w.raw(lbr_cycle_raw.data(), lbr_cycle_raw.size());
+        w.varint(eventing_code);
+        return w.take();
+    }
+};
+
+/** A version-4 profile: an empty profile's head followed by @p tail. */
+std::string
+withTail(const std::string &tail)
+{
+    ProfileData head;
+    head.sim_periods = {1009, 101};
+    head.paper_periods = {100'000'007, 10'000'019};
+    head.mmaps.push_back({"a.bin", 0x1000, 0x2000, false});
+    std::string bytes = head.serialize();
+    // No samples: the payload ends in four zero counts (two tables,
+    // two sample sections). Swap them for the hand-encoded sections.
+    bytes.resize(bytes.size() - 4);
+    bytes += tail;
+    profiledeath::restampHeader(bytes);
+    return bytes;
+}
+
+} // namespace profileversions
+
+TEST(Profile, Version4RejectsNonCanonicalEncodings)
+{
+    using profileversions::Tail;
+    using profileversions::withTail;
+
+    // The hand-encoded default is canonical: it parses, and serializes
+    // back to exactly the same bytes.
+    std::string good = withTail(Tail().encode());
+    std::string why;
+    std::optional<ProfileData> pd =
+        ProfileData::parse(good, "hand-encoded", &why);
+    ASSERT_TRUE(pd.has_value()) << why;
+    EXPECT_EQ(pd->serialize(), good);
+    ASSERT_EQ(pd->lbr.size(), 1u);
+    EXPECT_EQ(pd->lbr[0].entries[0], (LbrEntry{0x2000, 0x2040}));
+    EXPECT_EQ(pd->lbr[0].ring, Ring::Kernel);
+
+    // Every other spelling of a profile is refused with a diagnostic,
+    // never a fatal(): equal profiles must mean equal bytes.
+    std::vector<std::pair<Tail, const char *>> cases;
+    auto add = [&](const char *expect, auto tweak) {
+        Tail t;
+        tweak(t);
+        cases.emplace_back(t, expect);
+    };
+    add("duplicate address table entry", [](Tail &t) {
+        t.addr_deltas = {0x1000, 0};
+        t.ebs_codes = {0 << 1, 1 << 1};
+    });
+    add("unreferenced address table entry",
+        [](Tail &t) { t.addr_deltas = {0x1000, 8}; });
+    add("address id 2 out of range",
+        [](Tail &t) { t.ebs_codes = {2 << 1}; });
+    add("branch table is not ascending", [](Tail &t) {
+        t.branches.push_back({0, zigzag(0x20)});
+        t.lbr_ids = {0, 1};
+    });
+    add("duplicate branch table entry", [](Tail &t) {
+        t.branches.push_back({0, zigzag(0x40)});
+        t.lbr_ids = {0, 1};
+    });
+    add("unreferenced branch table entry",
+        [](Tail &t) { t.branches.push_back({8, zigzag(0x40)}); });
+    add("branch id 1 out of range", [](Tail &t) { t.lbr_ids = {1}; });
+    add("non-minimal varint",
+        [](Tail &t) { t.lbr_cycle_raw = std::string("\x8e\x00", 2); });
+    add("varint overflows 64 bits", [](Tail &t) {
+        t.lbr_cycle_raw = std::string(9, '\xff') + '\x02';
+    });
+    for (const auto &[tail, expect] : cases) {
+        std::optional<ProfileData> bad =
+            ProfileData::parse(withTail(tail.encode()), "tampered", &why);
+        EXPECT_FALSE(bad.has_value()) << expect;
+        EXPECT_NE(why.find(expect), std::string::npos)
+            << "want '" << expect << "', got: " << why;
+    }
+
+    std::optional<ProfileData> trailing =
+        ProfileData::parse(withTail(Tail().encode() + "x"), "tampered",
+                           &why);
+    EXPECT_FALSE(trailing.has_value());
+    EXPECT_NE(why.find("trailing garbage"), std::string::npos) << why;
 }
 
 TEST(Profile, PayloadChecksumIsContentStable)

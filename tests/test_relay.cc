@@ -23,6 +23,7 @@
 #include "fleet/relay.hh"
 #include "fleet/transport.hh"
 #include "support/bytes.hh"
+#include "tests/profile_v3.hh"
 
 namespace fs = std::filesystem;
 
@@ -918,6 +919,47 @@ TEST(StateJournalTest, ReplayMatchesFullRewriteByteForByte)
                                       &why));
     EXPECT_EQ(from_journal.aggregate().serialize(),
               from_rewrite.aggregate().serialize());
+}
+
+TEST(StateJournalTest, Version3RecordsFromAnOlderBuildReplay)
+{
+    // A journal written before profile v4 holds version-3 chunk bytes
+    // under version-3 manifest checksums. It replays to the same
+    // aggregate, and the next compaction checkpoints in version 4.
+    std::string dir = freshDir("journal_v3");
+    std::vector<LeafShard> leaves = {makeLeaf("hostA", 0, 1),
+                                     makeLeaf("hostB", 0, 2)};
+    std::string flat = flatAggregateBytes(leaves);
+    std::string state = dir + "/agg.state";
+    {
+        IncrementalAggregator agg;
+        StateJournal journal(state, /*compact_every=*/100);
+        std::string why;
+        for (LeafShard leaf : leaves) {
+            std::string v3 = testutil::encodeProfileV3(
+                leaf.profile, &leaf.manifest.checksum);
+            ASSERT_TRUE(agg.addShard(leaf.manifest, leaf.profile, &why))
+                << why;
+            journal.record(agg, leaf.manifest, {v3});
+        }
+    }
+
+    IncrementalAggregator restored;
+    StateJournal journal(state, /*compact_every=*/1);
+    std::string why;
+    ASSERT_TRUE(journal.restore(restored, &why)) << why;
+    EXPECT_EQ(journal.replayedRecords(), 2u);
+    EXPECT_EQ(restored.aggregate().serialize(), flat);
+
+    LeafShard next = makeLeaf("hostC", 0, 3);
+    ASSERT_TRUE(restored.addShard(next.manifest, next.profile, &why));
+    journal.record(restored, next.manifest, {next.bytes});
+    EXPECT_EQ(journal.pendingRecords(), 0u); // Compacted.
+    IncrementalAggregator again;
+    StateJournal reopened(state, 1);
+    ASSERT_TRUE(reopened.restore(again, &why)) << why;
+    EXPECT_EQ(again.aggregate().serialize(),
+              restored.aggregate().serialize());
 }
 
 TEST(StateJournalTest, CompactsAtThresholdAndStaysRestorable)

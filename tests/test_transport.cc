@@ -28,6 +28,7 @@
 #include "support/bytes.hh"
 #include "support/rng.hh"
 #include "tests/helpers.hh"
+#include "tests/profile_v3.hh"
 
 namespace fs = std::filesystem;
 
@@ -759,6 +760,110 @@ TEST(SocketTransport, CorruptChunkPayloadIsRejected)
         << res.error;
     EXPECT_EQ(h.agg.stats().accepted, 0u);
     EXPECT_EQ(h.agg.stats().malformed, 1u);
+}
+
+/** Push @p shard at a fresh listener and return the sender's result. */
+SendResult
+pushToFreshListener(const PreparedShard &shard, ListenerHarness &h,
+                    ListenOptions lo = {})
+{
+    lo.expect = 1;
+    lo.idle_timeout_ms = 300;
+    h.start(lo);
+    SocketTransport transport(fastOptions(h.listener.port()));
+    SendResult res = transport.sendShard(shard.manifest, shard.bytes);
+    h.join();
+    return res;
+}
+
+TEST(SocketTransport, ManifestChecksumMismatchIsRejected)
+{
+    // The manifest's checksum names the assembled shard. One chunk is
+    // held to the checksum its own header proved, several to their
+    // serialized assembly; a manifest that disagrees either way is a
+    // permanent rejection that reaches neither the fold nor on_accept.
+    for (size_t n_chunks : {1, 3}) {
+        ListenerHarness h;
+        PreparedShard shard =
+            prepareShard(makeChunks(140, n_chunks), "hostA");
+        shard.manifest.checksum ^= 1;
+        size_t accepts = 0;
+        ListenOptions lo;
+        lo.on_accept = [&](const ShardManifest &, const ProfileData &,
+                           const std::vector<std::string> &) {
+            accepts++;
+        };
+        SendResult res = pushToFreshListener(shard, h, lo);
+        EXPECT_FALSE(res.ok) << n_chunks << " chunks";
+        EXPECT_EQ(res.attempts, 1);
+        EXPECT_NE(res.error.find("manifest promises"), std::string::npos)
+            << res.error;
+        EXPECT_EQ(h.agg.stats().accepted, 0u);
+        EXPECT_EQ(h.agg.stats().malformed, 1u);
+        EXPECT_EQ(accepts, 0u);
+    }
+}
+
+TEST(SocketTransport, MultiChunkLeafHandsItsAssembledBytesToOnAccept)
+{
+    // The bytes that proved the manifest are the bytes on_accept
+    // deposits and journals: one serialization of the assembly.
+    ListenerHarness h;
+    PreparedShard shard = prepareShard(makeChunks(150, 3), "hostA");
+    std::vector<std::string> accepted;
+    ListenOptions lo;
+    lo.on_accept = [&](const ShardManifest &, const ProfileData &,
+                       const std::vector<std::string> &chunks) {
+        accepted = chunks;
+    };
+    SendResult res = pushToFreshListener(shard, h, lo);
+    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_EQ(accepted.size(), 1u);
+    EXPECT_EQ(accepted[0], shard.merged.serialize());
+}
+
+TEST(SocketTransport, SingleChunkPushFromAVersion3SenderIsAccepted)
+{
+    // A build that still writes version 3 stamps its manifest with the
+    // version-3 payload checksum. Sent as one chunk, that is exactly
+    // the checksum the listener's parse verifies, so the shard folds,
+    // and on_accept gets the sender's bytes verbatim — stores and
+    // journals read version 3.
+    ListenerHarness h;
+    ProfileData pd = chunkProfile(160);
+    PreparedShard shard = prepareShard({pd}, "hostA");
+    shard.bytes = {testutil::encodeProfileV3(pd, &shard.manifest.checksum)};
+    std::vector<std::string> accepted;
+    ListenOptions lo;
+    lo.on_accept = [&](const ShardManifest &, const ProfileData &,
+                       const std::vector<std::string> &chunks) {
+        accepted = chunks;
+    };
+    SendResult res = pushToFreshListener(shard, h, lo);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(h.agg.aggregate(), pd);
+    EXPECT_TRUE(h.agg.hasChecksum(shard.manifest.checksum));
+    ASSERT_EQ(accepted.size(), 1u);
+    EXPECT_EQ(accepted[0], shard.bytes[0]);
+}
+
+TEST(SocketTransport, MultiChunkPushFromAVersion3SenderIsRejected)
+{
+    // Several chunks are checked against their version-4 assembly, so
+    // a version-3 manifest checksum cannot match: chunked and relay
+    // pushes need version 4 on both ends, and say so by rejecting.
+    ListenerHarness h;
+    std::vector<ProfileData> chunks = makeChunks(170, 2);
+    PreparedShard shard = prepareShard(chunks, "hostA");
+    shard.bytes.clear();
+    for (const ProfileData &c : chunks)
+        shard.bytes.push_back(testutil::encodeProfileV3(c));
+    testutil::encodeProfileV3(shard.merged, &shard.manifest.checksum);
+    SendResult res = pushToFreshListener(shard, h);
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error.find("manifest promises"), std::string::npos)
+        << res.error;
+    EXPECT_EQ(h.agg.stats().accepted, 0u);
 }
 
 TEST(ShardListenerTest, IdleTimeoutExpiresWithoutSenders)
