@@ -1,30 +1,25 @@
 /**
  * @file
- * Shared per-backend fold measurement for the scale_* benches.
+ * Shared fold measurement for the scale_* benches.
  *
- * Every scale bench embeds one "fold" section in its JSON output: for
- * each vector backend usable on this machine it records
+ * Every scale bench embeds one "fold" section in its JSON output:
  *
- *  - kernel_ns_per_fold: nanoseconds for one fold pass (sum + dot +
- *    saxpy + saturating-u64 accumulate) over a representative span —
- *    the pure vectorops signal, where SIMD width shows directly;
- *  - fold_seconds / shards_per_s: wall time to fold the bench's shard
- *    set into one aggregate with dispatch pinned to the backend — the
- *    end-to-end number, diluted by sample concatenation;
- *  - bytes_identical: whether the serialized aggregate matches the
- *    scalar backend's bytes exactly (the bit-stability contract; the
- *    bench fatal()s if it ever goes false).
+ *  - kernel_ns_per_fold: nanoseconds for one kernel pass (sum + dot +
+ *    saxpy + saturating-u64 accumulate) over kernel_span elements —
+ *    the pure vectorops signal;
+ *  - fold_seconds / shards_per_s: wall time of one mergeProfiles()
+ *    call folding the bench's shard set into one aggregate — the
+ *    end-to-end number, dominated by sample concatenation.
  *
- * plus the dispatch backend the process actually resolved at startup
- * and simd_speedup (scalar kernel time over the best SIMD kernel
- * time). scripts/check_bench.py gates committed BENCH_scale_*.json
- * baselines against fresh runs of these numbers.
+ * scripts/check_bench.py gates kernel_ns_per_fold of a fresh run
+ * against the committed BENCH_scale_*.json baselines.
  */
 
 #ifndef HBBP_BENCH_FOLDBENCH_HH
 #define HBBP_BENCH_FOLDBENCH_HH
 
 #include <chrono>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -35,26 +30,14 @@
 
 namespace hbbp::bench {
 
-/** One backend's fold measurements. */
-struct FoldBackendPoint
+/** The fold section of a scale bench. */
+struct FoldBench
 {
-    std::string name;
+    size_t kernel_span = 0;
+    size_t shards = 0;
     double kernel_ns_per_fold = 0.0;
     double fold_seconds = 0.0;
     double shards_per_s = 0.0;
-    bool bytes_identical = false;
-};
-
-/** The per-backend fold section of a scale bench. */
-struct FoldBench
-{
-    std::string dispatch;  ///< Backend resolved by runtime dispatch.
-    size_t kernel_span = 0;
-    size_t shards = 0;
-    std::vector<FoldBackendPoint> backends;
-    /** Scalar kernel ns over the fastest SIMD kernel ns (1.0 when no
-     *  SIMD backend is usable on this machine). */
-    double simd_speedup = 1.0;
 };
 
 namespace detail {
@@ -68,7 +51,7 @@ foldSecondsSince(std::chrono::steady_clock::time_point start)
 }
 
 /** One fold pass over the kernel spans; returns a value the optimizer
- *  must keep (the kernels live behind function pointers, but cheap
+ *  must keep (the kernels are out of line in vectorops.cc, but cheap
  *  insurance is cheap). */
 inline double
 kernelFoldPass(std::vector<double> &x, const std::vector<double> &y,
@@ -85,18 +68,14 @@ kernelFoldPass(std::vector<double> &x, const std::vector<double> &y,
 } // namespace detail
 
 /**
- * Measure every usable backend folding @p shards, with kernel timing
- * over spans of @p kernel_span doubles/u64s. Restores the dispatch
- * backend it found active. fatal()s if any backend's aggregate bytes
- * differ from scalar's.
+ * Time @p kernel_reps kernel passes over spans of @p kernel_span
+ * doubles/u64s, and one mergeProfiles() fold of @p shards.
  */
 inline FoldBench
 runFoldBench(const std::vector<ProfileData> &shards,
              size_t kernel_span = 4096, int kernel_reps = 2000)
 {
     FoldBench fb;
-    VectorBackend before = activeVectorBackend();
-    fb.dispatch = name(before);
     fb.kernel_span = kernel_span;
     fb.shards = shards.size();
 
@@ -111,58 +90,24 @@ runFoldBench(const std::vector<ProfileData> &shards,
         inc[i] = i * 3 + 1;
     }
 
-    std::string scalar_bytes;
-    double scalar_kernel_ns = 0.0, best_simd_kernel_ns = 0.0;
-    double sink = 0.0;
-    for (VectorBackend b : usableVectorBackends()) {
-        std::string why;
-        if (!setVectorBackend(b, &why))
-            fatal("fold bench: %s", why.c_str());
-
-        FoldBackendPoint p;
-        p.name = name(b);
-
-        // Kernel timing: one warmup pass, then the measured reps.
-        std::vector<double> xk = x;
-        std::vector<uint64_t> acck = acc;
-        sink += detail::kernelFoldPass(xk, y, acck, inc);
-        auto start = std::chrono::steady_clock::now();
-        for (int rep = 0; rep < kernel_reps; rep++)
-            sink += detail::kernelFoldPass(xk, y, acck, inc);
-        p.kernel_ns_per_fold = detail::foldSecondsSince(start) * 1e9 /
-                               kernel_reps;
-
-        // End-to-end fold of the bench's shards.
-        start = std::chrono::steady_clock::now();
-        ProfileData folded = mergeProfiles(shards);
-        p.fold_seconds = detail::foldSecondsSince(start);
-        p.shards_per_s = p.fold_seconds > 0
-                             ? static_cast<double>(shards.size()) /
-                                   p.fold_seconds
-                             : 0.0;
-
-        std::string bytes = folded.serialize();
-        if (b == VectorBackend::Scalar) {
-            scalar_bytes = bytes;
-            scalar_kernel_ns = p.kernel_ns_per_fold;
-        }
-        p.bytes_identical = bytes == scalar_bytes;
-        if (!p.bytes_identical)
-            fatal("fold bench: %s aggregate bytes differ from scalar",
-                  p.name.c_str());
-        if (b != VectorBackend::Scalar &&
-            (best_simd_kernel_ns == 0.0 ||
-             p.kernel_ns_per_fold < best_simd_kernel_ns))
-            best_simd_kernel_ns = p.kernel_ns_per_fold;
-        fb.backends.push_back(p);
-    }
-    if (best_simd_kernel_ns > 0.0)
-        fb.simd_speedup = scalar_kernel_ns / best_simd_kernel_ns;
+    // Kernel timing: one warmup pass, then the measured reps.
+    double sink = detail::kernelFoldPass(x, y, acc, inc);
+    auto start = std::chrono::steady_clock::now();
+    for (int rep = 0; rep < kernel_reps; rep++)
+        sink += detail::kernelFoldPass(x, y, acc, inc);
+    fb.kernel_ns_per_fold =
+        detail::foldSecondsSince(start) * 1e9 / kernel_reps;
     if (sink == 0.12345) // Keep the fold results observable.
         warn("fold bench sink: %f", sink);
 
-    if (!setVectorBackend(before))
-        fatal("fold bench: could not restore dispatch backend");
+    // End-to-end fold of the bench's shards.
+    start = std::chrono::steady_clock::now();
+    ProfileData folded = mergeProfiles(shards);
+    fb.fold_seconds = detail::foldSecondsSince(start);
+    fb.shards_per_s = fb.fold_seconds > 0
+                          ? static_cast<double>(shards.size()) /
+                                fb.fold_seconds
+                          : 0.0;
     return fb;
 }
 
@@ -171,25 +116,23 @@ inline std::string
 foldBenchJson(const FoldBench &fb)
 {
     std::string out;
-    out += format("\"vector_backend\": \"%s\",\n", fb.dispatch.c_str());
-    out += "  \"fold\": {\n";
+    out += "\"fold\": {\n";
     out += format("    \"kernel_span\": %zu,\n", fb.kernel_span);
     out += format("    \"shards\": %zu,\n", fb.shards);
-    out += format("    \"simd_speedup\": %.3f,\n", fb.simd_speedup);
-    out += "    \"backends\": [\n";
-    for (size_t i = 0; i < fb.backends.size(); i++) {
-        const FoldBackendPoint &p = fb.backends[i];
-        out += format(
-            "      {\"name\": \"%s\", \"kernel_ns_per_fold\": %.1f, "
-            "\"fold_seconds\": %.6f, \"shards_per_s\": %.1f, "
-            "\"bytes_identical\": %s}%s\n",
-            p.name.c_str(), p.kernel_ns_per_fold, p.fold_seconds,
-            p.shards_per_s, p.bytes_identical ? "true" : "false",
-            i + 1 < fb.backends.size() ? "," : "");
-    }
-    out += "    ]\n";
+    out += format("    \"kernel_ns_per_fold\": %.1f,\n",
+                  fb.kernel_ns_per_fold);
+    out += format("    \"fold_seconds\": %.6f,\n", fb.fold_seconds);
+    out += format("    \"shards_per_s\": %.1f\n", fb.shards_per_s);
     out += "  }";
     return out;
+}
+
+/** One human-readable line for the --human views. */
+inline void
+printFoldBench(const FoldBench &fb)
+{
+    std::printf("fold: %.0f ns/kernel pass, %.0f shards/s\n",
+                fb.kernel_ns_per_fold, fb.shards_per_s);
 }
 
 } // namespace hbbp::bench

@@ -136,7 +136,7 @@ main(int argc, char **argv)
     }
     std::filesystem::remove_all(dir);
 
-    // Per-backend fold math on the largest shard set (foldbench.hh).
+    // Fold math on the largest shard set (foldbench.hh).
     bench::FoldBench fb =
         bench::runFoldBench(fold_shards, 4096, quick ? 500 : 2000);
 
@@ -155,11 +155,7 @@ main(int argc, char **argv)
                           format("%.4f", p.batch_rescan_seconds),
                           format("%.1fx", p.speedup)});
         std::printf("%s\n", table.render().c_str());
-        for (const bench::FoldBackendPoint &p : fb.backends)
-            std::printf("fold[%s]: %.0f ns/fold, %.0f shards/s%s\n",
-                        p.name.c_str(), p.kernel_ns_per_fold,
-                        p.shards_per_s,
-                        p.name == fb.dispatch ? " (dispatch)" : "");
+        bench::printFoldBench(fb);
         return 0;
     }
 

@@ -121,7 +121,7 @@ main(int argc, char **argv)
     mp.samples = merged.ebs.size() + merged.lbr.size();
     mp.samples_per_sec = mp.seconds > 0 ? mp.samples / mp.seconds : 0.0;
 
-    // Per-backend fold math on the same shard set (see foldbench.hh).
+    // Fold math on the same shard set (see foldbench.hh).
     bench::FoldBench fb =
         bench::runFoldBench(shards, 4096, quick ? 500 : 2000);
 
@@ -141,11 +141,7 @@ main(int argc, char **argv)
                     "(%.0f samples/sec)\n", mp.shards,
                     static_cast<unsigned long long>(mp.samples),
                     mp.seconds, mp.samples_per_sec);
-        for (const bench::FoldBackendPoint &p : fb.backends)
-            std::printf("fold[%s]: %.0f ns/fold, %.0f shards/s%s\n",
-                        p.name.c_str(), p.kernel_ns_per_fold,
-                        p.shards_per_s,
-                        p.name == fb.dispatch ? " (dispatch)" : "");
+        bench::printFoldBench(fb);
         return 0;
     }
 

@@ -355,10 +355,7 @@ main(int argc, char **argv)
         fold_profiles = std::move(profiles);
     }
 
-    // Per-backend root fold on the largest host set (foldbench.hh):
-    // the root aggregate's bytes must be identical whatever backend
-    // folds it — the relay-tree equivalent of the flat/tree identity
-    // asserted above.
+    // Root fold math on the largest host set (foldbench.hh).
     bench::FoldBench fb =
         bench::runFoldBench(fold_profiles, 4096, quick ? 500 : 2000);
 
@@ -414,11 +411,7 @@ main(int argc, char **argv)
                  format("%zu/%zu", p.root_arrivals_flat,
                         p.root_arrivals_tree)});
         std::printf("%s\n", table.render().c_str());
-        for (const bench::FoldBackendPoint &p : fb.backends)
-            std::printf("fold[%s]: %.0f ns/fold, %.0f shards/s%s\n",
-                        p.name.c_str(), p.kernel_ns_per_fold,
-                        p.shards_per_s,
-                        p.name == fb.dispatch ? " (dispatch)" : "");
+        bench::printFoldBench(fb);
         std::printf("telemetry overhead: %.2f%% on the fold path "
                     "(%.6fs on vs %.6fs off, %zu shards, "
                     "min of %d reps, A/A noise floor %.2f%%)\n",

@@ -2,30 +2,18 @@
 """Gate a fresh scale-bench JSON against a committed BENCH_*.json baseline.
 
 Usage:
-    check_bench.py BASELINE FRESH [--tolerance X] [--speedup-floor Y]
+    check_bench.py BASELINE FRESH [--tolerance X]
 
 Checks, failing loudly (exit 1) on the first violation:
 
   1. Structure: both files parse, name the same bench, and carry a
-     "fold" section with a per-backend list.
-  2. Bit stability: every backend in the fresh run reports
-     bytes_identical=true (the SIMD and scalar folds produced the same
-     aggregate bytes).
-  3. Dispatch sanity: the fresh run's scalar backend is present (it is
-     compiled unconditionally; its absence means the fold section is
-     broken).
-  4. Perf regression: for every backend present in BOTH files, the
-     fresh kernel_ns_per_fold must be within --tolerance of the
-     baseline (default 4.0 -- CI machines differ wildly from the
-     machine that recorded the baseline; the gate catches order-of-
-     magnitude regressions, e.g. a scalar fallback sneaking into a
-     SIMD backend, not single-digit noise). Backends in the baseline
-     but missing from the fresh run (different CPU) are skipped with a
-     warning.
-  5. SIMD win: when the fresh run has at least one SIMD backend, its
-     simd_speedup must be >= --speedup-floor (default 1.1): the
-     vectorized fold must actually beat scalar where SIMD exists.
-  6. Telemetry overhead: when the fresh run carries a "telemetry"
+     "fold" section with a positive kernel_ns_per_fold.
+  2. Perf regression: the fresh kernel_ns_per_fold must be within
+     --tolerance of the baseline (default 4.0 -- CI machines differ
+     wildly from the machine that recorded the baseline; the gate
+     catches order-of-magnitude regressions, e.g. the kernels losing
+     their optimization, not single-digit noise).
+  3. Telemetry overhead: when the fresh run carries a "telemetry"
      section (scale_relay does), its overhead_pct -- the fold-path
      cost of metrics enabled vs compiled-in-but-idle -- must stay
      under --telemetry-overhead-max (default 2.0%%) plus the run's
@@ -35,7 +23,7 @@ Checks, failing loudly (exit 1) on the first violation:
      budget applies as-is). Benches without the section (and
      baselines recorded before it existed) skip the gate with a
      warning.
-  7. Federation: when the fresh run carries a "federation" section
+  4. Federation: when the fresh run carries a "federation" section
      (scale_relay does -- measured with a live MetricsFederator
      scraping a child endpoint while the telemetry overhead above is
      sampled), rollup_consistent must be true (the marker counter's
@@ -59,9 +47,8 @@ entries; the low floor only absorbs noisy-runner variance), and
 deposit_per_s must be within --tolerance of the baseline.
 
 Defaults can be overridden via HBBP_BENCH_TOLERANCE,
-HBBP_BENCH_SPEEDUP_FLOOR, HBBP_BENCH_TELEMETRY_OVERHEAD_MAX,
-HBBP_BENCH_QUERY_SPEEDUP_FLOOR and HBBP_BENCH_STORE_SPEEDUP_FLOOR
-for one-off noisy runners.
+HBBP_BENCH_TELEMETRY_OVERHEAD_MAX, HBBP_BENCH_QUERY_SPEEDUP_FLOOR
+and HBBP_BENCH_STORE_SPEEDUP_FLOOR for one-off noisy runners.
 """
 
 import argparse
@@ -205,14 +192,14 @@ def check_store(base, fresh, args):
     print(f"check_bench: {bench}: OK")
 
 
-def fold_backends(doc, path):
+def fold_ns(doc, path):
     fold = doc.get("fold")
     if not isinstance(fold, dict):
         fail(f"{path} has no \"fold\" section")
-    backends = fold.get("backends")
-    if not isinstance(backends, list) or not backends:
-        fail(f"{path} has an empty fold.backends list")
-    return fold, {b["name"]: b for b in backends}
+    ns = fold.get("kernel_ns_per_fold")
+    if not isinstance(ns, (int, float)) or ns <= 0.0:
+        fail(f"{path} has no positive fold.kernel_ns_per_fold")
+    return ns
 
 
 def main():
@@ -224,12 +211,6 @@ def main():
         type=float,
         default=float(os.environ.get("HBBP_BENCH_TOLERANCE", "4.0")),
         help="max allowed fresh/baseline kernel_ns_per_fold ratio",
-    )
-    ap.add_argument(
-        "--speedup-floor",
-        type=float,
-        default=float(os.environ.get("HBBP_BENCH_SPEEDUP_FLOOR", "1.1")),
-        help="min simd_speedup when a SIMD backend is usable",
     )
     ap.add_argument(
         "--telemetry-overhead-max",
@@ -268,71 +249,29 @@ def main():
     bench = fresh.get("bench", "?")
 
     # Query-path benches carry a "query" section instead of "fold":
-    # the read path has no per-backend SIMD story to gate, it has a
-    # cache story.
+    # the read path has no fold math to gate, it has a cache story.
     if "query" in fresh or "query" in base:
         check_query(base, fresh, args)
         return
 
     # Store-path benches carry a "store" section: the embedded-index
-    # read path has no SIMD story either, it has an index story.
+    # read path has no fold math either, it has an index story.
     if "store" in fresh or "store" in base:
         check_store(base, fresh, args)
         return
 
-    base_fold, base_by_name = fold_backends(base, args.baseline)
-    fresh_fold, fresh_by_name = fold_backends(fresh, args.fresh)
-
-    if "scalar" not in fresh_by_name:
-        fail(f"{bench}: fresh run has no scalar backend")
-
-    for name, b in fresh_by_name.items():
-        if b.get("bytes_identical") is not True:
-            fail(
-                f"{bench}: backend {name} aggregate bytes differ "
-                f"from scalar (bytes_identical={b.get('bytes_identical')})"
-            )
-
-    for name, bb in base_by_name.items():
-        fb = fresh_by_name.get(name)
-        if fb is None:
-            warn(
-                f"{bench}: baseline backend {name} not usable on this "
-                f"machine; skipping its perf comparison"
-            )
-            continue
-        base_ns = bb.get("kernel_ns_per_fold", 0.0)
-        fresh_ns = fb.get("kernel_ns_per_fold", 0.0)
-        if base_ns <= 0.0 or fresh_ns <= 0.0:
-            fail(f"{bench}: backend {name} has non-positive ns_per_fold")
-        if fresh_ns > base_ns * args.tolerance:
-            fail(
-                f"{bench}: backend {name} regressed: "
-                f"{fresh_ns:.1f} ns/fold vs baseline {base_ns:.1f} "
-                f"(tolerance {args.tolerance}x)"
-            )
-        print(
-            f"check_bench: {bench}/{name}: {fresh_ns:.1f} ns/fold "
-            f"(baseline {base_ns:.1f}, ratio "
-            f"{fresh_ns / base_ns:.2f}, limit {args.tolerance}x)"
+    base_ns = fold_ns(base, args.baseline)
+    fresh_ns = fold_ns(fresh, args.fresh)
+    if fresh_ns > base_ns * args.tolerance:
+        fail(
+            f"{bench}: fold kernel regressed: {fresh_ns:.1f} ns/fold vs "
+            f"baseline {base_ns:.1f} (tolerance {args.tolerance}x)"
         )
-
-    has_simd = any(n != "scalar" for n in fresh_by_name)
-    if has_simd:
-        speedup = fresh_fold.get("simd_speedup", 0.0)
-        if speedup < args.speedup_floor:
-            fail(
-                f"{bench}: simd_speedup {speedup:.3f} below floor "
-                f"{args.speedup_floor} with SIMD backends "
-                f"{sorted(n for n in fresh_by_name if n != 'scalar')}"
-            )
-        print(
-            f"check_bench: {bench}: simd_speedup {speedup:.3f} "
-            f"(floor {args.speedup_floor}), dispatch "
-            f"{fresh.get('vector_backend', '?')}"
-        )
-    else:
-        warn(f"{bench}: no SIMD backend on this machine; speedup floor skipped")
+    print(
+        f"check_bench: {bench}: {fresh_ns:.1f} ns/fold (baseline "
+        f"{base_ns:.1f}, ratio {fresh_ns / base_ns:.2f}, limit "
+        f"{args.tolerance}x)"
+    )
 
     telemetry = fresh.get("telemetry")
     if telemetry is None:

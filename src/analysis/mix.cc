@@ -100,9 +100,8 @@ InstructionMix::forEach(
 double
 InstructionMix::totalInstructions() const
 {
-    // bbec · block_sizes through the dispatched bit-stable kernel:
-    // same bits on every backend, and SIMD-wide on the fleet-scale
-    // block maps where this dominates report generation.
+    // bbec · block_sizes through the bit-stable 8-lane kernel: the
+    // same bits on every build.
     return vecops::dot(bbec_.data(), block_sizes_.data(), bbec_.size());
 }
 

@@ -122,9 +122,9 @@ mergeInto(ProfileData &into, const ProfileData &shard)
     into.ebs.insert(into.ebs.end(), shard.ebs.begin(), shard.ebs.end());
     into.lbr.insert(into.lbr.end(), shard.lbr.begin(), shard.lbr.end());
 
-    // Fold the u64 feature lanes through the dispatched saturating
-    // accumulate: lanes that would wrap past UINT64_MAX clamp there
-    // (the old unchecked += wrapped silently and corrupted fleet-scale
+    // Fold the u64 feature lanes through the saturating accumulate:
+    // lanes that would wrap past UINT64_MAX clamp there (the old
+    // unchecked += wrapped silently and corrupted fleet-scale
     // cycle/instruction totals).
     uint64_t dst[6] = {
         into.features.cycles,        into.features.instructions,

@@ -78,8 +78,7 @@ class Counter
      * per-key expression old + v * scale the scalar loop computed),
      * new keys arrive via scaledCopy. Element-wise kernels touch each
      * lane independently, so the result is bit-identical whatever
-     * order the other map is walked in and whatever backend dispatch
-     * picked.
+     * order the other map is walked in.
      */
     void
     merge(const Counter &other, double scale = 1.0)
@@ -114,7 +113,7 @@ class Counter
     /**
      * Multiply every value by @p scale, as one vecops::scale pass over
      * the gathered values (one IEEE multiply per element — the same
-     * bits as the per-entry loop, on every backend).
+     * bits as the per-entry loop).
      */
     void
     scale(double scale)

@@ -62,8 +62,7 @@ mean(const std::vector<double> &xs)
 {
     if (xs.empty())
         return 0.0;
-    // The fold goes through vecops: bit-stable 8-lane reduction, same
-    // bits whatever backend dispatch picked.
+    // The fold goes through vecops: bit-stable 8-lane reduction.
     return vecops::sum(xs) / static_cast<double>(xs.size());
 }
 
@@ -75,7 +74,7 @@ variance(const std::vector<double> &xs)
     double m = mean(xs);
     // Two-pass population variance: center first (one IEEE subtract
     // per element), then fold the squares as a vecops dot product —
-    // both halves are backend-bit-stable.
+    // both halves are bit-stable.
     std::vector<double> centered(xs.size());
     for (size_t i = 0; i < xs.size(); i++)
         centered[i] = xs[i] - m;

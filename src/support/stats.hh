@@ -57,13 +57,13 @@ class RunningStats
     bool has_any_ = false;
 };
 
-/** Arithmetic mean of a vector; 0 when empty. Folds via vectorops. */
+/** Arithmetic mean of a vector; 0 when empty. Folds via vecops. */
 double mean(const std::vector<double> &xs);
 
 /**
  * Population variance of a vector; 0 with fewer than 2 samples.
- * Two-pass (mean, then centered squares), both folds via vectorops,
- * so the result is bit-identical across SIMD backends.
+ * Two-pass (mean, then centered squares), both folds via vecops, so
+ * the result is bit-identical on every build.
  */
 double variance(const std::vector<double> &xs);
 

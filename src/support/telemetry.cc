@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "support/logging.hh"
-#include "support/vectorops.hh"
 
 namespace hbbp {
 namespace telemetry {
@@ -118,36 +117,17 @@ Histogram::Histogram(std::vector<uint64_t> bounds)
 void
 Histogram::observe(uint64_t v)
 {
-    observeMany(&v, 1);
-}
-
-void
-Histogram::observeMany(const uint64_t *v, size_t n)
-{
-    if (n == 0 || !g_enabled.load(std::memory_order_relaxed))
+    if (!g_enabled.load(std::memory_order_relaxed))
         return;
-    // Bucket assignment through the dispatched vecops kernel: one
-    // v <= bound sweep per bound (le semantics — the same bucket
-    // every lower_bound found before), values above every bound in
-    // the implicit +Inf slot.
-    uint64_t stack_counts[24];
-    std::vector<uint64_t> heap_counts;
-    uint64_t *bucket = stack_counts;
-    if (bounds_.size() + 1 > sizeof(stack_counts) / sizeof(uint64_t)) {
-        heap_counts.resize(bounds_.size() + 1);
-        bucket = heap_counts.data();
-    }
-    vecops::bucketCounts(v, n, bounds_.data(), bounds_.size(), bucket);
-    for (size_t i = 0; i <= bounds_.size(); i++)
-        if (bucket[i])
-            counts_[i].fetch_add(bucket[i], std::memory_order_relaxed);
-    // Saturating sum: fold the batch locally, then one CAS loop —
-    // observations are off the fold hot path (latency sampling only).
-    uint64_t batch = 0;
-    for (size_t i = 0; i < n; i++)
-        batch = saturatingAdd(batch, v[i]);
+    // First bucket whose upper bound admits v (le semantics); values
+    // above every bound land in the implicit +Inf bucket.
+    size_t i = std::lower_bound(bounds_.begin(), bounds_.end(), v) -
+               bounds_.begin();
+    counts_[i].fetch_add(1, std::memory_order_relaxed);
+    // Saturating sum: a CAS loop, but observations are off the fold
+    // hot path (latency sampling only).
     uint64_t cur = sum_.load(std::memory_order_relaxed);
-    while (!sum_.compare_exchange_weak(cur, saturatingAdd(cur, batch),
+    while (!sum_.compare_exchange_weak(cur, saturatingAdd(cur, v),
                                        std::memory_order_relaxed)) {
     }
 }

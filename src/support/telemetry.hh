@@ -96,16 +96,6 @@ class Histogram
     /** Record one observation (no-op while telemetry is disabled). */
     void observe(uint64_t v);
 
-    /**
-     * Record a batch of observations in one pass. Bucket assignment
-     * routes through the dispatched vecops::bucketCounts kernel (one
-     * wide compare sweep per bound), so a batch costs O(bounds)
-     * vector passes instead of n binary searches, and only non-empty
-     * buckets touch the shared atomics. observe(v) is
-     * observeMany(&v, 1).
-     */
-    void observeMany(const uint64_t *v, size_t n);
-
     /** Upper bounds, ascending; the +Inf bucket is implicit. */
     const std::vector<uint64_t> &bounds() const { return bounds_; }
 

@@ -1,34 +1,18 @@
 /**
- * Scalar reference kernels and the runtime dispatcher.
+ * The fold-math kernels (see the contracts in vectorops.hh).
  *
- * The scalar kernels below are the *definition* of every operation:
- * the SIMD backends must reproduce their bits exactly (see the lane
- * discipline in vectorops.hh). This TU is compiled with
- * -ffp-contract=off like the SIMD TUs, so a host compiler with FMA
- * cannot contract the reference into different roundings.
+ * Reductions run 8 independent stride-8 lanes and fold them with a
+ * fixed tree; element-wise kernels do one IEEE operation per element.
+ * This TU is compiled with -ffp-contract=off, and the kernels live here
+ * rather than inline in the header, so a host compiler with FMA cannot
+ * contract them into different roundings at any call site.
  */
 
 #include "support/vectorops.hh"
 
-#include <atomic>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <mutex>
-#include <string>
-
-#include "support/logging.hh"
-#include "support/vectorops_tables.hh"
-
-namespace hbbp {
+namespace hbbp::vecops {
 
 namespace {
-
-// ---------------------------------------------------------------------
-// Scalar reference kernels. Reductions run 8 independent stride-8
-// lanes and fold them with a fixed tree; every backend mirrors this
-// structure so the bits never depend on the dispatch decision.
-// ---------------------------------------------------------------------
 
 double
 reduceLanes(const double lane[8])
@@ -37,8 +21,10 @@ reduceLanes(const double lane[8])
            ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
+} // namespace
+
 double
-scalarSum(const double *x, size_t n)
+sum(const double *x, size_t n)
 {
     double lane[8] = {};
     size_t nb = n & ~static_cast<size_t>(7);
@@ -51,7 +37,13 @@ scalarSum(const double *x, size_t n)
 }
 
 double
-scalarDot(const double *x, const double *y, size_t n)
+sum(const std::vector<double> &x)
+{
+    return sum(x.data(), x.size());
+}
+
+double
+dot(const double *x, const double *y, size_t n)
 {
     double lane[8] = {};
     size_t nb = n & ~static_cast<size_t>(7);
@@ -64,45 +56,28 @@ scalarDot(const double *x, const double *y, size_t n)
 }
 
 void
-scalarSaxpy(double *y, double a, const double *x, size_t n)
+saxpy(double *y, double a, const double *x, size_t n)
 {
     for (size_t i = 0; i < n; i++)
         y[i] = y[i] + a * x[i];
 }
 
 void
-scalarScale(double *x, double a, size_t n)
+scale(double *x, double a, size_t n)
 {
     for (size_t i = 0; i < n; i++)
         x[i] *= a;
 }
 
 void
-scalarScaledCopy(double *dst, const double *src, double a, size_t n)
+scaledCopy(double *dst, const double *src, double a, size_t n)
 {
     for (size_t i = 0; i < n; i++)
         dst[i] = a * src[i];
 }
 
-double
-scalarMax(const double *x, size_t n)
-{
-    double lane[8];
-    for (double &l : lane)
-        l = -HUGE_VAL;
-    size_t nb = n & ~static_cast<size_t>(7);
-    for (size_t i = 0; i < nb; i += 8)
-        for (size_t j = 0; j < 8; j++)
-            lane[j] = lane[j] > x[i + j] ? lane[j] : x[i + j];
-    for (size_t i = nb; i < n; i++)
-        lane[i - nb] = lane[i - nb] > x[i] ? lane[i - nb] : x[i];
-    auto op = [](double u, double v) { return u > v ? u : v; };
-    return op(op(op(lane[0], lane[1]), op(lane[2], lane[3])),
-              op(op(lane[4], lane[5]), op(lane[6], lane[7])));
-}
-
 size_t
-scalarAccumulateSatU64(uint64_t *dst, const uint64_t *src, size_t n)
+accumulateSatU64(uint64_t *dst, const uint64_t *src, size_t n)
 {
     size_t saturated = 0;
     for (size_t i = 0; i < n; i++) {
@@ -114,270 +89,6 @@ scalarAccumulateSatU64(uint64_t *dst, const uint64_t *src, size_t n)
         dst[i] = r;
     }
     return saturated;
-}
-
-void
-scalarBucketCounts(const uint64_t *x, size_t n, const uint64_t *bounds,
-                   size_t nbounds, uint64_t *counts)
-{
-    uint64_t prev_le = 0;
-    for (size_t b = 0; b < nbounds; b++) {
-        uint64_t le = 0;
-        for (size_t i = 0; i < n; i++)
-            le += x[i] <= bounds[b] ? 1 : 0;
-        counts[b] = le - prev_le;
-        prev_le = le;
-    }
-    counts[nbounds] = n - prev_le;
-}
-
-constexpr VectorOpsTable kScalarTable = {
-    scalarSum,  scalarDot, scalarSaxpy,
-    scalarScale, scalarScaledCopy, scalarMax,
-    scalarAccumulateSatU64, scalarBucketCounts,
-};
-
-// ---------------------------------------------------------------------
-// Dispatch.
-// ---------------------------------------------------------------------
-
-bool
-cpuSupports(VectorBackend backend)
-{
-    switch (backend) {
-      case VectorBackend::Scalar:
-        return true;
-#if defined(__x86_64__) || defined(__i386__)
-      case VectorBackend::Avx2:
-        return __builtin_cpu_supports("avx2") != 0;
-      case VectorBackend::Avx512:
-        return __builtin_cpu_supports("avx512f") != 0;
-      case VectorBackend::Neon:
-        return false;
-#elif defined(__aarch64__)
-      case VectorBackend::Avx2:
-      case VectorBackend::Avx512:
-        return false;
-      case VectorBackend::Neon:
-        return true;
-#else
-      case VectorBackend::Avx2:
-      case VectorBackend::Avx512:
-      case VectorBackend::Neon:
-        return false;
-#endif
-      default:
-        return false;
-    }
-}
-
-/** Dispatch state: the active table and its backend tag. */
-std::atomic<const VectorOpsTable *> g_table{nullptr};
-std::atomic<VectorBackend> g_backend{VectorBackend::Scalar};
-std::once_flag g_init_once;
-
-bool
-parseBackendName(const char *s, VectorBackend *out)
-{
-    if (std::strcmp(s, "scalar") == 0)
-        *out = VectorBackend::Scalar;
-    else if (std::strcmp(s, "avx2") == 0)
-        *out = VectorBackend::Avx2;
-    else if (std::strcmp(s, "avx512") == 0)
-        *out = VectorBackend::Avx512;
-    else if (std::strcmp(s, "neon") == 0)
-        *out = VectorBackend::Neon;
-    else
-        return false;
-    return true;
-}
-
-/**
- * Default policy: the widest usable backend — AVX-512, then AVX2,
- * then NEON, then scalar. The BENCH_scale_*.json trajectory shows
- * AVX-512 beating AVX2 on the fold kernels with no frequency cliff on
- * these span lengths, and the bit-stability contract makes the flip
- * results-neutral by construction; check_bench.py's simd_speedup
- * floor guards the preference on every CI runner. Any choice stays
- * one HBBP_VECTOR_BACKEND= away.
- */
-VectorBackend
-defaultBackend()
-{
-    if (vectorBackendUsable(VectorBackend::Avx512))
-        return VectorBackend::Avx512;
-    if (vectorBackendUsable(VectorBackend::Avx2))
-        return VectorBackend::Avx2;
-    if (vectorBackendUsable(VectorBackend::Neon))
-        return VectorBackend::Neon;
-    return VectorBackend::Scalar;
-}
-
-void
-initDispatch()
-{
-    VectorBackend chosen = defaultBackend();
-    if (const char *env = std::getenv("HBBP_VECTOR_BACKEND")) {
-        VectorBackend requested;
-        if (!parseBackendName(env, &requested)) {
-            warn("HBBP_VECTOR_BACKEND='%s' is not a backend name "
-                 "(scalar|avx2|avx512|neon); using %s",
-                 env, name(chosen));
-        } else if (!vectorBackendUsable(requested)) {
-            warn("HBBP_VECTOR_BACKEND=%s is %s in this build on this "
-                 "CPU; falling back to %s",
-                 name(requested),
-                 vectorBackendCompiled(requested) ? "not executable"
-                                                  : "not compiled",
-                 name(chosen));
-        } else {
-            chosen = requested;
-        }
-    }
-    g_backend.store(chosen, std::memory_order_relaxed);
-    g_table.store(vectorOpsTable(chosen), std::memory_order_release);
-}
-
-const VectorOpsTable *
-activeTable()
-{
-    const VectorOpsTable *t = g_table.load(std::memory_order_acquire);
-    if (t)
-        return t;
-    std::call_once(g_init_once, initDispatch);
-    return g_table.load(std::memory_order_acquire);
-}
-
-} // namespace
-
-const char *
-name(VectorBackend backend)
-{
-    switch (backend) {
-      case VectorBackend::Scalar: return "scalar";
-      case VectorBackend::Avx2: return "avx2";
-      case VectorBackend::Avx512: return "avx512";
-      case VectorBackend::Neon: return "neon";
-      default:
-        panic("name: bad VectorBackend %d", static_cast<int>(backend));
-    }
-}
-
-const VectorOpsTable *
-vectorOpsTable(VectorBackend backend)
-{
-    switch (backend) {
-      case VectorBackend::Scalar: return &kScalarTable;
-      case VectorBackend::Avx2: return detail::vectorOpsAvx2Table();
-      case VectorBackend::Avx512: return detail::vectorOpsAvx512Table();
-      case VectorBackend::Neon: return detail::vectorOpsNeonTable();
-      default: return nullptr;
-    }
-}
-
-bool
-vectorBackendCompiled(VectorBackend backend)
-{
-    return vectorOpsTable(backend) != nullptr;
-}
-
-bool
-vectorBackendUsable(VectorBackend backend)
-{
-    return vectorBackendCompiled(backend) && cpuSupports(backend);
-}
-
-std::vector<VectorBackend>
-usableVectorBackends()
-{
-    std::vector<VectorBackend> out;
-    for (VectorBackend b :
-         {VectorBackend::Scalar, VectorBackend::Avx2,
-          VectorBackend::Avx512, VectorBackend::Neon})
-        if (vectorBackendUsable(b))
-            out.push_back(b);
-    return out;
-}
-
-VectorBackend
-activeVectorBackend()
-{
-    activeTable(); // Ensure dispatch is resolved.
-    return g_backend.load(std::memory_order_relaxed);
-}
-
-bool
-setVectorBackend(VectorBackend backend, std::string *why)
-{
-    if (!vectorBackendUsable(backend)) {
-        if (why)
-            *why = format(
-                "vector backend %s is %s in this build on this CPU",
-                name(backend),
-                vectorBackendCompiled(backend) ? "not executable"
-                                               : "not compiled");
-        return false;
-    }
-    g_backend.store(backend, std::memory_order_relaxed);
-    g_table.store(vectorOpsTable(backend), std::memory_order_release);
-    return true;
-}
-
-namespace vecops {
-
-double
-sum(const double *x, size_t n)
-{
-    return activeTable()->sum(x, n);
-}
-
-double
-sum(const std::vector<double> &x)
-{
-    return activeTable()->sum(x.data(), x.size());
-}
-
-double
-dot(const double *x, const double *y, size_t n)
-{
-    return activeTable()->dot(x, y, n);
-}
-
-void
-saxpy(double *y, double a, const double *x, size_t n)
-{
-    activeTable()->saxpy(y, a, x, n);
-}
-
-void
-scale(double *x, double a, size_t n)
-{
-    activeTable()->scale(x, a, n);
-}
-
-void
-scaledCopy(double *dst, const double *src, double a, size_t n)
-{
-    activeTable()->scaledCopy(dst, src, a, n);
-}
-
-double
-maxValue(const double *x, size_t n)
-{
-    return activeTable()->maxValue(x, n);
-}
-
-size_t
-accumulateSatU64(uint64_t *dst, const uint64_t *src, size_t n)
-{
-    return activeTable()->accumulateSatU64(dst, src, n);
-}
-
-void
-bucketCounts(const uint64_t *x, size_t n, const uint64_t *bounds,
-             size_t nbounds, uint64_t *counts)
-{
-    activeTable()->bucketCounts(x, n, bounds, nbounds, counts);
 }
 
 uint64_t
@@ -392,6 +103,4 @@ addSatU64(uint64_t a, uint64_t b, bool *saturated)
     return r;
 }
 
-} // namespace vecops
-
-} // namespace hbbp
+} // namespace hbbp::vecops

@@ -1,39 +1,30 @@
 /**
  * @file
- * Vectorized, bit-stable span math with runtime SIMD dispatch.
+ * Bit-stable span math for the fold path.
  *
  * The fold/merge hot path (per-host partial folds in fleet/merge and
  * fleet/aggregate, the Counter math behind mix analysis) is span
  * arithmetic over doubles and u64 feature counters. This layer gives it
- * one set of kernels — sum / dot / saxpy / scale / scaledCopy / max /
- * saturating-u64-accumulate — with scalar, AVX2 and AVX-512 backends
- * compiled in guarded translation units (vectorops_avx2.cc is built
- * with -mavx2 and compiles to a stub table elsewhere; same for AVX-512
- * and the NEON seam) and selected once at startup by CPUID.
+ * one set of kernels — sum / dot / saxpy / scale / scaledCopy /
+ * saturating-u64-accumulate — in one translation unit, vectorops.cc.
  *
- * Two contracts every backend honors:
+ * Two contracts the kernels honor:
  *
- *  1. **Bit stability.** Reductions (sum, dot, max) are defined as
- *     eight independent stride-8 accumulator lanes folded by a fixed
+ *  1. **Bit stability.** Reductions (sum, dot) are defined as eight
+ *     independent stride-8 accumulator lanes folded by a fixed
  *     reduction tree, and element-wise kernels perform exactly one
- *     IEEE operation per element (no FMA contraction — the TUs are
- *     built with -ffp-contract=off). Every backend therefore produces
- *     the *same bits* for the same input, so forcing the dispatch is a
- *     test knob, never a results change.
+ *     IEEE operation per element (no FMA contraction). vectorops.cc is
+ *     built with -ffp-contract=off and the kernels stay out of line, so
+ *     a -march=native build cannot fuse a*x+y into one rounding: every
+ *     build produces the *same bits* for the same input.
  *
  *  2. **Determinism across platforms.** Callers that sum unordered
  *     containers (Counter<Key>) gather values in sorted-key order
  *     first; combined with the fixed lane/tree order above, mix
- *     percentages no longer depend on libstdc++ vs libc++ hash
- *     iteration order.
+ *     percentages do not depend on libstdc++ vs libc++ hash iteration
+ *     order.
  *
- * Dispatch policy: AVX2 when the CPU has it, otherwise scalar.
- * AVX-512 is compiled and selectable but *not* preferred by default —
- * on many parts the 512-bit frequency penalty erases the width win for
- * short spans (measure first; the BENCH_scale_*.json trajectory records
- * the dispatch backend for exactly this reason). Override with the
- * HBBP_VECTOR_BACKEND environment variable (scalar | avx2 | avx512 |
- * neon); an unusable request warns once and falls back.
+ * Spans may be empty, length-1, or arbitrarily (un)aligned.
  */
 
 #ifndef HBBP_SUPPORT_VECTOROPS_HH
@@ -41,122 +32,28 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
-namespace hbbp {
+namespace hbbp::vecops {
 
-/** A SIMD dispatch target. */
-enum class VectorBackend : uint8_t {
-    Scalar,
-    Avx2,
-    Avx512,
-    Neon,
-};
-
-/** Printable name of a backend ("scalar", "avx2", ...). */
-const char *name(VectorBackend backend);
-
-/**
- * One backend's kernel table. All pointers are non-null in a usable
- * table; spans may be empty, length-1, or arbitrarily (un)aligned.
- */
-struct VectorOpsTable
-{
-    /** Bit-stable 8-lane sum of x[0..n). 0.0 when n == 0. */
-    double (*sum)(const double *x, size_t n);
-    /** Bit-stable 8-lane dot product of x and y. 0.0 when n == 0. */
-    double (*dot)(const double *x, const double *y, size_t n);
-    /** y[i] += a * x[i] (one mul + one add per element, no FMA). */
-    void (*saxpy)(double *y, double a, const double *x, size_t n);
-    /** x[i] *= a. */
-    void (*scale)(double *x, double a, size_t n);
-    /** dst[i] = a * src[i]; dst and src must not overlap. */
-    void (*scaledCopy)(double *dst, const double *src, double a,
-                       size_t n);
-    /**
-     * Largest element under the lanewise rule acc = acc > x ? acc : x
-     * (ties and NaN resolve toward the newer element, matching the
-     * hardware maxpd semantics). -HUGE_VAL when n == 0.
-     */
-    double (*maxValue)(const double *x, size_t n);
-    /**
-     * dst[i] = saturatingAdd(dst[i], src[i]): lanes that would wrap
-     * past UINT64_MAX clamp there instead. Returns the number of
-     * saturated lanes.
-     */
-    size_t (*accumulateSatU64)(uint64_t *dst, const uint64_t *src,
-                               size_t n);
-    /**
-     * Histogram bucket assignment over strictly-ascending upper
-     * bounds (le semantics, matching telemetry::Histogram): for
-     * i < nbounds, counts[i] = #{v in x[0..n) : v <= bounds[i] and
-     * (i == 0 or v > bounds[i-1])}; counts[nbounds] = #{v : v >
-     * every bound}. counts has nbounds+1 slots and is overwritten.
-     * Defined as one count-of-(v <= bound) pass per bound with the
-     * per-bucket counts taken as adjacent differences — the shape
-     * that vectorizes as a wide compare + mask popcount, where the
-     * per-value binary search does not. Counts are exact integers,
-     * so every backend is bit-identical by construction; the
-     * property tests assert it anyway.
-     */
-    void (*bucketCounts)(const uint64_t *x, size_t n,
-                         const uint64_t *bounds, size_t nbounds,
-                         uint64_t *counts);
-};
-
-/**
- * The backend's kernel table, or nullptr when its translation unit was
- * compiled without the ISA (the guarded-TU stub).
- */
-const VectorOpsTable *vectorOpsTable(VectorBackend backend);
-
-/** True when the backend's kernels were compiled into this binary. */
-bool vectorBackendCompiled(VectorBackend backend);
-
-/** True when the backend is compiled *and* this CPU can execute it. */
-bool vectorBackendUsable(VectorBackend backend);
-
-/** Every usable backend, scalar first. */
-std::vector<VectorBackend> usableVectorBackends();
-
-/**
- * The backend dispatch currently routes through. Resolved once on
- * first use: HBBP_VECTOR_BACKEND if set and usable (an unusable
- * request warns once and falls back), otherwise AVX2 when the CPU has
- * it, otherwise scalar.
- */
-VectorBackend activeVectorBackend();
-
-/**
- * Force dispatch to @p backend (the test/bench seam; benches sweep it
- * to record scalar-vs-SIMD fold numbers). Returns false with *@p why
- * set when the backend is not usable on this machine — dispatch is
- * left unchanged.
- */
-bool setVectorBackend(VectorBackend backend, std::string *why = nullptr);
-
-namespace vecops {
-
-/** Dispatched VectorOpsTable::sum. */
+/** Bit-stable 8-lane sum of x[0..n). 0.0 when n == 0. */
 double sum(const double *x, size_t n);
-/** Dispatched sum over a vector. */
+/** sum() over a vector. */
 double sum(const std::vector<double> &x);
-/** Dispatched VectorOpsTable::dot. */
+/** Bit-stable 8-lane dot product of x and y. 0.0 when n == 0. */
 double dot(const double *x, const double *y, size_t n);
-/** Dispatched VectorOpsTable::saxpy. */
+/** y[i] += a * x[i] (one mul + one add per element, no FMA). */
 void saxpy(double *y, double a, const double *x, size_t n);
-/** Dispatched VectorOpsTable::scale. */
+/** x[i] *= a. */
 void scale(double *x, double a, size_t n);
-/** Dispatched VectorOpsTable::scaledCopy. */
+/** dst[i] = a * src[i]; dst and src must not overlap. */
 void scaledCopy(double *dst, const double *src, double a, size_t n);
-/** Dispatched VectorOpsTable::maxValue. */
-double maxValue(const double *x, size_t n);
-/** Dispatched VectorOpsTable::accumulateSatU64. */
+/**
+ * dst[i] = addSatU64(dst[i], src[i]): lanes that would wrap past
+ * UINT64_MAX clamp there instead. Returns the number of saturated
+ * lanes.
+ */
 size_t accumulateSatU64(uint64_t *dst, const uint64_t *src, size_t n);
-/** Dispatched VectorOpsTable::bucketCounts. */
-void bucketCounts(const uint64_t *x, size_t n, const uint64_t *bounds,
-                  size_t nbounds, uint64_t *counts);
 
 /**
  * Scalar saturating u64 add: a + b, clamped to UINT64_MAX on wrap.
@@ -165,8 +62,6 @@ void bucketCounts(const uint64_t *x, size_t n, const uint64_t *bounds,
  */
 uint64_t addSatU64(uint64_t a, uint64_t b, bool *saturated = nullptr);
 
-} // namespace vecops
-
-} // namespace hbbp
+} // namespace hbbp::vecops
 
 #endif // HBBP_SUPPORT_VECTOROPS_HH

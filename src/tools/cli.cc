@@ -1219,9 +1219,8 @@ main(int argc, char **argv)
 {
     // Normal, not Quiet: every warn() in the library marks an
     // exceptional condition a fleet operator needs to see (saturating
-    // counter clamps, damaged journals, unusable HBBP_VECTOR_BACKEND
-    // requests); nothing warns on the happy path, so normal runs stay
-    // as quiet as before.
+    // counter clamps, damaged journals); nothing warns on the happy
+    // path, so normal runs stay as quiet as before.
     setLogLevel(LogLevel::Normal);
     if (argc >= 2 && (std::strcmp(argv[1], "version") == 0 ||
                       std::strcmp(argv[1], "--version") == 0)) {

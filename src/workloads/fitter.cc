@@ -44,6 +44,21 @@ seal(ProgramBuilder &pb, BlockId cur, BlockId next, Rng &rng)
     pb.endCond(cur, drawCondBranch(rng), next, bh, next);
 }
 
+/** The variant's registry key (tools/registry.cc), used as w.name. */
+const char *
+workloadName(FitterVariant variant)
+{
+    switch (variant) {
+      case FitterVariant::X87: return "fitter_x87";
+      case FitterVariant::Sse: return "fitter_sse";
+      case FitterVariant::AvxBroken: return "fitter_avx_broken";
+      case FitterVariant::AvxFix: return "fitter_avx_fix";
+      default:
+        panic("workloadName: bad FitterVariant %d",
+              static_cast<int>(variant));
+    }
+}
+
 } // namespace
 
 const char *
@@ -257,7 +272,7 @@ makeFitter(FitterVariant variant, size_t pad)
     pb.setEntry(main_fn);
 
     Workload w;
-    w.name = format("fitter_%s", name(variant));
+    w.name = workloadName(variant);
     w.program = std::make_shared<Program>(pb.build());
     w.runtime_class = RuntimeClass::Seconds;
     w.max_instructions = 5'000'000;

@@ -34,7 +34,11 @@ enum class FitterVariant : uint8_t
     AvxFix,    ///< The "AVX fix" column in Table 6.
 };
 
-/** Printable variant name. */
+/**
+ * The paper's variant label ("SSE", "AVX fix"): Table 6 headers and the
+ * module file name. The workload itself is named by its registry key
+ * ("fitter_sse", "fitter_avx_fix").
+ */
 const char *name(FitterVariant variant);
 
 /** Generate one Fitter variant (with its calibrated code layout). */

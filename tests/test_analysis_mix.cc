@@ -13,8 +13,6 @@
 
 #include "analysis/error.hh"
 #include "analysis/mix.hh"
-#include "analysis/report.hh"
-#include "support/vectorops.hh"
 #include "tests/helpers.hh"
 
 namespace hbbp {
@@ -153,30 +151,6 @@ TEST_F(MixFixture, ZeroCountBlocksSkipped)
     Counter<Mnemonic> counts = mix.mnemonicCounts();
     EXPECT_DOUBLE_EQ(counts.get(Mnemonic::MULPS), 0.0);
     EXPECT_DOUBLE_EQ(counts.get(Mnemonic::VMULPS), 4.0);
-}
-
-TEST_F(MixFixture, ReportBytesIdenticalAcrossVectorBackends)
-{
-    // Mix percentages used to depend on unordered_map iteration order
-    // (and hence on the standard library); with sorted-key gathering
-    // plus the bit-stable vecops reduction, the rendered report bytes
-    // must be identical on every dispatch backend.
-    InstructionMix mix(*map, {10.0, 4.0});
-    VectorBackend before = activeVectorBackend();
-
-    std::string why;
-    ASSERT_TRUE(setVectorBackend(VectorBackend::Scalar, &why)) << why;
-    std::string reference = Reporter(mix).summary();
-    EXPECT_FALSE(reference.empty());
-
-    for (VectorBackend b : usableVectorBackends()) {
-        ASSERT_TRUE(setVectorBackend(b, &why)) << why;
-        EXPECT_EQ(Reporter(mix).summary(), reference) << name(b);
-        EXPECT_EQ(InstructionMix(*map, {10.0, 4.0}).totalInstructions(),
-                  mix.totalInstructions())
-            << name(b);
-    }
-    ASSERT_TRUE(setVectorBackend(before));
 }
 
 TEST(MixDeterminism, MnemonicTotalsIndependentOfCounterHistory)

@@ -405,26 +405,6 @@ TEST(WarnRateLimiter, ConfigureResetsState)
     EXPECT_TRUE(rl.note("s", 2).print);
 }
 
-TEST(TelemetryHistogram, ObserveManyMatchesSequentialObserves)
-{
-    telemetry::Registry reg;
-    std::vector<uint64_t> bounds = {10, 100, 1000};
-    telemetry::Histogram &batch = reg.histogram("batch_hist", bounds);
-    telemetry::Histogram &seq = reg.histogram("seq_hist", bounds);
-    std::vector<uint64_t> values;
-    for (uint64_t i = 0; i < 1000; i++)
-        values.push_back((i * 37) % 1500);
-    batch.observeMany(values.data(), values.size());
-    for (uint64_t v : values)
-        seq.observe(v);
-    for (size_t b = 0; b <= bounds.size(); b++)
-        EXPECT_EQ(batch.bucketCount(b), seq.bucketCount(b)) << b;
-    EXPECT_EQ(batch.sum(), seq.sum());
-    EXPECT_EQ(batch.count(), seq.count());
-    batch.observeMany(values.data(), 0); // n == 0 is a no-op
-    EXPECT_EQ(batch.count(), seq.count());
-}
-
 TEST(Federation, NoChildrenKeepsOwnBytesAndRollsUpLocalCounters)
 {
     std::string own =

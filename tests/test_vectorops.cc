@@ -1,11 +1,12 @@
 /**
  * @file
- * Property tests for support/vectorops: every compiled-and-usable
- * backend must reproduce the scalar reference kernels *bit for bit* on
- * arbitrary spans — random lengths, empty, length-1, unaligned tails,
- * denormals, infinities and signed zeros — and the runtime dispatch
- * seam (setVectorBackend / HBBP_VECTOR_BACKEND) must be a pure test
- * knob that never changes results.
+ * Tests for support/vectorops: exact values that only the specified
+ * arithmetic produces (the 8-lane reduction tree, one rounding per
+ * element, every tail length), random spans against that rule written
+ * out longhand, and the Counter/stats folds built on the kernels.
+ *
+ * This file is built with -ffp-contract=off, like vectorops.cc, so the
+ * longhand reference below rounds the way the kernels must.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +14,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
-#include <string>
 #include <vector>
 
 #include "support/histogram.hh"
@@ -64,9 +63,8 @@ randomSpan(Rng &rng, size_t n)
 }
 
 /**
- * The lengths every kernel property sweeps: empty, length-1, each
- * possible tail remainder around the 8-wide block size, and spans well
- * past any vector width.
+ * The lengths the random-span properties sweep: empty, length-1, each
+ * possible tail remainder around the 8-lane block, and long spans.
  */
 std::vector<size_t>
 propertyLengths()
@@ -79,334 +77,265 @@ propertyLengths()
     return lens;
 }
 
-/** All non-scalar backends usable on this machine. */
-std::vector<VectorBackend>
-simdBackends()
+/** Empty, single, short tail only, one full block, block + tail, long. */
+const size_t kTailLengths[] = {0, 1, 7, 8, 9, 1000};
+
+/** The lane rule written out longhand: element i feeds lane i % 8. */
+double
+referenceTree(const double lane[8])
 {
-    std::vector<VectorBackend> out;
-    for (VectorBackend b : usableVectorBackends())
-        if (b != VectorBackend::Scalar)
-            out.push_back(b);
-    return out;
+    return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+           ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
-const VectorOpsTable &scalarTable()
+double
+referenceSum(const double *x, size_t n)
 {
-    return *vectorOpsTable(VectorBackend::Scalar);
+    double lane[8] = {};
+    for (size_t i = 0; i < n; i++)
+        lane[i % 8] += x[i];
+    return referenceTree(lane);
 }
 
-TEST(VectorBackendInfo, ScalarAlwaysPresent)
+double
+referenceDot(const double *x, const double *y, size_t n)
 {
-    EXPECT_TRUE(vectorBackendCompiled(VectorBackend::Scalar));
-    EXPECT_TRUE(vectorBackendUsable(VectorBackend::Scalar));
-    auto usable = usableVectorBackends();
-    ASSERT_FALSE(usable.empty());
-    EXPECT_EQ(usable.front(), VectorBackend::Scalar);
+    double lane[8] = {};
+    for (size_t i = 0; i < n; i++)
+        lane[i % 8] += x[i] * y[i];
+    return referenceTree(lane);
 }
 
-TEST(VectorBackendInfo, Names)
+// ---------------------------------------------------------------------
+// Exact values. Each case has one right answer under the lane rule and
+// one rounding per operation; a sequential sum, a different lane
+// assignment for the tail, or an FMA-contracted build gives another.
+// ---------------------------------------------------------------------
+
+/** a = 1 + 2^-30 and c = fl(a*a) = 1 + 2^-29: a*a - c is 2^-60. */
+const double kA = 1.0 + std::ldexp(1.0, -30);
+const double kC = kA * kA;
+
+TEST(VectorOpsExact, CancellationOperandsAreWhatTheCasesNeed)
 {
-    EXPECT_STREQ(name(VectorBackend::Scalar), "scalar");
-    EXPECT_STREQ(name(VectorBackend::Avx2), "avx2");
-    EXPECT_STREQ(name(VectorBackend::Avx512), "avx512");
-    EXPECT_STREQ(name(VectorBackend::Neon), "neon");
+    EXPECT_EQ(kC, 1.0 + std::ldexp(1.0, -29));
+    EXPECT_EQ(std::fma(kA, kA, -kC), std::ldexp(1.0, -60));
 }
 
-TEST(VectorBackendInfo, UsableImpliesCompiled)
+TEST(VectorOpsExact, SumFoldsEightLanesByAFixedTree)
 {
-    for (VectorBackend b : {VectorBackend::Scalar, VectorBackend::Avx2,
-                            VectorBackend::Avx512, VectorBackend::Neon}) {
-        if (vectorBackendUsable(b)) {
-            EXPECT_TRUE(vectorBackendCompiled(b)) << name(b);
+    // {2^53, 1 x 7}: lane 0 holds 2^53, lanes 1..7 hold 1, and the
+    // tree ((2^53+1) + 2) + 4 gives 2^53 + 6. Summed left to right,
+    // every +1 rounds back to 2^53.
+    const double big = std::ldexp(1.0, 53);
+    std::vector<double> x(8, 1.0);
+    x[0] = big;
+    EXPECT_EQ(vecops::sum(x.data(), 8), big + 6.0);
+
+    // A ninth 1 is a tail element: it joins lane 0 (and rounds away
+    // there), it is not added after the tree (which would give 2^53+8).
+    x.push_back(1.0);
+    EXPECT_EQ(vecops::sum(x.data(), 9), big + 6.0);
+
+    // 1000 elements: lane 0 stays 2^53, lanes 1..7 each reach 125.
+    x.assign(1000, 1.0);
+    x[0] = big;
+    EXPECT_EQ(vecops::sum(x.data(), x.size()), big + 874.0);
+}
+
+TEST(VectorOpsExact, DotRoundsEachProductBeforeTheAdd)
+{
+    // x[0]*y[0] = -c enters lane 0, then x[8]*y[8] = fl(a*a) = c
+    // cancels it to exactly 0. Fused into one FMA the second step
+    // would leave a*a - c = 2^-60.
+    std::vector<double> x(16, 0.0), y(16, 0.0);
+    x[0] = kC;
+    y[0] = -1.0;
+    x[8] = y[8] = kA;
+    EXPECT_EQ(bits(vecops::dot(x.data(), y.data(), 16)), bits(0.0));
+
+    // The same pair through the tail loop (n = 9: element 8 is the
+    // tail) and through a long span (elements n-9 and n-1 share a
+    // lane).
+    for (size_t n : {9u, 1000u, 1001u}) {
+        std::vector<double> xl(n, 0.0), yl(n, 0.0);
+        xl[n - 9] = kC;
+        yl[n - 9] = -1.0;
+        xl[n - 1] = yl[n - 1] = kA;
+        EXPECT_EQ(bits(vecops::dot(xl.data(), yl.data(), n)), bits(0.0))
+            << "n=" << n;
+    }
+}
+
+TEST(VectorOpsExact, SaxpyRoundsEachProductBeforeTheAdd)
+{
+    // y = -c, x = a: y + fl(a*a) is exactly 0; fma(a, a, y) is 2^-60.
+    for (size_t n : kTailLengths) {
+        std::vector<double> y(n, -kC), x(n, kA);
+        vecops::saxpy(y.data(), kA, x.data(), n);
+        for (size_t i = 0; i < n; i++)
+            ASSERT_EQ(bits(y[i]), bits(0.0)) << "n=" << n << " i=" << i;
+    }
+}
+
+TEST(VectorOpsExact, ReductionsCoverEveryTailLength)
+{
+    for (size_t n : kTailLengths) {
+        // x = 1..n, followed by a sentinel a kernel must never read.
+        std::vector<double> x(n + 1), ones(n + 1, 1.0);
+        for (size_t i = 0; i < n; i++)
+            x[i] = static_cast<double>(i + 1);
+        x[n] = 1e300;
+        double dn = static_cast<double>(n);
+        EXPECT_EQ(vecops::sum(x.data(), n), dn * (dn + 1) / 2) << n;
+        EXPECT_EQ(vecops::dot(x.data(), ones.data(), n),
+                  dn * (dn + 1) / 2)
+            << n;
+        EXPECT_EQ(vecops::dot(x.data(), x.data(), n),
+                  dn * (dn + 1) * (2 * dn + 1) / 6)
+            << n;
+    }
+}
+
+TEST(VectorOpsExact, ElementWiseKernelsCoverEveryTailLength)
+{
+    for (size_t n : kTailLengths) {
+        // One sentinel past the span: no kernel may write it.
+        std::vector<double> x(n + 1, -7.0), copy(n + 1, -7.0);
+        std::vector<double> y(n + 1, -7.0);
+        for (size_t i = 0; i < n; i++) {
+            x[i] = static_cast<double>(i + 1);
+            y[i] = 0.5;
         }
-    }
-}
-
-TEST(VectorDispatch, SetBackendRoundTrips)
-{
-    VectorBackend before = activeVectorBackend();
-    for (VectorBackend b : usableVectorBackends()) {
-        std::string why;
-        EXPECT_TRUE(setVectorBackend(b, &why)) << why;
-        EXPECT_EQ(activeVectorBackend(), b);
-    }
-    ASSERT_TRUE(setVectorBackend(before));
-}
-
-TEST(VectorDispatch, UnusableBackendRefusedWithDiagnostic)
-{
-    VectorBackend before = activeVectorBackend();
-    for (VectorBackend b : {VectorBackend::Avx2, VectorBackend::Avx512,
-                            VectorBackend::Neon}) {
-        if (vectorBackendUsable(b))
-            continue;
-        std::string why;
-        EXPECT_FALSE(setVectorBackend(b, &why));
-        EXPECT_NE(why.find(name(b)), std::string::npos) << why;
-        // A refused request must leave dispatch untouched.
-        EXPECT_EQ(activeVectorBackend(), before);
+        vecops::scaledCopy(copy.data(), x.data(), 0.25, n);
+        vecops::saxpy(y.data(), 2.0, x.data(), n);
+        vecops::scale(x.data(), 4.0, n);
+        for (size_t i = 0; i < n; i++) {
+            double v = static_cast<double>(i + 1);
+            ASSERT_EQ(copy[i], v * 0.25) << "n=" << n << " i=" << i;
+            ASSERT_EQ(y[i], 0.5 + 2.0 * v) << "n=" << n << " i=" << i;
+            ASSERT_EQ(x[i], 4.0 * v) << "n=" << n << " i=" << i;
+        }
+        EXPECT_EQ(copy[n], -7.0) << n;
+        EXPECT_EQ(y[n], -7.0) << n;
+        EXPECT_EQ(x[n], -7.0) << n;
     }
 }
 
 // ---------------------------------------------------------------------
-// Bit-identity properties: each usable SIMD backend against the scalar
-// reference, across the length sweep, on both aligned vector storage
-// and deliberately misaligned sub-spans.
+// Random spans against the longhand reference, across the length
+// sweep, on both the vector's own storage and a misaligned sub-span.
 // ---------------------------------------------------------------------
 
 TEST(VectorOpsProperty, SumMatchesScalarBitForBit)
 {
     Rng rng(1);
-    for (VectorBackend b : simdBackends()) {
-        const VectorOpsTable *t = vectorOpsTable(b);
-        ASSERT_NE(t, nullptr) << name(b);
-        for (size_t n : propertyLengths()) {
-            std::vector<double> x = randomSpan(rng, n + 1);
-            // Aligned-origin span and an off-by-one (misaligned) span.
-            EXPECT_EQ(bits(t->sum(x.data(), n)),
-                      bits(scalarTable().sum(x.data(), n)))
-                << name(b) << " n=" << n;
-            EXPECT_EQ(bits(t->sum(x.data() + 1, n)),
-                      bits(scalarTable().sum(x.data() + 1, n)))
-                << name(b) << " n=" << n << " (unaligned)";
-        }
+    for (size_t n : propertyLengths()) {
+        std::vector<double> x = randomSpan(rng, n + 1);
+        EXPECT_EQ(bits(vecops::sum(x.data(), n)),
+                  bits(referenceSum(x.data(), n)))
+            << "n=" << n;
+        EXPECT_EQ(bits(vecops::sum(x.data() + 1, n)),
+                  bits(referenceSum(x.data() + 1, n)))
+            << "n=" << n << " (unaligned)";
     }
 }
 
 TEST(VectorOpsProperty, DotMatchesScalarBitForBit)
 {
     Rng rng(2);
-    for (VectorBackend b : simdBackends()) {
-        const VectorOpsTable *t = vectorOpsTable(b);
-        for (size_t n : propertyLengths()) {
-            std::vector<double> x = randomSpan(rng, n + 1);
-            std::vector<double> y = randomSpan(rng, n + 1);
-            EXPECT_EQ(bits(t->dot(x.data(), y.data(), n)),
-                      bits(scalarTable().dot(x.data(), y.data(), n)))
-                << name(b) << " n=" << n;
-            EXPECT_EQ(bits(t->dot(x.data() + 1, y.data() + 1, n)),
-                      bits(scalarTable().dot(x.data() + 1, y.data() + 1,
-                                             n)))
-                << name(b) << " n=" << n << " (unaligned)";
-        }
+    for (size_t n : propertyLengths()) {
+        std::vector<double> x = randomSpan(rng, n + 1);
+        std::vector<double> y = randomSpan(rng, n + 1);
+        EXPECT_EQ(bits(vecops::dot(x.data(), y.data(), n)),
+                  bits(referenceDot(x.data(), y.data(), n)))
+            << "n=" << n;
+        EXPECT_EQ(bits(vecops::dot(x.data() + 1, y.data() + 1, n)),
+                  bits(referenceDot(x.data() + 1, y.data() + 1, n)))
+            << "n=" << n << " (unaligned)";
     }
 }
 
 TEST(VectorOpsProperty, SaxpyMatchesScalarBitForBit)
 {
     Rng rng(3);
-    for (VectorBackend b : simdBackends()) {
-        const VectorOpsTable *t = vectorOpsTable(b);
-        for (size_t n : propertyLengths()) {
-            std::vector<double> x = randomSpan(rng, n);
-            std::vector<double> y0 = randomSpan(rng, n);
-            double a = randomValue(rng);
-            std::vector<double> y_simd = y0, y_ref = y0;
-            t->saxpy(y_simd.data(), a, x.data(), n);
-            scalarTable().saxpy(y_ref.data(), a, x.data(), n);
-            for (size_t i = 0; i < n; i++)
-                ASSERT_EQ(bits(y_simd[i]), bits(y_ref[i]))
-                    << name(b) << " n=" << n << " i=" << i;
-        }
+    for (size_t n : propertyLengths()) {
+        std::vector<double> x = randomSpan(rng, n);
+        std::vector<double> y = randomSpan(rng, n);
+        double a = randomValue(rng);
+        std::vector<double> ref = y;
+        for (size_t i = 0; i < n; i++)
+            ref[i] = ref[i] + a * x[i];
+        vecops::saxpy(y.data(), a, x.data(), n);
+        for (size_t i = 0; i < n; i++)
+            ASSERT_EQ(bits(y[i]), bits(ref[i])) << "n=" << n << " i=" << i;
     }
 }
 
 TEST(VectorOpsProperty, ScaleMatchesScalarBitForBit)
 {
     Rng rng(4);
-    for (VectorBackend b : simdBackends()) {
-        const VectorOpsTable *t = vectorOpsTable(b);
-        for (size_t n : propertyLengths()) {
-            std::vector<double> x0 = randomSpan(rng, n);
-            double a = randomValue(rng);
-            std::vector<double> x_simd = x0, x_ref = x0;
-            t->scale(x_simd.data(), a, n);
-            scalarTable().scale(x_ref.data(), a, n);
-            for (size_t i = 0; i < n; i++)
-                ASSERT_EQ(bits(x_simd[i]), bits(x_ref[i]))
-                    << name(b) << " n=" << n << " i=" << i;
-        }
+    for (size_t n : propertyLengths()) {
+        std::vector<double> x = randomSpan(rng, n);
+        double a = randomValue(rng);
+        std::vector<double> ref = x;
+        for (double &v : ref)
+            v *= a;
+        vecops::scale(x.data(), a, n);
+        for (size_t i = 0; i < n; i++)
+            ASSERT_EQ(bits(x[i]), bits(ref[i])) << "n=" << n << " i=" << i;
     }
 }
 
 TEST(VectorOpsProperty, ScaledCopyMatchesScalarBitForBit)
 {
     Rng rng(5);
-    for (VectorBackend b : simdBackends()) {
-        const VectorOpsTable *t = vectorOpsTable(b);
-        for (size_t n : propertyLengths()) {
-            std::vector<double> src = randomSpan(rng, n);
-            double a = randomValue(rng);
-            std::vector<double> dst_simd(n, -1.0), dst_ref(n, -1.0);
-            t->scaledCopy(dst_simd.data(), src.data(), a, n);
-            scalarTable().scaledCopy(dst_ref.data(), src.data(), a, n);
-            for (size_t i = 0; i < n; i++)
-                ASSERT_EQ(bits(dst_simd[i]), bits(dst_ref[i]))
-                    << name(b) << " n=" << n << " i=" << i;
-        }
-    }
-}
-
-TEST(VectorOpsProperty, MaxMatchesScalarBitForBit)
-{
-    Rng rng(6);
-    for (VectorBackend b : simdBackends()) {
-        const VectorOpsTable *t = vectorOpsTable(b);
-        for (size_t n : propertyLengths()) {
-            std::vector<double> x = randomSpan(rng, n + 1);
-            EXPECT_EQ(bits(t->maxValue(x.data(), n)),
-                      bits(scalarTable().maxValue(x.data(), n)))
-                << name(b) << " n=" << n;
-            EXPECT_EQ(bits(t->maxValue(x.data() + 1, n)),
-                      bits(scalarTable().maxValue(x.data() + 1, n)))
-                << name(b) << " n=" << n << " (unaligned)";
-        }
+    for (size_t n : propertyLengths()) {
+        std::vector<double> src = randomSpan(rng, n);
+        double a = randomValue(rng);
+        std::vector<double> dst(n, -1.0);
+        vecops::scaledCopy(dst.data(), src.data(), a, n);
+        for (size_t i = 0; i < n; i++)
+            ASSERT_EQ(bits(dst[i]), bits(a * src[i]))
+                << "n=" << n << " i=" << i;
     }
 }
 
 TEST(VectorOpsProperty, AccumulateSatU64MatchesScalar)
 {
     Rng rng(7);
-    for (VectorBackend b : simdBackends()) {
-        const VectorOpsTable *t = vectorOpsTable(b);
-        for (size_t n : propertyLengths()) {
-            std::vector<uint64_t> dst0(n), src(n);
-            for (size_t i = 0; i < n; i++) {
-                // Mix values near the wrap boundary with ordinary ones
-                // so saturation actually triggers.
-                dst0[i] = rng.chance(0.3) ? UINT64_MAX - rng.nextBelow(4)
-                                          : rng.next() >> 1;
-                src[i] = rng.chance(0.3) ? UINT64_MAX - rng.nextBelow(4)
-                                         : rng.next() >> 1;
-            }
-            std::vector<uint64_t> dst_simd = dst0, dst_ref = dst0;
-            size_t sat_simd =
-                t->accumulateSatU64(dst_simd.data(), src.data(), n);
-            size_t sat_ref = scalarTable().accumulateSatU64(
-                dst_ref.data(), src.data(), n);
-            EXPECT_EQ(sat_simd, sat_ref) << name(b) << " n=" << n;
-            for (size_t i = 0; i < n; i++)
-                ASSERT_EQ(dst_simd[i], dst_ref[i])
-                    << name(b) << " n=" << n << " i=" << i;
-        }
-    }
-}
-
-/** Brute-force le-bucket assignment, the definition bucketCounts meets. */
-std::vector<uint64_t>
-bucketCountsReference(const std::vector<uint64_t> &x,
-                      const std::vector<uint64_t> &bounds)
-{
-    std::vector<uint64_t> counts(bounds.size() + 1, 0);
-    for (uint64_t v : x) {
-        size_t i = 0;
-        while (i < bounds.size() && v > bounds[i])
-            i++;
-        counts[i]++;
-    }
-    return counts;
-}
-
-TEST(VectorOpsProperty, BucketCountsMatchesScalarBitForBit)
-{
-    Rng rng(8);
-    // Telemetry-shaped bound sets: short and long, including bounds
-    // that sit exactly on generated values so the `<=` edge is hit.
-    std::vector<std::vector<uint64_t>> bound_sets = {
-        {0},
-        {10, 100, 1000},
-        {1, 4, 16, 64, 256, 1024, 4096, 16384},
-        {7, 8, 9, 1000000, UINT64_MAX - 1},
-    };
-    for (VectorBackend b : simdBackends()) {
-        const VectorOpsTable *t = vectorOpsTable(b);
-        ASSERT_NE(t, nullptr) << name(b);
-        for (const std::vector<uint64_t> &bounds : bound_sets) {
-            for (size_t n : propertyLengths()) {
-                std::vector<uint64_t> x(n + 1);
-                for (uint64_t &v : x) {
-                    // Cluster most values around the bounds (edge
-                    // cases), keep some uniform.
-                    if (rng.chance(0.5)) {
-                        uint64_t base =
-                            bounds[rng.nextBelow(bounds.size())];
-                        uint64_t jitter = rng.nextBelow(3);
-                        v = base > jitter ? base - jitter + rng.nextBelow(5)
-                                          : rng.nextBelow(5);
-                    } else {
-                        v = rng.next();
-                    }
-                }
-                std::vector<uint64_t> c_simd(bounds.size() + 1, 99);
-                std::vector<uint64_t> c_ref(bounds.size() + 1, 77);
-                t->bucketCounts(x.data(), n, bounds.data(),
-                                bounds.size(), c_simd.data());
-                scalarTable().bucketCounts(x.data(), n, bounds.data(),
-                                           bounds.size(), c_ref.data());
-                ASSERT_EQ(c_simd, c_ref) << name(b) << " n=" << n;
-                // Misaligned origin.
-                t->bucketCounts(x.data() + 1, n, bounds.data(),
-                                bounds.size(), c_simd.data());
-                scalarTable().bucketCounts(x.data() + 1, n,
-                                           bounds.data(), bounds.size(),
-                                           c_ref.data());
-                ASSERT_EQ(c_simd, c_ref)
-                    << name(b) << " n=" << n << " (unaligned)";
-            }
-        }
-    }
-}
-
-TEST(VectorOpsScalar, BucketCountsMatchesBruteForceReference)
-{
-    Rng rng(9);
-    std::vector<uint64_t> bounds = {5, 10, 50, 100};
     for (size_t n : propertyLengths()) {
-        std::vector<uint64_t> x(n);
-        for (uint64_t &v : x)
-            v = rng.nextBelow(120); // spans all buckets incl. overflow
-        std::vector<uint64_t> counts(bounds.size() + 1, 42);
-        scalarTable().bucketCounts(x.data(), n, bounds.data(),
-                                   bounds.size(), counts.data());
-        EXPECT_EQ(counts, bucketCountsReference(x, bounds)) << "n=" << n;
-        // Total conservation: every value lands in exactly one bucket.
-        uint64_t total = 0;
-        for (uint64_t c : counts)
-            total += c;
-        EXPECT_EQ(total, n);
+        std::vector<uint64_t> dst(n), src(n);
+        for (size_t i = 0; i < n; i++) {
+            // Mix values near the wrap boundary with ordinary ones so
+            // saturation actually triggers.
+            dst[i] = rng.chance(0.3) ? UINT64_MAX - rng.nextBelow(4)
+                                     : rng.next() >> 1;
+            src[i] = rng.chance(0.3) ? UINT64_MAX - rng.nextBelow(4)
+                                     : rng.next() >> 1;
+        }
+        std::vector<uint64_t> ref = dst;
+        size_t ref_saturated = 0;
+        for (size_t i = 0; i < n; i++) {
+            bool sat = false;
+            ref[i] = vecops::addSatU64(ref[i], src[i], &sat);
+            ref_saturated += sat ? 1 : 0;
+        }
+        EXPECT_EQ(vecops::accumulateSatU64(dst.data(), src.data(), n),
+                  ref_saturated)
+            << "n=" << n;
+        EXPECT_EQ(dst, ref) << "n=" << n;
     }
-}
-
-TEST(VectorOpsScalar, BucketCountsBoundaryValuesUseLeSemantics)
-{
-    std::vector<uint64_t> bounds = {10, 100};
-    // v == bound lands in that bucket (le), v == bound+1 in the next.
-    std::vector<uint64_t> x = {10, 11, 100, 101, 0};
-    std::vector<uint64_t> counts(3, 9);
-    vecops::bucketCounts(x.data(), x.size(), bounds.data(),
-                         bounds.size(), counts.data());
-    EXPECT_EQ(counts, (std::vector<uint64_t>{2, 2, 1}));
-    // Empty input zeroes the (previously dirty) counts.
-    counts.assign(3, 7);
-    vecops::bucketCounts(x.data(), 0, bounds.data(), bounds.size(),
-                         counts.data());
-    EXPECT_EQ(counts, (std::vector<uint64_t>{0, 0, 0}));
-    // No bounds: everything overflows into the single +Inf slot.
-    std::vector<uint64_t> inf_only(1, 3);
-    vecops::bucketCounts(x.data(), x.size(), nullptr, 0,
-                         inf_only.data());
-    EXPECT_EQ(inf_only[0], x.size());
 }
 
 // ---------------------------------------------------------------------
-// Scalar reference semantics (the definition the backends mirror).
+// Edge semantics.
 // ---------------------------------------------------------------------
 
 TEST(VectorOpsScalar, EmptySpans)
 {
     EXPECT_EQ(vecops::sum(nullptr, 0), 0.0);
     EXPECT_EQ(vecops::dot(nullptr, nullptr, 0), 0.0);
-    EXPECT_EQ(vecops::maxValue(nullptr, 0), -HUGE_VAL);
     EXPECT_EQ(vecops::accumulateSatU64(nullptr, nullptr, 0), 0u);
 }
 
@@ -416,7 +345,6 @@ TEST(VectorOpsScalar, SingleElement)
     EXPECT_EQ(vecops::sum(&x, 1), 3.25);
     double y = 2.0;
     EXPECT_EQ(vecops::dot(&x, &y, 1), 6.5);
-    EXPECT_EQ(vecops::maxValue(&x, 1), 3.25);
 }
 
 TEST(VectorOpsScalar, SumExactOnIntegers)
@@ -425,12 +353,6 @@ TEST(VectorOpsScalar, SumExactOnIntegers)
     for (size_t i = 0; i < v.size(); i++)
         v[i] = static_cast<double>(i + 1);
     EXPECT_EQ(vecops::sum(v), 5050.0);
-}
-
-TEST(VectorOpsScalar, MaxHandlesAllNegative)
-{
-    std::vector<double> v = {-5.0, -2.5, -100.0};
-    EXPECT_EQ(vecops::maxValue(v.data(), v.size()), -2.5);
 }
 
 TEST(VectorOpsScalar, AddSatU64)
@@ -459,38 +381,8 @@ TEST(VectorOpsScalar, AccumulateSatU64ClampsAndCounts)
 }
 
 // ---------------------------------------------------------------------
-// Dispatch is a knob, not a result: the dispatched wrappers return the
-// same bits whichever usable backend is forced.
-// ---------------------------------------------------------------------
-
-TEST(VectorDispatch, ResultsIdenticalAcrossForcedBackends)
-{
-    VectorBackend before = activeVectorBackend();
-    Rng rng(8);
-    std::vector<double> x = randomSpan(rng, 97);
-    std::vector<double> y = randomSpan(rng, 97);
-
-    ASSERT_TRUE(setVectorBackend(VectorBackend::Scalar));
-    uint64_t ref_sum = bits(vecops::sum(x));
-    uint64_t ref_dot = bits(vecops::dot(x.data(), y.data(), x.size()));
-    uint64_t ref_max = bits(vecops::maxValue(x.data(), x.size()));
-
-    for (VectorBackend b : simdBackends()) {
-        ASSERT_TRUE(setVectorBackend(b));
-        EXPECT_EQ(bits(vecops::sum(x)), ref_sum) << name(b);
-        EXPECT_EQ(bits(vecops::dot(x.data(), y.data(), x.size())),
-                  ref_dot)
-            << name(b);
-        EXPECT_EQ(bits(vecops::maxValue(x.data(), x.size())), ref_max)
-            << name(b);
-    }
-    ASSERT_TRUE(setVectorBackend(before));
-}
-
-// ---------------------------------------------------------------------
 // Counter determinism: total() is a pure function of the {key, value}
-// set — identical bits whatever the insertion order or hash layout,
-// and whichever backend dispatch selects.
+// set — identical bits whatever the insertion order or hash layout.
 // ---------------------------------------------------------------------
 
 TEST(CounterDeterminism, TotalIndependentOfInsertionOrder)
@@ -519,27 +411,9 @@ TEST(CounterDeterminism, TotalIndependentOfInsertionOrder)
                 1e-9 * std::max(1.0, std::fabs(forward.total())));
 }
 
-TEST(CounterDeterminism, TotalIdenticalAcrossBackends)
-{
-    VectorBackend before = activeVectorBackend();
-    Rng rng(10);
-    Counter<int> c;
-    for (int k = 0; k < 500; k++)
-        c.add(static_cast<int>(rng.nextBelow(300)), randomValue(rng));
-
-    ASSERT_TRUE(setVectorBackend(VectorBackend::Scalar));
-    uint64_t ref = bits(c.total());
-    for (VectorBackend b : simdBackends()) {
-        ASSERT_TRUE(setVectorBackend(b));
-        EXPECT_EQ(bits(c.total()), ref) << name(b);
-    }
-    ASSERT_TRUE(setVectorBackend(before));
-}
-
 // ---------------------------------------------------------------------
-// support/stats routed through vecops: the free-function folds must
-// return identical bits whichever usable backend is forced, and stay
-// exact on the integer-valued inputs counters feed them.
+// support/stats routed through vecops: exact on the integer-valued
+// inputs counters feed them.
 // ---------------------------------------------------------------------
 
 TEST(StatsVectorized, MeanExactOnIntegers)
@@ -561,72 +435,10 @@ TEST(StatsVectorized, VarianceMatchesDefinition)
     EXPECT_EQ(variance({3.0}), 0.0);
 }
 
-TEST(StatsVectorized, FoldsIdenticalAcrossForcedBackends)
-{
-    VectorBackend before = activeVectorBackend();
-    Rng rng(11);
-    std::vector<double> xs = randomSpan(rng, 257);
-    std::vector<double> pos(xs.size());
-    for (size_t i = 0; i < xs.size(); i++)
-        pos[i] = std::fabs(xs[i]) + 1.0; // geomean needs positives
-
-    ASSERT_TRUE(setVectorBackend(VectorBackend::Scalar));
-    uint64_t ref_mean = bits(mean(xs));
-    uint64_t ref_var = bits(variance(xs));
-    uint64_t ref_sd = bits(stddev(xs));
-    uint64_t ref_gm = bits(geomean(pos));
-
-    for (VectorBackend b : simdBackends()) {
-        ASSERT_TRUE(setVectorBackend(b));
-        EXPECT_EQ(bits(mean(xs)), ref_mean) << name(b);
-        EXPECT_EQ(bits(variance(xs)), ref_var) << name(b);
-        EXPECT_EQ(bits(stddev(xs)), ref_sd) << name(b);
-        EXPECT_EQ(bits(geomean(pos)), ref_gm) << name(b);
-    }
-    ASSERT_TRUE(setVectorBackend(before));
-}
-
 // ---------------------------------------------------------------------
 // Counter::merge / Counter::scale routed through the element-wise
-// kernels: per-key bits must match the scalar-backend result whatever
-// backend is forced (the kernels touch each lane independently, so map
-// iteration order cannot leak into results).
+// kernels.
 // ---------------------------------------------------------------------
-
-TEST(CounterDeterminism, MergeAndScaleIdenticalAcrossBackends)
-{
-    VectorBackend before = activeVectorBackend();
-    Rng rng(12);
-    Counter<int> base, incoming;
-    for (int k = 0; k < 300; k++)
-        base.add(static_cast<int>(rng.nextBelow(200)), randomValue(rng));
-    for (int k = 0; k < 300; k++)
-        incoming.add(static_cast<int>(rng.nextBelow(400)),
-                     randomValue(rng));
-    double merge_scale = randomValue(rng);
-    double mul = randomValue(rng);
-
-    auto run = [&]() {
-        Counter<int> c = base;
-        c.merge(incoming, merge_scale);
-        c.scale(mul);
-        return c.sortedByKey();
-    };
-
-    ASSERT_TRUE(setVectorBackend(VectorBackend::Scalar));
-    auto ref = run();
-    for (VectorBackend b : simdBackends()) {
-        ASSERT_TRUE(setVectorBackend(b));
-        auto got = run();
-        ASSERT_EQ(got.size(), ref.size()) << name(b);
-        for (size_t i = 0; i < ref.size(); i++) {
-            ASSERT_EQ(got[i].first, ref[i].first) << name(b);
-            ASSERT_EQ(bits(got[i].second), bits(ref[i].second))
-                << name(b) << " key=" << ref[i].first;
-        }
-    }
-    ASSERT_TRUE(setVectorBackend(before));
-}
 
 TEST(CounterDeterminism, MergeMatchesScalarLoopSemantics)
 {
