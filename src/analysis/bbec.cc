@@ -1,8 +1,9 @@
 #include "analysis/bbec.hh"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
+#include <utility>
 
+#include "support/dictionary.hh"
 #include "support/logging.hh"
 #include "support/vectorops.hh"
 
@@ -95,41 +96,68 @@ BbecEstimator::estimate(const BlockMap &map,
                      static_cast<double>(len);
     }
 
-    // ---- Bias detection pass A: entry[0] frequency vs overall slot
-    // frequency per branch source address.
-    std::unordered_map<uint64_t, uint64_t> entry0_count;
-    std::unordered_map<uint64_t, uint64_t> slot_count;
+    // ---- Bias pass: entry[0] frequency vs overall slot frequency per
+    // branch source, counted by interned source id.
+    Dictionary<uint64_t> sources;
+    std::vector<uint64_t> entry0_count;
+    std::vector<uint64_t> slot_count;
     uint64_t total_samples = 0;
     uint64_t total_slots = 0;
     for (const LbrStackSample &sample : profile.lbr) {
         if (sample.entries.empty())
             continue;
         total_samples++;
-        entry0_count[sample.entries.front().source]++;
-        for (const LbrEntry &e : sample.entries) {
-            slot_count[e.source]++;
-            total_slots++;
+        total_slots += sample.entries.size();
+        for (size_t i = 0; i < sample.entries.size(); i++) {
+            uint32_t id = sources.intern(sample.entries[i].source);
+            if (id == slot_count.size()) {
+                slot_count.push_back(0);
+                entry0_count.push_back(0);
+            }
+            slot_count[id]++;
+            if (i == 0)
+                entry0_count[id]++;
         }
     }
-    std::unordered_set<uint64_t> biased_sources;
+    std::vector<bool> biased(entry0_count.size(), false);
     if (total_samples > 0 && total_slots > 0) {
-        for (const auto &[src, cnt] : entry0_count) {
-            double freq0 = static_cast<double>(cnt) /
+        for (uint32_t id = 0; id < entry0_count.size(); id++) {
+            if (entry0_count[id] == 0)
+                continue;
+            double freq0 = static_cast<double>(entry0_count[id]) /
                            static_cast<double>(total_samples);
-            double overall = static_cast<double>(slot_count[src]) /
+            double overall = static_cast<double>(slot_count[id]) /
                              static_cast<double>(total_slots);
             if (freq0 >= opts_.bias_min_freq &&
                 freq0 > opts_.bias_ratio * overall) {
-                biased_sources.insert(src);
-                est.biased_branches.push_back({src, freq0, overall});
+                biased[id] = true;
+                est.biased_branches.push_back(
+                    {sources.keys()[id], freq0, overall});
             }
         }
+        std::sort(est.biased_branches.begin(), est.biased_branches.end(),
+                  [](const BiasedBranch &a, const BiasedBranch &b) {
+                      return a.source < b.source;
+                  });
     }
+    const bool any_biased = !est.biased_branches.empty();
 
-    // ---- LBR: walk the N-1 streams of every stack.
+    // ---- LBR: the N-1 streams of every stack. Each distinct (target,
+    // source) pair is walked once, on first sight; every occurrence
+    // then credits the recorded blocks with its own sample's weight,
+    // in profile order (see the file comment in bbec.hh).
+    struct Walk
+    {
+        size_t begin = 0; ///< Credited blocks: path[begin, end).
+        size_t end = 0;
+        bool valid = false;         ///< False: walkStream discarded it.
+        bool biased_source = false; ///< Its source is a biased branch.
+    };
+    Dictionary<std::pair<uint64_t, uint64_t>> streams;
+    std::vector<Walk> walks; // by stream id
+    std::vector<uint32_t> path;
+    std::vector<uint32_t> sample_streams; // one sample's stream ids
     std::vector<double> biased_credit(n, 0.0);
-    std::vector<uint32_t> credited;
-    credited.reserve(64);
     for (const LbrStackSample &sample : profile.lbr) {
         const size_t depth = sample.entries.size();
         if (depth < 2)
@@ -137,29 +165,37 @@ BbecEstimator::estimate(const BlockMap &map,
         const double weight = 1.0 / static_cast<double>(depth - 1);
         // A sample is bias-suspect when a biased branch appears anywhere
         // in the stack: the stale-entry[0] anomaly distorts evidence for
-        // every block that co-occurs with the anomalous branch.
-        bool sample_biased = false;
-        if (!biased_sources.empty()) {
-            for (const LbrEntry &e : sample.entries) {
-                if (biased_sources.count(e.source) > 0) {
-                    sample_biased = true;
-                    break;
-                }
-            }
-        }
+        // every block that co-occurs with the anomalous branch. Entries
+        // 1..N-1 are the stream sources; entry[0] is looked up here.
+        bool sample_biased =
+            any_biased && biased[sources.intern(sample.entries[0].source)];
+        sample_streams.clear();
         for (size_t i = 1; i < depth; i++) {
-            est.lbr_streams_total++;
             uint64_t t = sample.entries[i - 1].target;
             uint64_t s = sample.entries[i].source;
-            credited.clear();
-            if (!walkStream(map, t, s, opts_.max_walk_blocks, credited)) {
+            uint32_t id = streams.intern({t, s});
+            if (id == walks.size()) { // first sight: ids come in order
+                Walk w;
+                w.begin = path.size();
+                w.valid = walkStream(map, t, s, opts_.max_walk_blocks, path);
+                w.end = path.size();
+                w.biased_source = any_biased && biased[sources.intern(s)];
+                walks.push_back(w);
+            }
+            sample_biased = sample_biased || walks[id].biased_source;
+            sample_streams.push_back(id);
+        }
+        for (uint32_t id : sample_streams) {
+            est.lbr_streams_total++;
+            const Walk &w = walks[id];
+            if (!w.valid) {
                 est.lbr_streams_discarded++;
                 continue;
             }
-            for (uint32_t bi : credited) {
-                est.lbr_weight[bi] += weight;
+            for (size_t k = w.begin; k < w.end; k++) {
+                est.lbr_weight[path[k]] += weight;
                 if (sample_biased)
-                    biased_credit[bi] += weight;
+                    biased_credit[path[k]] += weight;
             }
         }
     }
@@ -173,8 +209,8 @@ BbecEstimator::estimate(const BlockMap &map,
 
     // ---- Bias flags: blocks containing a biased branch, and blocks
     // whose LBR evidence substantially comes from biased samples.
-    for (uint64_t src : biased_sources) {
-        uint32_t bi = map.blockAt(src);
+    for (const BiasedBranch &b : est.biased_branches) {
+        uint32_t bi = map.blockAt(b.source);
         if (bi != BlockMap::npos)
             est.bias[bi] = true;
     }

@@ -22,7 +22,19 @@
  *
  * Bias detection follows Section III.C: a branch whose frequency at
  * entry[0] is disproportionate relative to its overall LBR presence
- * marks the blocks whose evidence depends on it as bias-suspect.
+ * marks the blocks whose evidence depends on it as bias-suspect. The
+ * detected branches are listed in ascending source address.
+ *
+ * Credit order. A profile repeats tens to hundreds of distinct
+ * <target, source> pairs over ~100k streams, so the estimator walks
+ * each distinct pair once and records its blocks (or that the walk was
+ * discarded). It still credits every stream on its own, in profile
+ * order, with its own sample's 1/(N-1) weight: the float additions are
+ * exactly those of one walk per stream, so the estimates keep their
+ * bits. Summing a pair's weights and crediting once would reorder
+ * those additions and move low bits of every LBR estimate, which is a
+ * deliberate change needing its own golden regeneration
+ * (tests/golden/bbec_*.golden pins the bits).
  */
 
 #ifndef HBBP_ANALYSIS_BBEC_HH

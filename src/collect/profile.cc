@@ -5,10 +5,10 @@
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <numeric>
 #include <utility>
 
 #include "support/bytes.hh"
+#include "support/dictionary.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 
@@ -151,96 +151,6 @@ parseFixedWidthBody(std::string_view body, const std::string &path)
 }
 
 using Branch = std::pair<uint64_t, uint64_t>; ///< (source, target).
-
-/** murmur3's 64-bit finalizer: full avalanche for table hashing. */
-inline uint64_t
-keyHash(uint64_t x)
-{
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    x *= 0xc4ceb9fe1a85ec53ULL;
-    return x ^ (x >> 33);
-}
-
-inline uint64_t
-keyHash(const Branch &b)
-{
-    return keyHash(b.first * 0x9e3779b97f4a7c15ULL ^ b.second);
-}
-
-/**
- * The v4 writer's dictionary pass: interns each key a profile repeats
- * (tens of thousands of samples over a few hundred distinct branches
- * and addresses) into a provisional first-seen id, then sorts the
- * distinct keys so the table — and every id — is canonical.
- */
-template <typename Key>
-class Dictionary
-{
-  public:
-    /** The provisional id of @p key, interning it on first sight. */
-    uint32_t
-    intern(const Key &key)
-    {
-        if ((keys_.size() + 1) * 2 > slots_.size())
-            grow();
-        uint32_t &slot = slots_[find(key)];
-        if (slot == kEmpty) {
-            slot = static_cast<uint32_t>(keys_.size());
-            keys_.push_back(key);
-        }
-        return slot;
-    }
-
-    /**
-     * The distinct keys in ascending order; afterwards rank() maps a
-     * provisional id to its key's index in that table.
-     */
-    std::vector<Key>
-    sorted()
-    {
-        std::vector<uint32_t> order(keys_.size());
-        std::iota(order.begin(), order.end(), 0u);
-        std::sort(order.begin(), order.end(),
-                  [&](uint32_t a, uint32_t b) {
-                      return keys_[a] < keys_[b];
-                  });
-        std::vector<Key> table(keys_.size());
-        rank_.resize(keys_.size());
-        for (uint32_t i = 0; i < order.size(); i++) {
-            table[i] = keys_[order[i]];
-            rank_[order[i]] = i;
-        }
-        return table;
-    }
-
-    uint32_t rank(uint32_t provisional) const { return rank_[provisional]; }
-
-  private:
-    static constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
-
-    size_t
-    find(const Key &key) const
-    {
-        size_t mask = slots_.size() - 1;
-        for (size_t i = keyHash(key) & mask;; i = (i + 1) & mask)
-            if (slots_[i] == kEmpty || keys_[slots_[i]] == key)
-                return i;
-    }
-
-    void
-    grow()
-    {
-        slots_.assign(std::max<size_t>(64, slots_.size() * 2), kEmpty);
-        for (uint32_t id = 0; id < keys_.size(); id++)
-            slots_[find(keys_[id])] = id;
-    }
-
-    std::vector<Key> keys_;
-    std::vector<uint32_t> slots_;
-    std::vector<uint32_t> rank_;
-};
 
 inline uint64_t
 ringBit(Ring ring)

@@ -7,6 +7,9 @@
 #ifndef HBBP_TESTS_HELPERS_HH
 #define HBBP_TESTS_HELPERS_HH
 
+#include <gtest/gtest.h>
+
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -31,6 +34,24 @@ writeFile(const std::string &path, const std::string &bytes)
 {
     std::ofstream out(path, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/**
+ * Expect @p rendered to equal the golden file at @p path. With
+ * HBBP_UPDATE_GOLDEN=1 in the environment, (re)write the file instead:
+ * only after a deliberate, documented change to what it pins.
+ */
+inline void
+checkGolden(const std::string &path, const std::string &rendered)
+{
+    if (std::getenv("HBBP_UPDATE_GOLDEN")) {
+        writeFile(path, rendered);
+        return;
+    }
+    std::string expected = readFile(path);
+    ASSERT_FALSE(expected.empty())
+        << path << " missing; regenerate with HBBP_UPDATE_GOLDEN=1";
+    EXPECT_EQ(rendered, expected) << "drift from " << path;
 }
 
 /**

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "analysis/analyzer.hh"
 #include "analysis/bbec.hh"
+#include "tests/bbec_reference.hh"
 #include "tests/helpers.hh"
 
 namespace hbbp {
@@ -199,6 +202,33 @@ TEST(BbecEstimator, BiasDetectedOnStickyLoop)
         EXPECT_GT(bb.entry0_freq, 0.0);
         EXPECT_GT(bb.entry0_freq, 2.0 * bb.overall_freq);
     }
+}
+
+TEST(BbecEstimator, BiasedBranchesAscendBySource)
+{
+    // The sticky-loop profile of BiasDetectedOnStickyLoop: the list
+    // comes out in ascending source order, whatever order the standard
+    // library's hash containers would have given, and holds exactly
+    // the per-stream reference's branches.
+    Workload w = makeFitter(FitterVariant::Sse);
+    Capture cap = capture(w, /*quirk=*/true);
+    BlockMap map(*w.program);
+    BbecEstimates est = BbecEstimator().estimate(map, cap.profile);
+    BbecEstimates ref =
+        reference::BbecEstimator().estimate(map, cap.profile);
+
+    ASSERT_GE(est.biased_branches.size(), 2u);
+    std::set<uint64_t> got, want;
+    for (size_t i = 0; i < est.biased_branches.size(); i++) {
+        if (i > 0) {
+            EXPECT_LT(est.biased_branches[i - 1].source,
+                      est.biased_branches[i].source);
+        }
+        got.insert(est.biased_branches[i].source);
+    }
+    for (const BiasedBranch &bb : ref.biased_branches)
+        want.insert(bb.source);
+    EXPECT_EQ(got, want);
 }
 
 TEST(BbecEstimator, NoBiasWhenQuirkDisabled)

@@ -644,24 +644,11 @@ goldenResult()
     return r;
 }
 
-std::string
-goldenPath(const std::string &name)
-{
-    return std::string(HBBP_GOLDEN_DIR) + "/" + name;
-}
-
 void
 checkGolden(const std::string &name, const std::string &rendered)
 {
-    if (::getenv("HBBP_UPDATE_GOLDEN")) {
-        testutil::writeFile(goldenPath(name), rendered);
-        return;
-    }
-    std::string expected = testutil::readFile(goldenPath(name));
-    ASSERT_FALSE(expected.empty())
-        << goldenPath(name)
-        << " missing; regenerate with HBBP_UPDATE_GOLDEN=1";
-    EXPECT_EQ(rendered, expected) << "format drift in " << name;
+    testutil::checkGolden(std::string(HBBP_GOLDEN_DIR) + "/" + name,
+                          rendered);
 }
 
 TEST(QueryRenderTest, GoldenText)

@@ -1,17 +1,19 @@
 /**
  * @file
  * Unit tests for the support library: RNG, statistics, counters,
- * tables and string helpers.
+ * tables, string helpers and the interning dictionary.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "hbbp/version.hh"
+#include "support/dictionary.hh"
 #include "support/histogram.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
@@ -389,6 +391,92 @@ TEST(Strings, ClosestMatches)
     near = closestMatches("kernelbench", names);
     ASSERT_FALSE(near.empty());
     EXPECT_EQ(near[0], "kernelbench");
+}
+
+TEST(Dictionary, IdsAreFirstSeen)
+{
+    Dictionary<uint64_t> d;
+    EXPECT_EQ(d.intern(500), 0u);
+    EXPECT_EQ(d.intern(7), 1u);
+    EXPECT_EQ(d.intern(500), 0u);
+    EXPECT_EQ(d.intern(0), 2u);
+    EXPECT_EQ(d.intern(7), 1u);
+    EXPECT_EQ(d.keys(), (std::vector<uint64_t>{500, 7, 0}));
+}
+
+TEST(Dictionary, GrowsPastSixtyFourSlotsAtHalfLoad)
+{
+    Dictionary<uint64_t> d;
+    EXPECT_EQ(d.capacity(), 0u);
+    Rng rng(11);
+    std::vector<uint64_t> keys;
+    std::set<uint64_t> seen;
+    while (keys.size() < 1000) {
+        uint64_t k = rng.next();
+        if (seen.insert(k).second)
+            keys.push_back(k);
+    }
+    for (size_t i = 0; i < keys.size(); i++) {
+        ASSERT_EQ(d.intern(keys[i]), i);
+        ASSERT_GE(d.capacity(), 64u);
+        ASSERT_EQ(d.capacity() & (d.capacity() - 1), 0u);
+        ASSERT_LE(2 * d.keys().size(), d.capacity()) << "load above 1/2";
+    }
+    EXPECT_GT(d.capacity(), 64u);
+    // Every id survives the rehashes.
+    for (size_t i = 0; i < keys.size(); i++)
+        EXPECT_EQ(d.intern(keys[i]), i);
+    EXPECT_EQ(d.keys(), keys);
+}
+
+/** sorted() is the ascending key table and rank() indexes into it. */
+template <typename Key>
+void
+expectCanonical(Dictionary<Key> &d)
+{
+    std::vector<Key> table = d.sorted();
+    std::vector<Key> want = d.keys();
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(table, want);
+    for (uint32_t id = 0; id < d.keys().size(); id++)
+        EXPECT_EQ(table[d.rank(id)], d.keys()[id]);
+}
+
+TEST(Dictionary, SortedAndRankAreCanonicalForAddresses)
+{
+    Dictionary<uint64_t> a, b;
+    for (uint64_t k : {40, 10, 30, 10, 20, 40})
+        a.intern(k);
+    for (uint64_t k : {20, 30, 40, 10})
+        b.intern(k);
+    expectCanonical(a);
+    expectCanonical(b);
+    // The same key set gives the same table, whatever the first-seen
+    // order, and each key the same rank.
+    EXPECT_EQ(a.sorted(), b.sorted());
+    EXPECT_EQ(a.sorted(), (std::vector<uint64_t>{10, 20, 30, 40}));
+    EXPECT_EQ(a.rank(a.intern(30)), 2u);
+    EXPECT_EQ(b.rank(b.intern(30)), 2u);
+}
+
+TEST(Dictionary, SortedAndRankAreCanonicalForPairs)
+{
+    using Pair = std::pair<uint64_t, uint64_t>;
+    Dictionary<Pair> d;
+    const uint32_t a = d.intern({3, 11});
+    const uint32_t b = d.intern({4, 0});
+    const uint32_t c = d.intern({4, 1});
+    Rng rng(5);
+    for (int i = 0; i < 500; i++)
+        d.intern({rng.nextBelow(12), rng.nextBelow(12)});
+    ASSERT_GT(d.keys().size(), 64u);
+    expectCanonical(d);
+    std::vector<Pair> table = d.sorted();
+    EXPECT_TRUE(std::adjacent_find(table.begin(), table.end()) ==
+                table.end());
+    // Ordered by first, then second.
+    EXPECT_LT(d.rank(a), d.rank(b));
+    EXPECT_LT(d.rank(b), d.rank(c));
 }
 
 TEST(Version, ConfiguredAndCoherent)
