@@ -2,7 +2,7 @@
  * @file
  * Query-serving read-path benchmark.
  *
- * Measures the `hbbp-tool serve` query path end to end — a real
+ * Measures the `aggregate --listen` query path end to end — a real
  * ShardListener with a co-hosted QueryEndpoint, queried over TCP by
  * QueryClient — in the regimes the epoch cache is built for:
  *

@@ -9,7 +9,7 @@
  * service owns those entry points once, behind a transport-neutral
  * request/result pair, so the same analysis API serves three
  * transports — the in-process CLI, the socket query endpoint of
- * `hbbp-tool serve` (fleet/query.hh), and a future relay-side mix
+ * `aggregate --listen` (fleet/query.hh), and a future relay-side mix
  * offload.
  *
  * Results are cached per *epoch*: the profile source exposes the

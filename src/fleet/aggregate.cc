@@ -723,7 +723,8 @@ watchAndAggregate(IncrementalAggregator &agg, const std::string &dir,
         if (options.expect == 0 ||
             agg.coveredShards() >= options.expect)
             break;
-        if (clock::now() - last_import >= idle_limit)
+        if (options.timeout_ms >= 0 &&
+            clock::now() - last_import >= idle_limit)
             break;
         std::this_thread::sleep_for(
             std::chrono::milliseconds(options.poll_ms));

@@ -322,6 +322,7 @@ struct WatchOptions
      * timeout, not a wall-clock deadline: every accepted shard resets
      * it, so a slow-but-steady trickle from many hosts is never
      * aborted mid-stream — only a genuinely stalled transport is.
+     * Negative waits forever, like ListenOptions::idle_timeout_ms.
      */
     int timeout_ms = 10'000;
     /** Poll interval between directory scans. */

@@ -191,21 +191,6 @@ StateJournal::record(IncrementalAggregator &agg,
         compact(agg);
 }
 
-size_t
-restoreAggregatorState(IncrementalAggregator &agg,
-                       std::optional<StateJournal> &journal,
-                       const std::string &state_file)
-{
-    if (state_file.empty())
-        return 0;
-    std::string why;
-    bool restored = journal ? journal->restore(agg, &why)
-                            : agg.restoreState(state_file, &why);
-    if (!restored && fs::exists(state_file))
-        warn("ignoring aggregator state: %s", why.c_str());
-    return agg.restoredShards();
-}
-
 void
 StateJournal::compact(IncrementalAggregator &agg)
 {

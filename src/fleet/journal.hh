@@ -26,7 +26,6 @@
 #define HBBP_FLEET_JOURNAL_HH
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,18 +86,6 @@ class StateJournal
     size_t pending_records_ = 0;
     size_t replayed_ = 0;
 };
-
-/**
- * The one restore-at-startup policy every state-carrying process
- * (aggregate --state, relay --state) shares: restore @p agg through
- * @p journal when journaling is on, plain restoreState() otherwise,
- * and warn — never die — when a state file exists but cannot be used
- * (a cold start re-imports the shards). Returns the restored shard
- * count (0 on a cold start); no-op when @p state_file is empty.
- */
-size_t restoreAggregatorState(IncrementalAggregator &agg,
-                              std::optional<StateJournal> &journal,
-                              const std::string &state_file);
 
 } // namespace hbbp
 

@@ -1,0 +1,111 @@
+#include "fleet/node.hh"
+
+#include <filesystem>
+#include <utility>
+
+#include "fleet/metrics.hh"
+#include "support/bytes.hh"
+#include "support/logging.hh"
+#include "support/rng.hh"
+
+namespace fs = std::filesystem;
+
+namespace hbbp {
+
+IngestNode::IngestNode(IngestOptions options)
+    : options_(std::move(options))
+{
+    const std::string &state = options_.state_file;
+    if (!state.empty() && options_.journal_every > 0)
+        journal_.emplace(state, options_.journal_every);
+    if (!options_.store_dir.empty()) {
+        store_.emplace(options_.store_dir);
+        if (!state.empty())
+            pin_.emplace(*store_,
+                         format("state-%016llx",
+                                static_cast<unsigned long long>(
+                                    fnv1a(state))));
+    }
+    trace_.open(options_.trace_log, options_.name);
+}
+
+size_t
+IngestNode::restore()
+{
+    const std::string &state = options_.state_file;
+    if (!state.empty()) {
+        // A state that cannot be used is a cold start that re-imports
+        // the shards: warn, never die.
+        std::string why;
+        bool restored = journal_ ? journal_->restore(agg_, &why)
+                                 : agg_.restoreState(state, &why);
+        if (!restored && fs::exists(state))
+            warn("ignoring aggregator state: %s", why.c_str());
+    }
+    // A crashed predecessor's pins guarded arrivals that are either in
+    // the restored state (durable) or were never acknowledged (their
+    // senders retry, pinning again): safe to release either way, and
+    // leaking them would exempt the entries from gc forever.
+    if (pin_ && pin_->restored() > 0) {
+        inform("releasing %zu pin%s inherited from a previous run",
+               pin_->restored(), pin_->restored() == 1 ? "" : "s");
+        pin_->release();
+    }
+    return agg_.restoredShards();
+}
+
+void
+IngestNode::accept(const ShardManifest &m, const ProfileData *profile,
+                   const std::vector<std::string> &chunks)
+{
+    for (const std::string &id : m.trace_ids)
+        trace_.span(options_.accept_span, id,
+                    format("from=%s", m.host.c_str()));
+    // Federation discovery rides the shard tree: a sender that
+    // advertises a scrape endpoint becomes a child to merge.
+    if (options_.federator && !m.metrics_endpoint.empty())
+        options_.federator->noteChild(m.host, m.metrics_endpoint);
+    // Pin before depositing: until the arrival is durable below, a
+    // concurrent `store gc` must not evict what a restart would need.
+    if (pin_)
+        pin_->pin(m.checksum);
+    if (store_ && chunks.size() == 1)
+        // Exact profile-file bytes: no re-parse or re-serialize.
+        store_->depositBytesByChecksum(m.checksum, chunks[0]);
+    else if (store_ && profile)
+        store_->insertByChecksum(m.checksum, *profile);
+    if (journal_ && !chunks.empty())
+        journal_->record(agg_, m, chunks);
+    else if (journal_)
+        journal_->compact(agg_);
+    else if (!options_.state_file.empty())
+        agg_.saveState(options_.state_file);
+    if (pin_)
+        pin_->unpin(m.checksum);
+}
+
+void
+IngestNode::acceptFile(const ShardManifest &m, const std::string &path)
+{
+    std::vector<std::string> chunks;
+    if (store_ || journal_) {
+        std::string why;
+        std::string bytes = readFileBytes(path, &why);
+        if (why.empty())
+            chunks.push_back(std::move(bytes));
+        else
+            warn("cannot read shard '%s' (%s); not depositing or "
+                 "journaling it%s", path.c_str(), why.c_str(),
+                 journal_ ? ", writing a full checkpoint instead" : "");
+    }
+    accept(m, nullptr, chunks);
+}
+
+void
+IngestNode::release()
+{
+    if (pin_)
+        pin_->release();
+}
+
+} // namespace hbbp

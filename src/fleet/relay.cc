@@ -2,31 +2,32 @@
 
 #include <utility>
 
-#include "fleet/metrics.hh"
 #include "support/logging.hh"
 
 namespace hbbp {
 
+namespace {
+
+IngestOptions
+ingestOptions(const RelayOptions &ro)
+{
+    IngestOptions io;
+    io.name = "relay:" + ro.relay_id;
+    io.accept_span = "relay_accept";
+    io.state_file = ro.state_file;
+    io.journal_every = ro.journal_every;
+    io.store_dir = ro.store_dir;
+    io.trace_log = ro.trace_log;
+    io.federator = ro.federator;
+    return io;
+}
+
+} // namespace
+
 RelayNode::RelayNode(RelayOptions options)
-    : options_(std::move(options)),
+    : options_(std::move(options)), node_(ingestOptions(options_)),
       listener_(options_.listen_port, options_.bind_addr)
 {
-    if (!options_.state_file.empty() && options_.journal_every > 0)
-        journal_.emplace(options_.state_file, options_.journal_every);
-    if (!options_.store_dir.empty()) {
-        store_.emplace(options_.store_dir);
-        // Owner identity must survive a restart of the same relay so
-        // the restarted node inherits (and releases) crashed pins;
-        // --relay-id defaults to a per-pid value, so prefer the
-        // state file when there is one.
-        pin_.emplace(*store_,
-                     format("relay-%016llx",
-                            static_cast<unsigned long long>(fnv1a(
-                                options_.state_file.empty()
-                                    ? options_.relay_id
-                                    : options_.state_file))));
-    }
-    trace_.open(options_.trace_log, "relay:" + options_.relay_id);
     telemetry::beatEnable(telemetry::Stage::Flush);
 }
 
@@ -35,7 +36,8 @@ RelayNode::flushUpstream(std::string *why, int max_attempts)
 {
     std::string local;
     std::string *out = why ? why : &local;
-    PartialExport ex = agg_.exportPartials();
+    IncrementalAggregator &agg = node_.aggregator();
+    PartialExport ex = agg.exportPartials();
     if (ex.partials.empty() && ex.orphans.empty())
         return true;
 
@@ -65,7 +67,7 @@ RelayNode::flushUpstream(std::string *why, int max_attempts)
         m.checksum = ex.checksum;
         // One level above the deepest input: leaf-only relays export
         // level 1, a relay-of-relays exports one deeper, and so on.
-        m.level = agg_.maxLevelSeen() + 1;
+        m.level = agg.maxLevelSeen() + 1;
         // The aggregate carries every stamped trace id it folded, so
         // the next level up (or the root) can attribute the arrival
         // back to individual collector shards.
@@ -86,10 +88,11 @@ RelayNode::flushUpstream(std::string *why, int max_attempts)
         // relay's span after its parent's and break the lifecycle's
         // timestamp monotonicity. A failed flush leaves the span as a
         // record of the attempt.
-        if (trace_.active()) {
+        telemetry::TraceLog &trace = node_.trace();
+        if (trace.active()) {
             std::string agg_id = shardTraceId(m);
             for (const std::string &id : m.trace_ids)
-                trace_.span("relay_flush", id, "aggregate " + agg_id);
+                trace.span("relay_flush", id, "aggregate " + agg_id);
         }
         SendResult res = transport.sendShard(m, chunks);
         if (!res.ok) {
@@ -134,45 +137,17 @@ RelayNode::flushUpstream(std::string *why, int max_attempts)
 RelayStats
 RelayNode::run()
 {
-    stats_.restored =
-        restoreAggregatorState(agg_, journal_, options_.state_file);
-    // Pins inherited from a crashed predecessor: whatever they
-    // protected is either in the restored state (durable) or will be
-    // re-sent (and re-pinned) by its downstream sender.
-    if (pin_ && pin_->restored() > 0)
-        pin_->release();
+    stats_.restored = node_.restore();
 
     ListenOptions lo;
     lo.expect = options_.expect;
     lo.idle_timeout_ms = options_.idle_timeout_ms;
     lo.on_accept = [&](const ShardManifest &m, const ProfileData &pd,
                        const std::vector<std::string> &chunks) {
-        for (const std::string &id : m.trace_ids) {
-            trace_.span("relay_accept", id);
-            seen_trace_ids_.insert(id);
-        }
-        if (options_.federator && !m.metrics_endpoint.empty())
-            options_.federator->noteChild(m.host, m.metrics_endpoint);
-        if (store_) {
-            // Pin before depositing: the entry must survive any
-            // concurrent `store gc` until this arrival is durable
-            // (journaled below, or carried in the upstream flush).
-            pin_->pin(m.checksum);
-            if (chunks.size() == 1)
-                // Single-chunk arrivals already are exact
-                // profile-file bytes: zero-copy deposit.
-                store_->depositBytesByChecksum(m.checksum, chunks[0]);
-            else
-                store_->insertByChecksum(m.checksum, pd);
-        }
-        // Persist before the downstream ack (the sender's success
-        // must imply durability), exactly like `aggregate --state`.
-        if (journal_)
-            journal_->record(agg_, m, chunks);
-        else if (!options_.state_file.empty())
-            agg_.saveState(options_.state_file);
-        if (pin_ && !options_.state_file.empty())
-            pin_->unpin(m.checksum); // Durable in --state.
+        // Durable before the downstream ack: the sender's success must
+        // imply the arrival survives this relay, exactly as at a root.
+        node_.accept(m, &pd, chunks);
+        seen_trace_ids_.insert(m.trace_ids.begin(), m.trace_ids.end());
         accepted_since_flush_++;
         if (options_.flush_every > 0 &&
             accepted_since_flush_ >= options_.flush_every) {
@@ -188,17 +163,14 @@ RelayNode::run()
                      why.c_str());
         }
     };
-    stats_.accepted = listener_.serve(agg_, lo);
-    stats_.covered = agg_.coveredShards();
+    stats_.accepted = listener_.serve(node_.aggregator(), lo);
+    stats_.covered = node_.aggregator().coveredShards();
 
     std::string why;
     stats_.upstream_ok = flushUpstream(&why);
     if (!stats_.upstream_ok)
         stats_.error = why;
-    else if (pin_)
-        // Everything this relay held is acknowledged upstream; the
-        // store entries are plain cache again.
-        pin_->release();
+    node_.release();
     return stats_;
 }
 

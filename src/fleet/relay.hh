@@ -29,15 +29,12 @@
 #define HBBP_FLEET_RELAY_HH
 
 #include <cstdint>
-#include <optional>
 #include <set>
 #include <string>
 
 #include "fleet/aggregate.hh"
-#include "fleet/journal.hh"
-#include "fleet/store.hh"
+#include "fleet/node.hh"
 #include "fleet/transport.hh"
-#include "support/telemetry.hh"
 
 namespace hbbp {
 
@@ -82,11 +79,9 @@ struct RelayOptions
     /** JSONL span log for shard-lifecycle tracing; empty disables. */
     std::string trace_log;
     /**
-     * Profile store to deposit accepted leaf shards into (shared,
-     * multi-process-safe); empty disables. Deposited shards are
-     * pinned until they are durable — journaled into --state or
-     * acknowledged by the upstream flush — so a concurrent
-     * `store gc` cannot evict bytes a crashed relay still needs.
+     * Profile store to deposit accepted shards into (shared,
+     * multi-process-safe); empty disables. With `state_file` set, a
+     * deposit stays pinned until it is journaled (see fleet/node.hh).
      */
     std::string store_dir;
     /**
@@ -153,21 +148,17 @@ class RelayNode
                        int max_attempts = 0);
 
     /** The relay's aggregator (tests and embedding callers). */
-    IncrementalAggregator &aggregator() { return agg_; }
+    IncrementalAggregator &aggregator() { return node_.aggregator(); }
 
   private:
     RelayOptions options_;
-    IncrementalAggregator agg_;
+    IngestNode node_;
     ShardListener listener_;
-    std::optional<StateJournal> journal_;
-    std::optional<ProfileStore> store_;
-    std::optional<StorePin> pin_;
     uint32_t flush_seq_ = 0;
     uint64_t last_flushed_checksum_ = 0;
     std::set<uint64_t> forwarded_orphans_;
     size_t accepted_since_flush_ = 0;
     RelayStats stats_;
-    telemetry::TraceLog trace_;
     /**
      * Every stamped trace id accepted this run, sorted (std::set) so
      * the outgoing aggregate's `trace=` line is deterministic. Only

@@ -153,7 +153,8 @@ struct ListenOptions
     /**
      * Give up after this long with no successfully processed frame —
      * an idle timeout (any accepted chunk resets it), matching the
-     * watcher's slow-trickle-friendly semantics.
+     * watcher's slow-trickle-friendly semantics. Negative never gives
+     * up.
      */
     int idle_timeout_ms = 10'000;
     /**

@@ -18,16 +18,12 @@
  *   hbbp-tool aggregate (--watch-dir DIR | --listen PORT)
  *                     [-o <profile>] [--expect N] [--timeout-ms N]
  *                     [--analyze <workload>] [--store DIR]
- *                     [--state FILE] [--port-file FILE]
+ *                     [--state FILE] [--port-file FILE] [--bind ADDR]
  *                     [--journal-every N]
  *   hbbp-tool relay   --listen PORT --to HOST:PORT [--relay-id ID]
  *                     [--flush-every N] [--expect N] [--timeout-ms N]
  *                     [--state FILE] [--journal-every N] [--retries N]
  *                     [--bind ADDR] [--port-file FILE] [--store DIR]
- *   hbbp-tool serve   --listen PORT [--state FILE] [--expect N]
- *                     [--timeout-ms N] [--bind ADDR] [--port-file FILE]
- *                     [--metrics-port N] [--journal-every N]
- *                     [--store DIR]
  *   hbbp-tool query   --from HOST:PORT <verb> [--host H] [options]
  *   hbbp-tool store   gc --store DIR [--max-age-s N] [--max-bytes N]
  *   hbbp-tool store   (stat|verify|rebuild-index) --store DIR
@@ -45,13 +41,14 @@
  * query, and --format text|csv|json renders any analysis view
  * uniformly (--csv remains an alias for --format csv).
  *
- * serve is the query-serving daemon: it co-hosts a shard listener
- * (collectors keep pushing to the same port) and the hbbp-query/1
- * endpoint, answering mix/report/fdo/hosts/status queries over the
- * live aggregate with per-epoch result caching. query is the matching
- * client; its stdout carries exactly the bytes offline analyze/report
- * would print, with `epoch=N cached=K` metadata on stderr. A
- * `shutdown` verb stops the daemon deterministically.
+ * `aggregate --listen` is also the query-serving daemon: the shard
+ * port answers hbbp-query/1, serving mix/report/fdo/hosts/status
+ * queries over the live aggregate with per-epoch result caching.
+ * query is the matching client; its stdout carries exactly the bytes
+ * offline analyze/report would print, with `epoch=N cached=K`
+ * metadata on stderr. A `shutdown` verb stops the daemon
+ * deterministically, and `--timeout-ms 0` (on every daemon) turns the
+ * idle exit off.
  */
 
 #include <unistd.h>
@@ -71,10 +68,10 @@
 #include "analysis/service.hh"
 #include "fleet/aggregate.hh"
 #include "fleet/batch.hh"
-#include "fleet/journal.hh"
 #include "fleet/manifest.hh"
 #include "fleet/merge.hh"
 #include "fleet/metrics.hh"
+#include "fleet/node.hh"
 #include "fleet/query.hh"
 #include "fleet/relay.hh"
 #include "fleet/shard.hh"
@@ -126,13 +123,10 @@ usage()
                  "[--timeout-ms N] [--state FILE]\n"
                  "                 [--journal-every N] [--retries N] "
                  "[--bind ADDR] [--port-file FILE] [--store DIR]\n"
-                 "       hbbp-tool serve --listen PORT [--state FILE] "
-                 "[--expect N] [--timeout-ms N]\n"
-                 "                 [--bind ADDR] [--port-file FILE] "
-                 "[--metrics-port N] [--journal-every N] "
-                 "[--store DIR]\n"
-                 "       (daemons also take --trace-log FILE "
-                 "--event-log FILE --stall-warn-s N)\n"
+                 "       (daemons also take --metrics-port N "
+                 "--trace-log FILE --event-log FILE\n"
+                 "        --stall-warn-s N; --timeout-ms 0 never "
+                 "idles out)\n"
                  "       hbbp-tool query --from HOST:PORT "
                  "<mix|report|fdo|hosts|status|shutdown>\n"
                  "                 [--host ID] [--format text|csv|json] "
@@ -198,7 +192,7 @@ struct Observability
 };
 
 /**
- * Daemon observability setup shared by aggregate, relay and serve:
+ * Daemon observability setup shared by aggregate and relay:
  * open the structured event log, arm the stall watchdog and the
  * SIGUSR1 snapshot dump, and start the metrics endpoint when
  * requested (reporting the bound port for scripts). Every daemon
@@ -481,11 +475,25 @@ cmdPush(const PushOptions &opts)
 }
 
 /**
- * The central aggregation side: fold shards from N hosts as they
- * arrive — polled out of a drop directory or pushed to a listening
- * socket — optionally re-analyzing per arrival, checkpointing
- * restorable state per arrival, and persisting the canonical
- * aggregate.
+ * The library's spelling of --timeout-ms: 0 on the command line means
+ * "never idle out", which ListenOptions and WatchOptions take as a
+ * negative timeout.
+ */
+int
+idleTimeoutMs(const DaemonOptions &d)
+{
+    return d.timeout_ms > 0 ? d.timeout_ms : -1;
+}
+
+/**
+ * The ingest node's daemon: fold shards from N hosts as they arrive —
+ * polled out of a drop directory or pushed to a listening socket —
+ * optionally re-analyzing per arrival, persisting restorable state per
+ * arrival, and saving the canonical aggregate. A listening node also
+ * answers hbbp-query/1 on the shard port: every accepted shard bumps
+ * the epoch that invalidates the analysis caches, and a `shutdown`
+ * query stops the daemon. All of it runs on the listener's single
+ * poll thread — no locks anywhere near the aggregator.
  */
 int
 cmdAggregate(const AggregateOptions &opts)
@@ -497,116 +505,35 @@ cmdAggregate(const AggregateOptions &opts)
               "--listen <port>");
 
     std::unique_ptr<Observability> obs = startObservability(d, "root");
-    telemetry::TraceLog trace;
-    trace.open(d.trace_log, "root");
-
-    std::optional<ProfileStore> central;
-    std::optional<StorePin> pin;
-    if (!opts.store_dir.empty()) {
-        central.emplace(opts.store_dir);
-        // The pin owner must be stable across a SIGKILL + restart of
-        // the same job so a restarted aggregator inherits (and can
-        // release) its crashed predecessor's pins. The state file is
-        // that identity; stateless runs fall back to the store path.
-        pin.emplace(*central,
-                    format("agg-%016llx",
-                           static_cast<unsigned long long>(fnv1a(
-                               d.state_file.empty() ? opts.store_dir
-                                                    : d.state_file))));
-    }
-
-    std::optional<Workload> aw;
-    if (!opts.analyze_workload.empty())
-        aw = requireWorkloadByName(opts.analyze_workload);
-    Analyzer analyzer;
-
-    IncrementalAggregator agg;
-    std::optional<StateJournal> journal;
-    if (!d.state_file.empty() && d.journal_every > 0)
-        journal.emplace(d.state_file, d.journal_every);
-    if (restoreAggregatorState(agg, journal, d.state_file) > 0)
+    IngestOptions io;
+    io.state_file = d.state_file;
+    io.journal_every = d.journal_every;
+    io.store_dir = opts.store_dir;
+    io.trace_log = d.trace_log;
+    io.federator = obs->federator.get();
+    IngestNode node(std::move(io));
+    IncrementalAggregator &agg = node.aggregator();
+    if (node.restore() > 0)
         std::printf("restored aggregator state from %s: "
                     "%zu shard%s across %zu host%s\n",
                     d.state_file.c_str(), agg.restoredShards(),
                     agg.restoredShards() == 1 ? "" : "s",
                     agg.hostCount(),
                     agg.hostCount() == 1 ? "" : "s");
-    // Whatever the previous run pinned is either in the restored
-    // state (durable) or was never acknowledged (its sender retries,
-    // re-pinning on redelivery) — safe to release either way, and
-    // leaking pins forever would quietly exempt entries from gc.
-    if (pin && pin->restored() > 0) {
-        std::printf("releasing %zu pin%s inherited from a previous "
-                    "run\n", pin->restored(),
-                    pin->restored() == 1 ? "" : "s");
-        pin->release();
-    }
-    // Persist after every accepted shard (and the per-arrival
-    // analysis/deposit), before the arrival is acknowledged: a killed
-    // aggregator restarted with the same --state resumes from its
-    // partials instead of re-importing the fleet. With journaling
-    // (the default) each accept appends one O(shard) record and the
-    // full checkpoint is rewritten every --journal-every accepts;
-    // --journal-every 0 keeps the PR-4 full rewrite per accept.
-    auto per_accept = [&](const ShardManifest &m,
-                          const ProfileData *profile,
-                          const std::vector<std::string> *chunks) {
-        // The root is the end of a traced shard's life: one root_fold
-        // span per stamped id carried by this arrival closes the
-        // collector -> relay -> root chain.
-        for (const std::string &id : m.trace_ids)
-            trace.span("root_fold", id,
-                       format("from=%s", m.host.c_str()));
-        // Federation discovery rides the shard tree: a child that
-        // advertises a scrape endpoint becomes ours to merge.
-        if (obs->federator && !m.metrics_endpoint.empty())
-            obs->federator->noteChild(m.host, m.metrics_endpoint);
-        if (central) {
-            // Pin BEFORE depositing: from here until this arrival is
-            // durable (journaled below), a concurrent `store gc` must
-            // not evict the shard out from under a crashed restart.
-            pin->pin(m.checksum);
-            if (chunks && chunks->size() == 1)
-                // The chunk already is exact profile-file bytes:
-                // deposit without a re-parse or re-serialize.
-                central->depositBytesByChecksum(m.checksum,
-                                                (*chunks)[0]);
-            else if (profile)
-                central->insertByChecksum(m.checksum, *profile);
-            else
-                central->depositFileByChecksum(
-                    m.checksum, opts.watch_dir + "/" + m.profile_file);
-        }
+
+    std::optional<Workload> aw;
+    if (!opts.analyze_workload.empty())
+        aw = requireWorkloadByName(opts.analyze_workload);
+    Analyzer analyzer;
+    auto analyze = [&] {
         if (aw)
             agg.analyzeWith(*aw->program, analyzer);
-        if (d.state_file.empty())
-            return;
-        if (journal && chunks) {
-            journal->record(agg, m, *chunks);
-        } else if (journal) {
-            // Watch-dir import: the shard's verified bytes are the
-            // file beside its manifest; journal them as-is. If they
-            // vanished mid-run, fall back to a full checkpoint —
-            // durability must not depend on the drop dir's hygiene.
-            std::string why;
-            std::string bytes = readFileBytes(
-                opts.watch_dir + "/" + m.profile_file, &why);
-            if (why.empty()) {
-                journal->record(agg, m, {std::move(bytes)});
-            } else {
-                warn("cannot journal shard '%s' (%s); writing a full "
-                     "checkpoint instead", m.profile_file.c_str(),
-                     why.c_str());
-                journal->compact(agg);
-            }
-        } else {
-            agg.saveState(d.state_file);
-        }
-        // The arrival is durable (journaled or checkpointed): the
-        // store entry no longer needs crash protection.
-        if (pin)
-            pin->unpin(m.checksum);
     };
+
+    AggregatorProfileSource source(agg);
+    AnalysisService service(source, makeWorkloadByName);
+    QueryEndpoint endpoint(service);
+    endpoint.setTraceLog(&node.trace(), "root");
 
     if (listening) {
         ShardListener listener(
@@ -619,27 +546,33 @@ cmdAggregate(const AggregateOptions &opts)
                                 format("%u\n", listener.port()));
         ListenOptions lo;
         lo.expect = d.expect;
-        lo.idle_timeout_ms = d.timeout_ms;
+        lo.idle_timeout_ms = idleTimeoutMs(d);
         lo.on_accept = [&](const ShardManifest &m,
                            const ProfileData &pd,
                            const std::vector<std::string> &chunks) {
-            per_accept(m, &pd, &chunks);
+            analyze();
+            node.accept(m, &pd, chunks);
         };
+        lo.on_query = [&](const std::string &body) {
+            return endpoint.handle(body);
+        };
+        lo.should_stop = [&] { return endpoint.stopRequested(); };
         listener.serve(agg, lo);
     } else {
         WatchOptions wo;
         wo.expect = d.expect;
-        wo.timeout_ms = d.timeout_ms;
+        wo.timeout_ms = idleTimeoutMs(d);
         wo.on_accept = [&](const ShardManifest &m) {
-            // The shard's bytes were already verified during import,
-            // so the deposit copies the file instead of re-parsing it.
-            per_accept(m, nullptr, nullptr);
+            analyze();
+            node.acceptFile(m, opts.watch_dir + "/" + m.profile_file);
         };
         watchAndAggregate(agg, opts.watch_dir, wo);
     }
 
     const AggregatorStats &st = agg.stats();
-    if (d.expect > 0 && agg.coveredShards() < d.expect)
+    // A shutdown query is a deliberate stop, not a stalled fleet.
+    if (d.expect > 0 && agg.coveredShards() < d.expect &&
+        !endpoint.stopRequested())
         fatal("no shard for %d ms while waiting for %zu shards via "
               "'%s' (covered %zu, accepted %zu, duplicates %zu, "
               "incompatible %zu, malformed %zu)",
@@ -649,20 +582,27 @@ cmdAggregate(const AggregateOptions &opts)
               st.incompatible, st.malformed);
     if (!opts.profile_out.empty())
         agg.aggregate().save(opts.profile_out);
-    // Clean completion: stateless runs kept every deposit pinned
-    // until the aggregate was saved above.
-    if (pin)
-        pin->release();
+    node.release();
 
+    const ServiceStats &ss = service.stats();
     std::printf("aggregate: accepted=%zu duplicates=%zu "
                 "incompatible=%zu malformed=%zu analyses=%zu "
                 "rebuilds=%zu restored=%zu hosts=%zu covered=%zu "
-                "aggregates=%zu superseded=%zu saturated=%llu%s%s\n",
+                "aggregates=%zu superseded=%zu saturated=%llu "
+                "epoch=%llu requests=%llu cache_hits=%llu "
+                "cache_misses=%llu query_errors=%llu "
+                "analysis_runs=%llu%s%s\n",
                 st.accepted, st.duplicates, st.incompatible,
                 st.malformed, st.analyses, st.rebuilds,
                 agg.restoredShards(), agg.hostCount(),
                 agg.coveredShards(), st.aggregates, st.superseded,
                 static_cast<unsigned long long>(saturatedFoldLanes()),
+                static_cast<unsigned long long>(agg.epoch()),
+                static_cast<unsigned long long>(ss.requests),
+                static_cast<unsigned long long>(ss.hits),
+                static_cast<unsigned long long>(ss.misses),
+                static_cast<unsigned long long>(ss.errors),
+                static_cast<unsigned long long>(ss.analyses),
                 opts.profile_out.empty() ? "" : " -> ",
                 opts.profile_out.c_str());
     obs->stop("aggregate exiting");
@@ -703,7 +643,7 @@ cmdRelay(const RelayCliOptions &opts)
                       : opts.relay_id;
     ro.flush_every = opts.flush_every;
     ro.expect = d.expect;
-    ro.idle_timeout_ms = d.timeout_ms;
+    ro.idle_timeout_ms = idleTimeoutMs(d);
     ro.state_file = d.state_file;
     ro.journal_every = d.journal_every;
     ro.upstream_retries = std::max(opts.retries, 1);
@@ -741,118 +681,6 @@ cmdRelay(const RelayCliOptions &opts)
         fatal("no shard for %d ms while waiting to cover %zu shards "
               "(covered %zu)", d.timeout_ms, d.expect,
               rs.covered);
-    return 0;
-}
-
-/**
- * The query-serving daemon: one port, two protocols. Collectors push
- * shards exactly as they would to `aggregate --listen`; query clients
- * dial the same port and speak hbbp-query/1. Every accepted shard
- * bumps the aggregator's epoch, invalidating the analysis service's
- * caches, so queries between arrivals are cache hits and queries
- * after an arrival observe the new aggregate. All of it runs on the
- * listener's single poll thread — no locks anywhere near the
- * aggregator.
- */
-int
-cmdServe(const ServeOptions &opts)
-{
-    const DaemonOptions &d = opts.daemon;
-    if (d.listen_port < 0)
-        fatal("serve requires --listen <port>");
-
-    std::unique_ptr<Observability> obs = startObservability(d, "serve");
-    telemetry::TraceLog trace;
-    trace.open(d.trace_log, "serve");
-
-    std::optional<ProfileStore> central;
-    std::optional<StorePin> pin;
-    if (!opts.store_dir.empty()) {
-        central.emplace(opts.store_dir);
-        pin.emplace(*central,
-                    format("serve-%016llx",
-                           static_cast<unsigned long long>(fnv1a(
-                               d.state_file.empty() ? opts.store_dir
-                                                    : d.state_file))));
-    }
-
-    IncrementalAggregator agg;
-    std::optional<StateJournal> journal;
-    if (!d.state_file.empty() && d.journal_every > 0)
-        journal.emplace(d.state_file, d.journal_every);
-    if (restoreAggregatorState(agg, journal, d.state_file) > 0)
-        std::printf("restored aggregator state from %s: "
-                    "%zu shard%s across %zu host%s\n",
-                    d.state_file.c_str(), agg.restoredShards(),
-                    agg.restoredShards() == 1 ? "" : "s",
-                    agg.hostCount(),
-                    agg.hostCount() == 1 ? "" : "s");
-    if (pin && pin->restored() > 0)
-        pin->release(); // Durable in the restored state either way.
-
-    AggregatorProfileSource source(agg);
-    AnalysisService service(source, makeWorkloadByName);
-    QueryEndpoint endpoint(service);
-    endpoint.setTraceLog(&trace, "serve");
-
-    ShardListener listener(static_cast<uint16_t>(d.listen_port),
-                           d.bind_addr);
-    std::printf("serving on %s:%u\n", d.bind_addr.c_str(),
-                listener.port());
-    std::fflush(stdout);
-    if (!d.port_file.empty())
-        writeFileAtomically(d.port_file,
-                            format("%u\n", listener.port()));
-
-    ListenOptions lo;
-    lo.expect = d.expect;
-    lo.idle_timeout_ms = d.timeout_ms;
-    lo.on_accept = [&](const ShardManifest &m, const ProfileData &pd,
-                       const std::vector<std::string> &chunks) {
-        for (const std::string &id : m.trace_ids)
-            trace.span("root_fold", id,
-                       format("from=%s", m.host.c_str()));
-        if (obs->federator && !m.metrics_endpoint.empty())
-            obs->federator->noteChild(m.host, m.metrics_endpoint);
-        if (central) {
-            // Same pin-deposit-unpin dance as aggregate: the entry
-            // must outlive any concurrent gc until durable here.
-            pin->pin(m.checksum);
-            if (chunks.size() == 1)
-                central->depositBytesByChecksum(m.checksum, chunks[0]);
-            else
-                central->insertByChecksum(m.checksum, pd);
-        }
-        if (d.state_file.empty())
-            return;
-        if (journal)
-            journal->record(agg, m, chunks);
-        else
-            agg.saveState(d.state_file);
-        if (pin)
-            pin->unpin(m.checksum);
-    };
-    lo.on_query = [&](const std::string &body) {
-        return endpoint.handle(body);
-    };
-    lo.should_stop = [&] { return endpoint.stopRequested(); };
-    listener.serve(agg, lo);
-
-    if (pin)
-        pin->release(); // Clean exit: deposits are plain cache now.
-    const ServiceStats &ss = service.stats();
-    const AggregatorStats &st = agg.stats();
-    std::printf("serve: accepted=%zu hosts=%zu covered=%zu epoch=%llu "
-                "requests=%llu cache_hits=%llu cache_misses=%llu "
-                "errors=%llu analyses=%llu\n",
-                st.accepted, agg.hostCount(), agg.coveredShards(),
-                static_cast<unsigned long long>(agg.epoch()),
-                static_cast<unsigned long long>(ss.requests),
-                static_cast<unsigned long long>(ss.hits),
-                static_cast<unsigned long long>(ss.misses),
-                static_cast<unsigned long long>(ss.errors),
-                static_cast<unsigned long long>(ss.analyses));
-    obs->stop("serve exiting");
     return 0;
 }
 
@@ -1145,9 +973,9 @@ cmdMigrate(const MigrateOptions &opts)
 }
 
 /**
- * The in-process analysis transport: the same AnalysisService the
- * serve daemon exposes over the socket, fed by a FixedProfileSource
- * over the loaded (or freshly collected) profile. Errors the service
+ * The in-process analysis transport: the same AnalysisService
+ * `aggregate --listen` exposes over the socket, fed by a
+ * FixedProfileSource over the loaded (or freshly collected) profile. Errors the service
  * reports — unknown source, unknown pivot dimension, missing
  * function — become the same fatal() diagnostics the pre-service CLI
  * printed.
@@ -1249,8 +1077,6 @@ main(int argc, char **argv)
         return cmdAggregate(AggregateOptions::parse(argc, argv));
     if (command == "relay")
         return cmdRelay(RelayCliOptions::parse(argc, argv));
-    if (command == "serve")
-        return cmdServe(ServeOptions::parse(argc, argv));
     if (command == "query")
         return cmdQuery(QueryCliOptions::parse(argc, argv));
     if (command == "store")

@@ -418,21 +418,6 @@ FdoOptions::parse(int argc, char **argv)
     return opts;
 }
 
-ServeOptions
-ServeOptions::parse(int argc, char **argv)
-{
-    ServeOptions opts;
-    // A query daemon answers until told to stop: the aggregate-side
-    // idle default (10 s) would kill it between queries. --timeout-ms
-    // still arms the idle exit when a script wants one.
-    opts.daemon.timeout_ms = -1;
-    ArgParser p(argc, argv, 2);
-    p.value("--store", &opts.store_dir);
-    addDaemonFlags(p, &opts.daemon);
-    p.run();
-    return opts;
-}
-
 QueryCliOptions
 QueryCliOptions::parse(int argc, char **argv)
 {

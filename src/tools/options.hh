@@ -133,7 +133,7 @@ struct CollectionOptions
 /** Registers --jobs/--shards/--store. */
 void addCollectionFlags(ArgParser &parser, CollectionOptions *opts);
 
-/** The daemon cluster shared by aggregate/relay/serve. */
+/** The daemon cluster shared by aggregate and relay. */
 struct DaemonOptions
 {
     int listen_port = -1; ///< -1 = no socket listener.
@@ -141,7 +141,7 @@ struct DaemonOptions
     std::string port_file;
     std::string state_file;
     size_t expect = 0;
-    int timeout_ms = 10'000;
+    int timeout_ms = 10'000; ///< Idle exit; 0 = never idle out.
     size_t journal_every = 32;
     int metrics_port = -1; ///< -1 = off.
     std::string metrics_port_file;
@@ -293,15 +293,6 @@ struct FdoOptions
     AnalysisOptions analysis;
 
     static FdoOptions parse(int argc, char **argv);
-};
-
-struct ServeOptions
-{
-    std::string store_dir; ///< Shared profile store to deposit into.
-    DaemonOptions daemon; ///< timeout_ms defaults to -1: serve until
-                          ///< a shutdown query (or --expect).
-
-    static ServeOptions parse(int argc, char **argv);
 };
 
 struct QueryCliOptions

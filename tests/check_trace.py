@@ -9,10 +9,10 @@ span records reconstruct the full collector -> relay -> root chain
 monotonic wall-clock timestamps along the lifecycle. Used by
 cli_relay_smoke.cmake.
 
-With --serve the chain is the co-hosted query daemon's shorter
+With --serve the chain is the query-serving root's shorter
 push_start/push_acked/root_fold lifecycle (no relay hops), and
 --query-trace ID additionally joins one served query onto it: trace ID
-must hold a query_serve span emitted by the serve node that follows the
+must hold a query_serve span emitted by the root node that follows the
 shard's root_fold in wall-clock time — the query demonstrably observed
 the folded shard. Used by cli_serve_smoke.cmake.
 """
@@ -47,7 +47,7 @@ def main():
     ap.add_argument("trace_file")
     ap.add_argument("host")
     ap.add_argument("--serve", action="store_true",
-                    help="expect the serve daemon's relay-less chain")
+                    help="expect a query-serving root's relay-less chain")
     ap.add_argument("--query-trace", default=None,
                     help="join this query trace onto the shard chain")
     args = ap.parse_args()
@@ -100,9 +100,9 @@ def main():
             sys.exit(f"query trace {args.query_trace}: no query_serve "
                      f"span (have {sorted(q_by_span)})")
         q_recs = q_by_span["query_serve"]
-        if not any(r["node"] == "serve" for r in q_recs):
+        if not any(r["node"] == "root" for r in q_recs):
             sys.exit(f"query trace {args.query_trace}: query_serve not "
-                     f"emitted by the serve node")
+                     f"emitted by the root node")
         fold_ts = min(r["ts_us"] for r in by_span["root_fold"])
         q_ts = min(r["ts_us"] for r in q_recs)
         if q_ts < fold_ts:

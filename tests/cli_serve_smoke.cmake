@@ -1,21 +1,28 @@
-# Multi-process smoke test for the query-serving daemon (run via
-# ctest):
+# Multi-process smoke test for the query-serving role of
+# `aggregate --listen` (run via ctest):
 #
-#   One `hbbp-tool serve --listen` daemon co-hosts shard ingestion and
-#   the analysis-query endpoint on the same port. Three hosts push
-#   shards while a background query storm hammers the daemon — every
-#   reply must be well-formed (early "no profile yet" errors allowed).
-#   After each arrival wave the observed epoch must advance, and the
-#   final mix/report/fdo payloads must be byte-identical to offline
-#   `analyze`/`report`/`fdo` over the merge of the same shards. A
-#   repeated identical query must come back `cached=1` with identical
-#   bytes, and a `shutdown` query must stop the daemon cleanly.
+#   One `hbbp-tool aggregate --listen --timeout-ms 0` daemon co-hosts
+#   shard ingestion and the analysis-query endpoint on the same port.
+#   Three hosts push shards while a background query storm hammers the
+#   daemon — every reply must be well-formed (early "no profile yet"
+#   errors allowed). After each arrival wave the observed epoch must
+#   advance, and the final mix/report/fdo payloads must be
+#   byte-identical to offline `analyze`/`report`/`fdo` over the merge
+#   of the same shards. A repeated identical query must come back
+#   `cached=1` with identical bytes, and a `shutdown` query must stop
+#   the daemon cleanly. The daemon's `-o` aggregate must equal that
+#   merge too: one process is both the root and the query server.
 #
 #   The daemon and the hostA collector share one --trace-log: every
 #   query reply must carry per-stage `timing` metadata, and the served
 #   query's trace span must join onto hostA's ingestion chain
 #   (push_start -> push_acked -> root_fold -> query_serve), checked by
 #   check_trace.py --serve.
+#
+#   Phase 2 restarts the daemon on the same --state and --store with
+#   no new shard: mix and report must answer byte-identically from the
+#   restored aggregate, and after a clean shutdown the store must hold
+#   the three shards with no pin left behind.
 #
 # Invoked as:
 #   cmake -DHBBP_TOOL=<hbbp-tool> -DWORK_DIR=<scratch dir> \
@@ -53,16 +60,20 @@ q() { # q <name> <verb> [extra args...] -- query, split payload/meta
     \"$tool\" query --from 127.0.0.1:$port \"$verb\" \"$@\" \\
         > \"$dir/$name.out\" 2> \"$dir/$name.meta\"
 }
-\"$tool\" serve --listen 0 --port-file \"$dir/port\" \\
-    --trace-log \"$dir/trace.jsonl\" \\
-    > \"$dir/serve.log\" 2>&1 &
-servepid=$!
-i=0
-while [ ! -s \"$dir/port\" ]; do
-    i=$((i+1)); [ $i -gt 200 ] && echo 'daemon never published its port' && exit 1
-    sleep 0.1
-done
-port=$(cat \"$dir/port\")
+# daemon <port-file> <log> <profile-out>: start the serving root.
+daemon() {
+    \"$tool\" aggregate --listen 0 --timeout-ms 0 --port-file \"$dir/$1\" \\
+        --state \"$dir/serve.state\" --store \"$dir/store\" -o \"$dir/$3\" \\
+        --trace-log \"$dir/trace.jsonl\" > \"$dir/$2\" 2>&1 &
+    servepid=$!
+    i=0
+    while [ ! -s \"$dir/$1\" ]; do
+        i=$((i+1)); [ $i -gt 200 ] && echo 'daemon never published its port' && exit 1
+        sleep 0.1
+    done
+    port=$(cat \"$dir/$1\")
+}
+daemon port serve.log served.profile
 
 # The storm: loop mix+status queries for the whole ingestion window.
 # Failures other than the pre-first-shard 'no profile to analyze yet'
@@ -119,6 +130,14 @@ q status status || exit 1
 # Clean daemon shutdown through the query protocol itself.
 q shutdown shutdown || exit 1
 wait $servepid || exit 1
+
+# Phase 2: the same --state answers without a single new push.
+daemon port2 serve2.log served2.profile
+q mix2 mix || exit 1
+q report2 report || exit 1
+q shutdown2 shutdown || exit 1
+wait $servepid || exit 1
+\"$tool\" store stat --store \"$dir/store\" > \"$dir/store_stat.out\" || exit 1
 exit 0
 ")
 execute_process(COMMAND sh -c "${serve_script}" RESULT_VARIABLE rc)
@@ -188,7 +207,7 @@ endif()
 # The query's trace span joins its shard's ingestion chain: the reply
 # names a trace id, and check_trace.py must find its query_serve span
 # after hostA's push_start/push_acked/root_fold in the shared log.
-if(NOT mix_cold_meta MATCHES "trace=(query-serve-[0-9]+)")
+if(NOT mix_cold_meta MATCHES "trace=(query-root-[0-9]+)")
     message(FATAL_ERROR "cold query meta lacks a trace id: ${mix_cold_meta}")
 endif()
 set(query_trace "${CMAKE_MATCH_1}")
@@ -248,11 +267,43 @@ endforeach()
 
 # The daemon's exit summary reflects the storm it survived.
 file(READ "${WORK_DIR}/serve.log" serve_log)
-if(NOT serve_log MATCHES "serve: accepted=3 ")
+if(NOT serve_log MATCHES "aggregate: accepted=3 ")
     message(FATAL_ERROR "unexpected serve summary: ${serve_log}")
 endif()
 if(NOT serve_log MATCHES " epoch=3 ")
     message(FATAL_ERROR "serve summary should end at epoch 3: ${serve_log}")
 endif()
 
-message(STATUS "serve smoke OK: ${storm_count}-iteration query storm over live ingestion; epoch 1->3 observed; mix/csv/report/fdo byte-identical to offline; cached repeat identical; query timing + trace join checked; clean shutdown")
+# Root == flat merge, from the same process that answered the queries;
+# the restarted daemon saves the same bytes from its restored state.
+foreach(served served.profile served2.profile)
+    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+        "${WORK_DIR}/${served}" "${WORK_DIR}/merged.profile"
+        RESULT_VARIABLE differs)
+    if(differs)
+        message(FATAL_ERROR "daemon -o ${served} is not byte-identical to the merge")
+    endif()
+endforeach()
+
+# Phase 2: answers from the restored state equal phase 1's.
+file(READ "${WORK_DIR}/serve2.log" serve2_log)
+# (accepted counts the restored shards: nothing new arrived.)
+if(NOT serve2_log MATCHES "aggregate: accepted=3 .* restored=3 hosts=3 ")
+    message(FATAL_ERROR "restarted daemon did not restore 3 shards: ${serve2_log}")
+endif()
+foreach(qname mix report)
+    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+        "${WORK_DIR}/${qname}.out" "${WORK_DIR}/${qname}2.out"
+        RESULT_VARIABLE differs)
+    if(differs)
+        message(FATAL_ERROR "restored ${qname} differs from phase 1's")
+    endif()
+endforeach()
+
+# Each shard is in the store once, and a clean exit leaves no pin.
+file(READ "${WORK_DIR}/store_stat.out" store_stat)
+if(NOT store_stat MATCHES "shard_entries=3 .* pinned=0 pin_owners=0")
+    message(FATAL_ERROR "unexpected store after shutdown: ${store_stat}")
+endif()
+
+message(STATUS "serve smoke OK: ${storm_count}-iteration query storm over live ingestion; epoch 1->3 observed; mix/csv/report/fdo byte-identical to offline; cached repeat identical; query timing + trace join checked; -o == merge; restart on --state answers identically; store holds 3 shards, no pins; clean shutdown")

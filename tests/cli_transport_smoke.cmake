@@ -12,7 +12,9 @@
 #   accepted shards — its per-accept checkpoint is the only survivor —
 #   and a restarted aggregator with the same --state resumes from the
 #   cached partials (restored=2 in the import-count stats, only hostC
-#   is newly imported) and produces the same bytes again.
+#   is newly imported) and produces the same bytes again. Both runs
+#   deposit into one --store: after the clean exit it must hold the
+#   three shards with no pin left behind.
 #
 # Invoked as:
 #   cmake -DHBBP_TOOL=<hbbp-tool> -DWORK_DIR=<scratch dir> \
@@ -117,8 +119,8 @@ set(phase2_script "
 dir='${WORK_DIR}'
 tool='${HBBP_TOOL}'
 \"$tool\" aggregate --listen 0 --port-file \"$dir/port2\" \\
-    --state \"$dir/agg.state\" --expect 99 --timeout-ms 120000 \\
-    > \"$dir/agg2a.log\" 2>&1 &
+    --state \"$dir/agg.state\" --store \"$dir/store\" --expect 99 \\
+    --timeout-ms 120000 > \"$dir/agg2a.log\" 2>&1 &
 aggpid=$!
 i=0
 while [ ! -s \"$dir/port2\" ]; do
@@ -135,8 +137,8 @@ wait $aggpid 2>/dev/null
 # The restarted aggregator resumes from the checkpointed partials and
 # only needs hostC to finish the fleet.
 \"$tool\" aggregate --listen 0 --port-file \"$dir/port3\" \\
-    --state \"$dir/agg.state\" --expect 3 --timeout-ms 120000 \\
-    -o \"$dir/agg2.profile\" > \"$dir/agg2b.log\" 2>&1 &
+    --state \"$dir/agg.state\" --store \"$dir/store\" --expect 3 \\
+    --timeout-ms 120000 -o \"$dir/agg2.profile\" > \"$dir/agg2b.log\" 2>&1 &
 agg2pid=$!
 i=0
 while [ ! -s \"$dir/port3\" ]; do
@@ -147,6 +149,7 @@ port=$(cat \"$dir/port3\")
 \"$tool\" push test40 --host hostC --to 127.0.0.1:$port --chunks 1 \\
     --retries 20 > \"$dir/push2C.log\" 2>&1 || exit 1
 wait $agg2pid || exit 1
+\"$tool\" store stat --store \"$dir/store\" > \"$dir/store_stat.out\" || exit 1
 exit 0
 ")
 execute_process(COMMAND sh -c "${phase2_script}" RESULT_VARIABLE rc)
@@ -176,4 +179,11 @@ if(differs2)
     message(FATAL_ERROR "resumed aggregate is not byte-identical to the single-run merge")
 endif()
 
-message(STATUS "transport smoke OK: 3 concurrent pushes (one crash + retry) -> byte-identical aggregate; kill -9 + --state resume -> same bytes")
+# Both runs pinned under the owner their shared --state names; the
+# restart's clean exit removed that owner's pin file.
+file(READ "${WORK_DIR}/store_stat.out" store_stat)
+if(NOT store_stat MATCHES "shard_entries=3 .* pinned=0 pin_owners=0")
+    message(FATAL_ERROR "unexpected store after the resumed run: ${store_stat}")
+endif()
+
+message(STATUS "transport smoke OK: 3 concurrent pushes (one crash + retry) -> byte-identical aggregate; kill -9 + --state resume -> same bytes, no pins left")

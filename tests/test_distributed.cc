@@ -691,24 +691,28 @@ TEST(Watch, TimesOutGracefullyWhenShardsNeverArrive)
 
 TEST(Watch, PicksUpShardsThatArriveMidWatch)
 {
-    std::string dir = freshDir("watch_late");
-    ProfileData a = shardProfile(1), b = shardProfile(2);
-    exportShard(a, "hostA", "test40", 0, 1, dir);
+    // A negative timeout never gives up, exactly like the listener's.
+    for (int timeout_ms : {10'000, -1}) {
+        SCOPED_TRACE(timeout_ms);
+        std::string dir = freshDir("watch_late");
+        ProfileData a = shardProfile(1), b = shardProfile(2);
+        exportShard(a, "hostA", "test40", 0, 1, dir);
 
-    std::thread late_exporter([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        exportShard(b, "hostB", "test40", 0, 1, dir);
-    });
+        std::thread late_exporter([&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+            exportShard(b, "hostB", "test40", 0, 1, dir);
+        });
 
-    IncrementalAggregator agg;
-    WatchOptions wo;
-    wo.expect = 2;
-    wo.timeout_ms = 10'000;
-    wo.poll_ms = 20;
-    size_t accepted = watchAndAggregate(agg, dir, wo);
-    late_exporter.join();
-    EXPECT_EQ(accepted, 2u);
-    EXPECT_EQ(agg.aggregate(), mergeProfiles({a, b}));
+        IncrementalAggregator agg;
+        WatchOptions wo;
+        wo.expect = 2;
+        wo.timeout_ms = timeout_ms;
+        wo.poll_ms = 20;
+        size_t accepted = watchAndAggregate(agg, dir, wo);
+        late_exporter.join();
+        EXPECT_EQ(accepted, 2u);
+        EXPECT_EQ(agg.aggregate(), mergeProfiles({a, b}));
+    }
 }
 
 TEST(Watch, AcceptCallbackSeesEveryAcceptedManifest)

@@ -21,6 +21,7 @@
 #include "fleet/manifest.hh"
 #include "fleet/merge.hh"
 #include "fleet/relay.hh"
+#include "fleet/store.hh"
 #include "fleet/transport.hh"
 #include "support/bytes.hh"
 #include "tests/profile_v3.hh"
@@ -862,6 +863,37 @@ TEST(RelayNode, ForwardsGapStrandedOrphansVerbatim)
     EXPECT_EQ(root.agg.coveredShards(), 2u);
     EXPECT_EQ(root.agg.aggregate().serialize(),
               flat.aggregate().serialize());
+}
+
+TEST(RelayNode, StatelessRelayDepositsWithoutPinning)
+{
+    // No --state, no restart that could inherit a pin: the deposit
+    // lands unpinned, so a crashed stateless relay cannot leave an
+    // entry exempt from gc forever.
+    std::string dir = freshDir("stateless_store");
+    std::vector<LeafShard> leaves = {makeLeaf("hostA", 0, 1),
+                                     makeLeaf("hostB", 0, 2)};
+    RootHarness root;
+    ListenOptions lo;
+    lo.expect = 2;
+    root.start(lo);
+
+    RelayOptions ro = fastRelayOptions(root.listener.port(), 2);
+    ro.store_dir = dir + "/store";
+    RelayNode relay(ro);
+    RelayStats rs;
+    std::thread t([&] { rs = relay.run(); });
+    pushLeaf(leaves[0], relay.port());
+    ProfileStore store(ro.store_dir);
+    EXPECT_TRUE(store.containsChecksum(leaves[0].manifest.checksum));
+    EXPECT_EQ(store.stats().pin_owners, 0u);
+    pushLeaf(leaves[1], relay.port());
+    t.join();
+    root.join();
+
+    EXPECT_TRUE(rs.upstream_ok) << rs.error;
+    EXPECT_EQ(store.stats().shard_entries, 2u);
+    EXPECT_EQ(store.stats().pin_owners, 0u);
 }
 
 // ---------------------------------------------------------------------------
