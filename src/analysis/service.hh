@@ -201,7 +201,7 @@ struct ServiceStats
     uint64_t misses = 0;   ///< Result-cache misses (cacheable verbs).
     uint64_t errors = 0;   ///< Queries answered with an error.
     /** Full analyzer runs — the expensive path. A cached repeat must
-     *  never move this (bench/scale_query asserts exactly that). */
+     *  never move this, in process or over the wire. */
     uint64_t analyses = 0;
 };
 

@@ -195,7 +195,7 @@ IncrementalAggregator::addShard(const ShardManifest &manifest,
             mmaps_.push_back(rec);
     }
     seen_checksums_.insert(manifest.checksum);
-    uint64_t fold_start = telemetry::enabled() ? nowNs() : 0;
+    uint64_t fold_start = nowNs();
     if (manifest.seq == hs.next_seq) {
         // Move rather than copy: arrivals are the import hot path and
         // the sample vectors dominate the profile's size.
@@ -214,8 +214,7 @@ IncrementalAggregator::addShard(const ShardManifest &manifest,
     } else {
         hs.pending.emplace(manifest.seq, std::move(profile));
     }
-    if (fold_start)
-        foldNsCounter().add(nowNs() - fold_start);
+    foldNsCounter().add(nowNs() - fold_start);
     static telemetry::Counter &m_folded =
         telemetry::counter("hbbp_agg_shards_folded_total");
     m_folded.add();
@@ -331,7 +330,7 @@ IncrementalAggregator::addAggregateShard(const ShardManifest &manifest,
         return false;
     }
 
-    uint64_t fold_start = telemetry::enabled() ? nowNs() : 0;
+    uint64_t fold_start = nowNs();
     if (!compat_ref_) {
         compat_ref_ = compatReference(partials[0]);
         workload_ = manifest.workload;
@@ -360,8 +359,7 @@ IncrementalAggregator::addAggregateShard(const ShardManifest &manifest,
         }
     }
 
-    if (fold_start)
-        foldNsCounter().add(nowNs() - fold_start);
+    foldNsCounter().add(nowNs() - fold_start);
     static telemetry::Counter &m_agg_folded =
         telemetry::counter("hbbp_agg_aggregates_folded_total");
     m_agg_folded.add();
@@ -462,7 +460,7 @@ IncrementalAggregator::aggregate()
     // host's folded partial first, then any out-of-order leftovers in
     // sequence order. With gap-free sequences the leftovers are empty
     // and every shard was folded exactly once, on arrival.
-    uint64_t fold_start = telemetry::enabled() ? nowNs() : 0;
+    uint64_t fold_start = nowNs();
     std::optional<ProfileData> agg;
     for (const auto &[host, hs] : hosts_) {
         if (hs.partial)
@@ -478,8 +476,7 @@ IncrementalAggregator::aggregate()
     cached_aggregate_ = std::move(agg);
     aggregate_epoch_ = epoch_;
     stats_.rebuilds++;
-    if (fold_start)
-        foldNsCounter().add(nowNs() - fold_start);
+    foldNsCounter().add(nowNs() - fold_start);
     static telemetry::Counter &m_recomputes =
         telemetry::counter("hbbp_agg_epoch_recomputes_total");
     m_recomputes.add();

@@ -97,8 +97,8 @@ std::string queryErrorReplyBody(const std::string &error);
 
 /**
  * The client side: connects lazily, keeps the connection for
- * back-to-back queries (the batch-of-N path bench/scale_query
- * measures), and reconnects once per query() call after a failure.
+ * back-to-back queries, and reconnects once per query() call after a
+ * failure.
  * Built on the shared socket-client discipline (connect deadline, IO
  * timeouts, progress-stalled close).
  */

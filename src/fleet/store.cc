@@ -633,21 +633,6 @@ ProfileStore::insertByChecksum(uint64_t checksum,
 }
 
 bool
-ProfileStore::depositFileByChecksum(uint64_t checksum,
-                                    const std::string &src_path) const
-{
-    return depositLocked(checksum, [&](const std::string &dst) {
-        // Same unique-temp-then-rename discipline as saveAtomically.
-        std::string why;
-        std::string bytes = readFileBytes(src_path, &why);
-        if (!why.empty())
-            fatal("cannot deposit '%s' into the profile store: %s",
-                  src_path.c_str(), why.c_str());
-        writeFileAtomically(dst, bytes);
-    });
-}
-
-bool
 ProfileStore::depositBytesByChecksum(uint64_t checksum,
                                      std::string_view bytes) const
 {

@@ -150,16 +150,6 @@ class ProfileStore
                           const ProfileData &profile) const;
 
     /**
-     * insertByChecksum() from already-serialized bytes on disk: copy
-     * the profile file at @p src_path into the store. For callers
-     * that verified the bytes elsewhere (the aggregation import path)
-     * and should not pay a re-parse + re-serialize just to deposit
-     * them.
-     */
-    bool depositFileByChecksum(uint64_t checksum,
-                               const std::string &src_path) const;
-
-    /**
      * insertByChecksum() from already-serialized bytes in memory —
      * the zero-copy deposit for transport chunks that arrived as
      * exact profile-file bytes.

@@ -13,7 +13,6 @@ namespace telemetry {
 
 namespace {
 
-std::atomic<bool> g_enabled{true};
 std::atomic<bool> g_dump_requested{false};
 
 /// Round-robin shard assignment: each thread gets a fixed slot for its
@@ -61,8 +60,6 @@ jsonEscape(const std::string &s)
 void
 Counter::add(uint64_t n)
 {
-    if (!g_enabled.load(std::memory_order_relaxed))
-        return;
     slots_[threadSlot()].v.fetch_add(n, std::memory_order_relaxed);
 }
 
@@ -78,16 +75,12 @@ Counter::value() const
 void
 Gauge::set(int64_t v)
 {
-    if (!g_enabled.load(std::memory_order_relaxed))
-        return;
     v_.store(v, std::memory_order_relaxed);
 }
 
 void
 Gauge::add(int64_t n)
 {
-    if (!g_enabled.load(std::memory_order_relaxed))
-        return;
     v_.fetch_add(n, std::memory_order_relaxed);
 }
 
@@ -117,8 +110,6 @@ Histogram::Histogram(std::vector<uint64_t> bounds)
 void
 Histogram::observe(uint64_t v)
 {
-    if (!g_enabled.load(std::memory_order_relaxed))
-        return;
     // First bucket whose upper bound admits v (le semantics); values
     // above every bound land in the implicit +Inf bucket.
     size_t i = std::lower_bound(bounds_.begin(), bounds_.end(), v) -
@@ -310,18 +301,6 @@ histogram(const std::string &name, std::vector<uint64_t> bounds)
 }
 
 void
-setEnabled(bool on)
-{
-    g_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool
-enabled()
-{
-    return g_enabled.load(std::memory_order_relaxed);
-}
-
-void
 requestDump()
 {
     g_dump_requested.store(true, std::memory_order_relaxed);
@@ -402,8 +381,6 @@ beatEnable(Stage s)
 void
 beat(Stage s)
 {
-    // Not gated on g_enabled: the beat is a liveness signal, not a
-    // metric, and it sits off the measured fold hot path.
     g_stages[static_cast<size_t>(s)].last_ms.store(
         healthNowMs(), std::memory_order_relaxed);
 }

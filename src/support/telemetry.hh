@@ -29,10 +29,6 @@
  *         telemetry::counter("hbbp_transport_frames_sent_total");
  *     c.add();
  *
- * setEnabled(false) turns every add/observe into a single relaxed load
- * and early return ("compiled in but idle") — the toggle bench/scale_relay
- * uses to price the instrumentation.
- *
  * TraceLog appends timestamped JSONL span records for shard-lifecycle
  * tracing (see --trace-log); trace ids are minted by shardTraceId() in
  * fleet/manifest.
@@ -61,7 +57,7 @@ constexpr size_t kCounterShards = 8;
 class Counter
 {
   public:
-    /** Wait-free increment (no-op while telemetry is disabled). */
+    /** Wait-free increment. */
     void add(uint64_t n = 1);
 
     /** Sum over all shards. Exact once writers have quiesced. */
@@ -93,7 +89,7 @@ class Histogram
   public:
     explicit Histogram(std::vector<uint64_t> bounds);
 
-    /** Record one observation (no-op while telemetry is disabled). */
+    /** Record one observation. */
     void observe(uint64_t v);
 
     /** Upper bounds, ascending; the +Inf bucket is implicit. */
@@ -167,13 +163,6 @@ Registry &registry();
 Counter &counter(const std::string &name);
 Gauge &gauge(const std::string &name);
 Histogram &histogram(const std::string &name, std::vector<uint64_t> bounds);
-
-/**
- * Master switch. Metrics objects stay registered while disabled; only
- * add()/observe() become no-ops. Enabled by default.
- */
-void setEnabled(bool on);
-bool enabled();
 
 /**
  * Ask the process to dump the registry snapshot to stderr at the next

@@ -757,20 +757,6 @@ TEST(Store, ChecksumAddressedShardsRoundTrip)
     EXPECT_NE(store.pathForChecksum(key.hash()), store.pathFor(key));
 }
 
-TEST(Store, DepositFileCopiesVerifiedBytes)
-{
-    std::string dir = freshDir("deposit");
-    ProfileStore store(dir + "/store");
-    ProfileData pd = shardProfile(6);
-    std::string src = dir + "/src.hbbp";
-    pd.save(src);
-
-    uint64_t checksum = pd.payloadChecksum();
-    store.depositFileByChecksum(checksum, src);
-    EXPECT_TRUE(store.containsChecksum(checksum));
-    EXPECT_EQ(readFile(store.pathForChecksum(checksum)), readFile(src));
-}
-
 TEST(Store, UnreadableEntriesAreCacheMisses)
 {
     // A store carried across a format bump (or a corrupted entry) must

@@ -441,11 +441,28 @@ TEST(QueryEndpointTest, ServesQueriesAndObservesArrivals)
     EXPECT_FALSE(reply.cached);
     std::string first_payload = reply.payload;
 
-    // Same connection, identical query: epoch-cached.
+    // The analyzer-run count as `status` reports it on this connection.
+    auto analyses = [&] {
+        QueryReply status;
+        EXPECT_TRUE(client.query(makeRequest("status").renderText(),
+                                 &status, &why))
+            << why;
+        size_t pos = status.payload.find("\nanalyses=");
+        if (pos == std::string::npos)
+            return std::string("(missing)");
+        pos += 10;
+        return status.payload.substr(pos,
+                                     status.payload.find('\n', pos) - pos);
+    };
+    EXPECT_EQ(analyses(), "1");
+
+    // Same connection, identical query: epoch-cached, and the
+    // analyzer does not run again.
     ASSERT_TRUE(client.query(mix.renderText(), &reply, &why)) << why;
     EXPECT_TRUE(reply.ok);
     EXPECT_TRUE(reply.cached);
     EXPECT_EQ(reply.payload, first_payload);
+    EXPECT_EQ(analyses(), "1");
 
     // A mid-storm arrival: the next query observes the new epoch and
     // fresh bytes.

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the profile store's v2 embedded-database layer: the
- * append-only index (persistence, torn-tail recovery, rebuild), the
+ * append-only index (persistence, torn-tail recovery, rebuild,
+ * membership answered without a directory scan), the
  * cross-process flock discipline (multi-process depositor + gc
  * stress), the StorePin refcount GC (including survival across a
  * SIGKILL'd owner), the lookup-heal grace window, and the
@@ -24,6 +25,7 @@
 #include "collect/profile.hh"
 #include "fleet/store.hh"
 #include "support/bytes.hh"
+#include "support/telemetry.hh"
 
 namespace fs = std::filesystem;
 
@@ -175,6 +177,43 @@ TEST(StoreIndex, CrossProcessDepositIsVisibleWithoutReopen)
     // shared index tail and see b's deposit.
     EXPECT_TRUE(a.containsChecksum(checksum));
     EXPECT_EQ(a.entryCount(), 1u);
+}
+
+TEST(StoreIndex, MembershipNeverEnumeratesTheDirectory)
+{
+    std::string dir = freshStoreDir("membership");
+    constexpr uint64_t kEntries = 2'000;
+    {
+        ProfileStore store(dir);
+        for (uint64_t i = 0; i < kEntries; i++) {
+            ProfileData pd = taggedProfile(10'000 + i);
+            ASSERT_TRUE(store.insertByChecksum(pd.payloadChecksum(), pd));
+        }
+    }
+    ProfileStore store(dir);
+    // With every entry file unlinked behind the open handle, an answer
+    // read from the directory would find nothing.
+    std::vector<fs::path> entries;
+    for (const fs::directory_entry &e : fs::directory_iterator(dir))
+        if (e.path().extension() == ".hbbp")
+            entries.push_back(e.path());
+    ASSERT_EQ(entries.size(), kEntries);
+    for (const fs::path &p : entries)
+        fs::remove(p);
+
+    telemetry::Counter &hits =
+        telemetry::counter("hbbp_store_index_hits_total");
+    telemetry::Counter &rebuilds =
+        telemetry::counter("hbbp_store_index_rebuilds_total");
+    uint64_t hits_before = hits.value();
+    uint64_t rebuilds_before = rebuilds.value();
+    uint64_t found = 0;
+    for (uint64_t i = 0; i < 2 * kEntries; i++)
+        found += store.containsChecksum(
+            taggedProfile(10'000 + i).payloadChecksum());
+    EXPECT_EQ(found, kEntries);
+    EXPECT_EQ(hits.value() - hits_before, kEntries);
+    EXPECT_EQ(rebuilds.value(), rebuilds_before);
 }
 
 // ---------------------------------------------------------------------------

@@ -168,25 +168,6 @@ TEST(TelemetryRegistry, FindOrCreateReturnsSameInstance)
     EXPECT_EQ(h2.bounds().size(), 2u);
 }
 
-TEST(TelemetryEnabled, DisabledMakesWritesNoOps)
-{
-    Registry reg;
-    telemetry::Counter &c = reg.counter("toggled_total");
-    telemetry::Gauge &g = reg.gauge("toggled_gauge");
-    telemetry::Histogram &h = reg.histogram("toggled_hist", {10});
-    ASSERT_TRUE(telemetry::enabled());
-    telemetry::setEnabled(false);
-    c.add(100);
-    g.set(100);
-    h.observe(100);
-    telemetry::setEnabled(true);
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(g.value(), 0);
-    EXPECT_EQ(h.count(), 0u);
-    c.add(1);
-    EXPECT_EQ(c.value(), 1u);
-}
-
 TEST(MetricsEndpoint, RoundTripAgainstLiveServer)
 {
     // The endpoint serves the *process* registry; plant a marker there.
