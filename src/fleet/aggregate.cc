@@ -486,19 +486,6 @@ IncrementalAggregator::aggregate()
     return *cached_aggregate_;
 }
 
-const Counter<Mnemonic> &
-IncrementalAggregator::analyzeWith(const Program &prog,
-                                   const Analyzer &analyzer)
-{
-    if (cached_mix_ && analysis_epoch_ == epoch_)
-        return *cached_mix_;
-    cached_mix_ =
-        analyzer.analyze(prog, aggregate()).hbbpMix().mnemonicCounts();
-    analysis_epoch_ = epoch_;
-    stats_.analyses++;
-    return *cached_mix_;
-}
-
 void
 IncrementalAggregator::saveState(const std::string &path) const
 {

@@ -30,10 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/analyzer.hh"
 #include "fleet/manifest.hh"
-#include "isa/mnemonic.hh"
-#include "support/histogram.hh"
 
 namespace hbbp {
 
@@ -44,7 +41,6 @@ struct AggregatorStats
     size_t duplicates = 0;   ///< Rejected: checksum already aggregated.
     size_t incompatible = 0; ///< Rejected: periods/class mismatch.
     size_t malformed = 0;    ///< Rejected: unreadable manifest/profile.
-    size_t analyses = 0;     ///< Analysis recomputations (not cache hits).
     size_t rebuilds = 0;     ///< Aggregate recomputations (not cache hits).
     size_t aggregates = 0;   ///< Accepted arrivals that were partial
                              ///< aggregates (manifest level >= 1).
@@ -145,15 +141,6 @@ class IncrementalAggregator
      * when no shards have been accepted.
      */
     const ProfileData &aggregate();
-
-    /**
-     * HBBP mnemonic mix of aggregate() analyzed against @p prog with
-     * @p analyzer. Cached: recomputed only when a new shard has
-     * arrived since the last call (stats().analyses counts the
-     * recomputations).
-     */
-    const Counter<Mnemonic> &analyzeWith(const Program &prog,
-                                         const Analyzer &analyzer);
 
     const AggregatorStats &stats() const { return stats_; }
 
@@ -300,8 +287,6 @@ class IncrementalAggregator
     uint64_t epoch_ = 0; ///< Bumped per accepted shard.
     std::optional<ProfileData> cached_aggregate_;
     uint64_t aggregate_epoch_ = UINT64_MAX;
-    std::optional<Counter<Mnemonic>> cached_mix_;
-    uint64_t analysis_epoch_ = UINT64_MAX;
 
     size_t restored_ = 0; ///< Shards carried in by restoreState().
     AggregatorStats stats_;

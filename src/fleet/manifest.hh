@@ -109,7 +109,7 @@ struct ShardManifest
     std::vector<HostCoverage> covered;
     /**
      * Optional shard-lifecycle trace ids (see shardTraceId()). A
-     * collector that pushes with --trace-log stamps its leaf shard
+     * collector that pushes with --event-log stamps its leaf shard
      * with one id; relays stamp their aggregates with the sorted
      * union of every stamped id they folded, so a root can attribute
      * an arriving aggregate to the leaf shards inside it. Rendered as

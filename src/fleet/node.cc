@@ -5,6 +5,7 @@
 
 #include "fleet/metrics.hh"
 #include "support/bytes.hh"
+#include "support/events.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 
@@ -16,8 +17,8 @@ IngestNode::IngestNode(IngestOptions options)
     : options_(std::move(options))
 {
     const std::string &state = options_.state_file;
-    if (!state.empty() && options_.journal_every > 0)
-        journal_.emplace(state, options_.journal_every);
+    if (!state.empty())
+        journal_.emplace(state);
     if (!options_.store_dir.empty()) {
         store_.emplace(options_.store_dir);
         if (!state.empty())
@@ -26,20 +27,17 @@ IngestNode::IngestNode(IngestOptions options)
                                 static_cast<unsigned long long>(
                                     fnv1a(state))));
     }
-    trace_.open(options_.trace_log, options_.name);
 }
 
 size_t
 IngestNode::restore()
 {
-    const std::string &state = options_.state_file;
-    if (!state.empty()) {
+    if (journal_) {
         // A state that cannot be used is a cold start that re-imports
         // the shards: warn, never die.
         std::string why;
-        bool restored = journal_ ? journal_->restore(agg_, &why)
-                                 : agg_.restoreState(state, &why);
-        if (!restored && fs::exists(state))
+        if (!journal_->restore(agg_, &why) &&
+            fs::exists(options_.state_file))
             warn("ignoring aggregator state: %s", why.c_str());
     }
     // A crashed predecessor's pins guarded arrivals that are either in
@@ -59,8 +57,8 @@ IngestNode::accept(const ShardManifest &m, const ProfileData *profile,
                    const std::vector<std::string> &chunks)
 {
     for (const std::string &id : m.trace_ids)
-        trace_.span(options_.accept_span, id,
-                    format("from=%s", m.host.c_str()));
+        events::emit(events::Level::Info, options_.accept_span,
+                     {{"trace", id}, {"from", m.host}});
     // Federation discovery rides the shard tree: a sender that
     // advertises a scrape endpoint becomes a child to merge.
     if (options_.federator && !m.metrics_endpoint.empty())
@@ -78,8 +76,6 @@ IngestNode::accept(const ShardManifest &m, const ProfileData *profile,
         journal_->record(agg_, m, chunks);
     else if (journal_)
         journal_->compact(agg_);
-    else if (!options_.state_file.empty())
-        agg_.saveState(options_.state_file);
     if (pin_)
         pin_->unpin(m.checksum);
 }

@@ -3,16 +3,18 @@
  * The ingest node — the one shard accept path every daemon shares.
  *
  * `aggregate` (over a socket or a drop directory) and RelayNode fold
- * arriving shards the same way: log one trace span per stamped id,
- * register a metrics-advertising sender as a federation child, deposit
- * the shard's bytes into the shared ProfileStore, and make the arrival
- * durable in `--state` (one journal record, or a full checkpoint) —
- * all before the arrival is acknowledged. IngestNode owns that path
- * and everything it touches: the IncrementalAggregator, the optional
- * StateJournal, the ProfileStore and its StorePin, the TraceLog and a
- * borrowed MetricsFederator. What differs between daemons stays with
- * the caller: the listener or watcher that delivers arrivals, the
- * query endpoint, `--analyze`, and a relay's upstream flushes.
+ * arriving shards the same way: log one span event per stamped trace
+ * id, register a metrics-advertising sender as a federation child,
+ * deposit the shard's bytes into the shared ProfileStore, and make the
+ * arrival durable in `--state` (one journal record, or a full
+ * checkpoint) — all before the arrival is acknowledged. IngestNode
+ * owns that path and everything it touches: the IncrementalAggregator,
+ * the optional StateJournal, the ProfileStore and its StorePin, and a
+ * borrowed MetricsFederator. Spans go to the process-wide event log
+ * (support/events), tagged with the id the daemon opened it under.
+ * What differs between daemons stays with the caller: the listener or
+ * watcher that delivers arrivals, the query endpoint, and a relay's
+ * upstream flushes.
  *
  * The pin rule: a node pins store entries only when it has `--state`,
  * under an owner derived from the state path alone. A pin covers the
@@ -34,7 +36,6 @@
 #include "fleet/aggregate.hh"
 #include "fleet/journal.hh"
 #include "fleet/store.hh"
-#include "support/telemetry.hh"
 
 namespace hbbp {
 
@@ -43,19 +44,12 @@ class MetricsFederator;
 /** IngestNode configuration. */
 struct IngestOptions
 {
-    /** Node name stamped on every trace-log record. */
-    std::string name = "root";
-    /** Span logged per stamped trace id on every accepted arrival. */
+    /** Span event logged per stamped trace id on each accepted arrival. */
     std::string accept_span = "root_fold";
     /** Checkpoint+journal base path; empty disables persistence. */
     std::string state_file;
-    /** Journal compaction threshold (records); 0 checkpoints fully on
-     * every accept. */
-    size_t journal_every = 32;
     /** Shared profile store to deposit arrivals into; empty = none. */
     std::string store_dir;
-    /** JSONL span log for shard-lifecycle tracing; empty disables. */
-    std::string trace_log;
     /** Federation parent hook (borrowed; may be null). */
     MetricsFederator *federator = nullptr;
 };
@@ -97,7 +91,6 @@ class IngestNode
     void release();
 
     IncrementalAggregator &aggregator() { return agg_; }
-    telemetry::TraceLog &trace() { return trace_; }
 
   private:
     IngestOptions options_;
@@ -105,7 +98,6 @@ class IngestNode
     std::optional<StateJournal> journal_;
     std::optional<ProfileStore> store_;
     std::optional<StorePin> pin_;
-    telemetry::TraceLog trace_;
 };
 
 } // namespace hbbp

@@ -8,6 +8,7 @@
 
 #include "fleet/socket_client.hh"
 #include "support/bytes.hh"
+#include "support/events.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
 #include "support/telemetry.hh"
@@ -256,13 +257,6 @@ QueryEndpoint::QueryEndpoint(AnalysisService &service)
     telemetry::beatEnable(telemetry::Stage::Query);
 }
 
-void
-QueryEndpoint::setTraceLog(telemetry::TraceLog *trace, std::string node)
-{
-    trace_ = trace;
-    trace_node_ = std::move(node);
-}
-
 namespace {
 
 /** Steady-clock nanoseconds for the per-query timing header. */
@@ -325,16 +319,17 @@ QueryEndpoint::handle(const std::string &request_body)
     // The query's join point into the shard-lifecycle trace: one
     // query_serve span on the daemon's own timeline, id echoed in the
     // reply so the caller can find it.
-    if (trace_ && trace_->active()) {
+    if (events::logActive()) {
         reply.trace_id = format(
-            "query-%s-%llu", trace_node_.c_str(),
+            "query-%s-%llu", events::logNode().c_str(),
             static_cast<unsigned long long>(++query_seq_));
-        trace_->span("query_serve", reply.trace_id,
-                     format("verb %s epoch %llu cached %d",
-                            verb.c_str(),
-                            static_cast<unsigned long long>(
-                                reply.epoch),
-                            reply.cached ? 1 : 0));
+        events::emit(events::Level::Info, "query_serve",
+                     {{"trace", reply.trace_id},
+                      {"verb", verb},
+                      {"epoch", format("%llu",
+                                       static_cast<unsigned long long>(
+                                           reply.epoch))},
+                      {"cached", reply.cached ? "1" : "0"}});
     }
     telemetry::beat(telemetry::Stage::Query);
     m_serve_ms.observe(

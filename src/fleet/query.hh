@@ -37,7 +37,6 @@
 
 #include "analysis/service.hh"
 #include "fleet/aggregate.hh"
-#include "support/telemetry.hh"
 
 namespace hbbp {
 
@@ -79,8 +78,9 @@ struct QueryReply
     uint64_t render_ns = 0;
     /**
      * Query trace id (`trace=` header) when the serving daemon runs
-     * with --trace-log: the id of the query_serve span it appended,
-     * so a reply can be joined to the shard-lifecycle trace timeline.
+     * with --event-log: the id of the query_serve span event it
+     * appended, so a reply can be joined to the shard-lifecycle trace
+     * timeline.
      */
     std::string trace_id;
 };
@@ -171,6 +171,11 @@ class AggregatorProfileSource : public ProfileSource
  * implements the transport-level `shutdown` verb (reply ok, then
  * stopRequested() flips, which the co-hosted listener polls via
  * should_stop — the daemon's deterministic exit).
+ *
+ * While the process event log is open, every served query appends one
+ * `query_serve` span event with a fresh `query-<node>-<seq>` trace id,
+ * which the reply echoes in its `trace=` header — the query's join
+ * point into the ingestion trace timeline.
  */
 class QueryEndpoint
 {
@@ -183,20 +188,9 @@ class QueryEndpoint
     /** True once a shutdown query was acknowledged. */
     bool stopRequested() const { return stop_; }
 
-    /**
-     * Attach the daemon's shard-lifecycle trace log (borrowed; may
-     * be null or inactive). Every served query then appends one
-     * `query_serve` span with a fresh `query-<node>-<seq>` trace id,
-     * which the reply echoes in its `trace=` header — the query's
-     * join point into the ingestion trace timeline.
-     */
-    void setTraceLog(telemetry::TraceLog *trace, std::string node);
-
   private:
     AnalysisService &service_;
     bool stop_ = false;
-    telemetry::TraceLog *trace_ = nullptr;
-    std::string trace_node_;
     uint64_t query_seq_ = 0;
 };
 

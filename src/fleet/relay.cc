@@ -2,7 +2,9 @@
 
 #include <utility>
 
+#include "support/events.hh"
 #include "support/logging.hh"
+#include "support/telemetry.hh"
 
 namespace hbbp {
 
@@ -12,12 +14,9 @@ IngestOptions
 ingestOptions(const RelayOptions &ro)
 {
     IngestOptions io;
-    io.name = "relay:" + ro.relay_id;
     io.accept_span = "relay_accept";
     io.state_file = ro.state_file;
-    io.journal_every = ro.journal_every;
     io.store_dir = ro.store_dir;
-    io.trace_log = ro.trace_log;
     io.federator = ro.federator;
     return io;
 }
@@ -88,11 +87,11 @@ RelayNode::flushUpstream(std::string *why, int max_attempts)
         // relay's span after its parent's and break the lifecycle's
         // timestamp monotonicity. A failed flush leaves the span as a
         // record of the attempt.
-        telemetry::TraceLog &trace = node_.trace();
-        if (trace.active()) {
+        if (events::logActive()) {
             std::string agg_id = shardTraceId(m);
             for (const std::string &id : m.trace_ids)
-                trace.span("relay_flush", id, "aggregate " + agg_id);
+                events::emit(events::Level::Info, "relay_flush",
+                             {{"trace", id}, {"aggregate", agg_id}});
         }
         SendResult res = transport.sendShard(m, chunks);
         if (!res.ok) {

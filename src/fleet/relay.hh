@@ -68,16 +68,11 @@ struct RelayOptions
     int idle_timeout_ms = 10'000;
     /** Checkpoint+journal base path; empty disables persistence. */
     std::string state_file;
-    /** Journal compaction threshold (records); 0 = checkpoint fully
-     * on every accept, PR-4 style. */
-    size_t journal_every = 32;
     /** Upstream connection attempts per flush (bounded retry). */
     int upstream_retries = 5;
     /** Backoff before the first upstream reconnect; doubles per
      * retry (see SocketTransportOptions). */
     int upstream_backoff_ms = 100;
-    /** JSONL span log for shard-lifecycle tracing; empty disables. */
-    std::string trace_log;
     /**
      * Profile store to deposit accepted shards into (shared,
      * multi-process-safe); empty disables. With `state_file` set, a

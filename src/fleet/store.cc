@@ -32,6 +32,13 @@ constexpr uint8_t kOpHeader = 0;
 constexpr uint8_t kOpPut = 1;
 constexpr uint8_t kOpErase = 2;
 
+// lookup() heals stale entries by unlinking them — but an entry
+// younger than this is plausibly a concurrent depositor's fresh
+// re-insert that this reader raced (it loaded the old bytes, the file
+// under the name is already new), and unlinking it would throw away
+// good work. Entries younger than the grace window are not unlinked.
+constexpr auto kHealGrace = std::chrono::seconds(60);
+
 std::string
 headerRecord(uint64_t generation)
 {
@@ -162,9 +169,8 @@ ProfileKey::hash() const
     return fnv1a(describe());
 }
 
-ProfileStore::ProfileStore(std::string dir, Options options)
-    : dir_(std::move(dir)), options_(options),
-      lock_(dir_ + "/store.lock")
+ProfileStore::ProfileStore(std::string dir)
+    : dir_(std::move(dir)), lock_(dir_ + "/store.lock")
 {
     std::error_code ec;
     fs::create_directories(dir_, ec);
@@ -561,7 +567,7 @@ ProfileStore::lookup(const ProfileKey &key) const
     if (ec)
         return std::nullopt; // Vanished; nothing to heal.
     auto age = fs::file_time_type::clock::now() - mtime;
-    if (age < std::chrono::seconds(options_.heal_grace_s)) {
+    if (age < kHealGrace) {
         warn("not healing young profile store entry (%s); a "
              "concurrent depositor may have just rewritten it",
              why.c_str());

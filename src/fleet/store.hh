@@ -68,27 +68,13 @@ class StorePin;
 class ProfileStore
 {
   public:
-    struct Options
-    {
-        /**
-         * lookup() heals stale entries by unlinking them — but an
-         * entry younger than this is plausibly a concurrent
-         * depositor's fresh re-insert that this reader raced (it
-         * loaded the old bytes, the file under the name is already
-         * new), and unlinking it would throw away good work. Skip the
-         * unlink for entries younger than the grace window.
-         */
-        int64_t heal_grace_s = 60;
-    };
-
     /**
      * Open (creating if needed) the store rooted at @p dir. A missing
      * or unreadable index is rebuilt from a directory scan — the
      * directory is the source of truth, the index is an acceleration
      * structure.
      */
-    explicit ProfileStore(std::string dir) : ProfileStore(std::move(dir), Options()) {}
-    ProfileStore(std::string dir, Options options);
+    explicit ProfileStore(std::string dir);
 
     ProfileStore(const ProfileStore &) = delete;
     ProfileStore &operator=(const ProfileStore &) = delete;
@@ -108,7 +94,8 @@ class ProfileStore
      * entry that can no longer be read — a legacy format version, a
      * stale checksum, truncation — is a miss (with a warn()), so a
      * store carried across format bumps heals by re-collection; the
-     * heal respects Options::heal_grace_s. An index entry whose file
+     * heal skips entries younger than a grace window (a racing
+     * depositor's fresh re-insert). An index entry whose file
      * vanished (another process's gc) is a clean miss that also heals
      * the index.
      */
@@ -277,7 +264,6 @@ class ProfileStore
     std::set<uint64_t> pinnedChecksums() const;
 
     std::string dir_;
-    Options options_;
     mutable FileLock lock_;
     mutable std::mutex mu_;
     mutable std::unordered_map<uint64_t, IndexEntry> keys_;

@@ -17,10 +17,10 @@ namespace events {
 namespace {
 
 uint64_t
-wallMs()
+wallUs()
 {
     return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::system_clock::now().time_since_epoch())
             .count());
 }
@@ -140,6 +140,8 @@ parseJsonNumber(Cursor &c, uint64_t *out)
 
 } // namespace
 
+std::atomic<bool> detail::log_open{false};
+
 const char *
 name(Level level)
 {
@@ -179,7 +181,7 @@ std::string
 Event::render() const
 {
     std::string out = format("%llu %-5s %s node=%s",
-                             static_cast<unsigned long long>(ts_ms),
+                             static_cast<unsigned long long>(ts_us / 1000),
                              name(level), code.c_str(), node.c_str());
     for (const auto &[k, v] : fields)
         out += " " + k + "=" + v;
@@ -189,25 +191,29 @@ Event::render() const
 void
 openLog(const std::string &path, const std::string &node)
 {
-    if (path.empty())
-        return;
     Sink &s = sink();
     std::lock_guard<std::mutex> lock(s.mu);
     if (s.file)
         std::fclose(s.file);
+    s.file = nullptr;
+    s.node.clear();
+    detail::log_open.store(false, std::memory_order_relaxed);
+    if (path.empty())
+        return;
     s.file = std::fopen(path.c_str(), "ab");
     if (!s.file)
         fatal("cannot open event log '%s': %s", path.c_str(),
               std::strerror(errno));
     s.node = node;
+    detail::log_open.store(true, std::memory_order_relaxed);
 }
 
-bool
-logActive()
+std::string
+logNode()
 {
     Sink &s = sink();
     std::lock_guard<std::mutex> lock(s.mu);
-    return s.file != nullptr;
+    return s.node;
 }
 
 void
@@ -221,7 +227,7 @@ emit(Level level, const std::string &code,
     static telemetry::Counter &m_events =
         telemetry::counter("hbbp_events_total");
     m_events.add();
-    std::string line = "{\"ts_ms\":" + std::to_string(wallMs()) +
+    std::string line = "{\"ts_us\":" + std::to_string(wallUs()) +
                        ",\"level\":\"" + name(level) + "\",\"code\":\"" +
                        jsonEscape(code) + "\",\"node\":\"" +
                        jsonEscape(s.node) + "\",\"fields\":{";
@@ -259,9 +265,9 @@ parseEventLine(const std::string &line, Event *out, std::string *why)
             *why = "malformed member key";
             return false;
         }
-        if (key == "ts_ms") {
-            if (!parseJsonNumber(c, &out->ts_ms)) {
-                *why = "malformed ts_ms";
+        if (key == "ts_us") {
+            if (!parseJsonNumber(c, &out->ts_us)) {
+                *why = "malformed ts_us";
                 return false;
             }
             have_ts = true;
@@ -322,7 +328,7 @@ parseEventLine(const std::string &line, Event *out, std::string *why)
         return false;
     }
     if (!have_ts || !have_code || !have_level) {
-        *why = "record misses ts_ms, level or code";
+        *why = "record misses ts_us, level or code";
         return false;
     }
     return true;
@@ -359,7 +365,7 @@ loadEvents(const std::string &path, const std::string &code,
         }
         if (!code.empty() && e.code != code)
             continue;
-        if (e.ts_ms < since_ms)
+        if (e.ts_us / 1000 < since_ms)
             continue;
         out->push_back(std::move(e));
     }

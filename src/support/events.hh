@@ -1,17 +1,23 @@
 /**
  * @file
- * Structured, stable-coded JSONL event log — the fleet's flight
- * recorder for exceptional paths.
+ * Structured, stable-coded JSONL event log — the fleet's one record
+ * stream: exceptional paths and shard-lifecycle spans.
  *
  * warn() tells a human that something odd happened; this log tells a
  * machine *what*. Every exceptional path a daemon takes — a rejected
  * shard, a superseded partial, a transport retry, a gc eviction, a
  * watchdog stall, a stale federation child — emits one event with a
- * wall-clock timestamp, a severity level, a *stable code* (grep/alert
- * keys that never change meaning once shipped) and flat key=value
- * fields. One JSON object per line, flushed per line, append-only, so
- * daemons across a machine can share one file and `tail -f` always
- * sees whole records.
+ * wall-clock timestamp in microseconds, a severity level, a *stable
+ * code* (grep/alert keys that never change meaning once shipped) and
+ * flat key=value fields. One JSON object per line, flushed per line,
+ * append-only, so daemons across a machine can share one file and
+ * `tail -f` always sees whole records.
+ *
+ * Shard-lifecycle tracing rides the same stream: each hop a stamped
+ * shard (or a served query) passes logs one `info` event whose code
+ * is the span name and whose `trace` field is the trace id minted by
+ * shardTraceId() in fleet/manifest. Microsecond timestamps keep the
+ * hops of one shard ordered across processes.
  *
  * The stable code table (also in README.md — extend, never repurpose):
  *
@@ -23,6 +29,12 @@
  *   watchdog_stall   error  a loop stage stopped beating
  *   child_stale      warn   federation scrape of a child failed
  *   child_recovered  info   a stale federation child answered again
+ *   push_start       info   span: a collector starts pushing its shard
+ *   push_acked       info   span: the collector's push was acknowledged
+ *   relay_accept     info   span: a relay folded the shard
+ *   relay_flush      info   span: a relay pushes an aggregate holding it
+ *   root_fold        info   span: the root folded the shard
+ *   query_serve      info   span: the root served a query
  *
  * The process-wide sink is openLog(); an unopened log makes emit() a
  * no-op, so instrumented sites never check a flag. `hbbp-tool events
@@ -61,7 +73,7 @@ bool levelFromName(const std::string &s, Level *out);
 /** One event record, as emitted or as parsed back from a log. */
 struct Event
 {
-    uint64_t ts_ms = 0; ///< Wall-clock milliseconds since the epoch.
+    uint64_t ts_us = 0; ///< Wall-clock microseconds since the epoch.
     Level level = Level::Info;
     std::string code; ///< Stable machine code (see the table above).
     std::string node; ///< Emitting daemon's id.
@@ -76,13 +88,26 @@ struct Event
 
 /**
  * Open the process-wide event log for appending and tag every record
- * with @p node. An empty path leaves the log disabled. fatal()s when
- * the file cannot be opened.
+ * with @p node. An empty path closes the log. fatal()s when the file
+ * cannot be opened.
  */
 void openLog(const std::string &path, const std::string &node);
 
-/** True when openLog() armed a sink. */
-bool logActive();
+namespace detail {
+/** Set while openLog() holds a file (written under the sink's lock). */
+extern std::atomic<bool> log_open;
+} // namespace detail
+
+/** True when openLog() armed a sink: one relaxed atomic load, cheap
+ *  enough for paths as hot as a query handler. */
+inline bool
+logActive()
+{
+    return detail::log_open.load(std::memory_order_relaxed);
+}
+
+/** The node id records are tagged with ("" while the log is closed). */
+std::string logNode();
 
 /**
  * Append one event (no-op while the log is closed). Also bumps
@@ -97,8 +122,9 @@ bool parseEventLine(const std::string &line, Event *out,
                     std::string *why);
 
 /**
- * Load @p path and keep events matching @p code (empty = all) with
- * ts_ms >= @p since_ms (0 = all). Malformed lines fail the load —
+ * Load @p path and keep events matching @p code (empty = all) stamped
+ * at or after @p since_ms milliseconds (0 = all). Malformed lines,
+ * including records without `ts_us`, fail the load —
  * a corrupt flight recorder must be loud. Returns false with *@p why
  * set on I/O or parse errors.
  */

@@ -1,10 +1,9 @@
 #include "support/telemetry.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cinttypes>
-#include <cstring>
+#include <cstdio>
 
 #include "support/logging.hh"
 
@@ -31,28 +30,6 @@ saturatingAdd(uint64_t a, uint64_t b)
 {
     uint64_t s = a + b;
     return s < a ? UINT64_MAX : s;
-}
-
-/// Minimal JSON string escaping: backslash, quote, and control bytes.
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x",
-                          static_cast<unsigned>(c) & 0xff);
-            out += buf;
-        } else {
-            out.push_back(c);
-        }
-    }
-    return out;
 }
 
 } // namespace
@@ -439,48 +416,6 @@ renderHealth(int64_t now_ms, double stall_s)
         out += buf;
     }
     return out;
-}
-
-TraceLog::~TraceLog()
-{
-    if (file_)
-        std::fclose(file_);
-}
-
-void
-TraceLog::open(const std::string &path, const std::string &node)
-{
-    if (path.empty())
-        return;
-    std::lock_guard<std::mutex> lock(mu_);
-    if (file_)
-        std::fclose(file_);
-    file_ = std::fopen(path.c_str(), "ab");
-    if (!file_)
-        fatal("cannot open trace log '%s': %s", path.c_str(),
-              std::strerror(errno));
-    node_ = node;
-}
-
-void
-TraceLog::span(const std::string &span_name, const std::string &trace_id,
-               const std::string &detail)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!file_)
-        return;
-    auto now = std::chrono::system_clock::now().time_since_epoch();
-    uint64_t ts_us = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(now).count());
-    std::string line = "{\"ts_us\":" + std::to_string(ts_us) +
-                       ",\"node\":\"" + jsonEscape(node_) +
-                       "\",\"span\":\"" + jsonEscape(span_name) +
-                       "\",\"trace\":\"" + jsonEscape(trace_id) + "\"";
-    if (!detail.empty())
-        line += ",\"detail\":\"" + jsonEscape(detail) + "\"";
-    line += "}\n";
-    std::fwrite(line.data(), 1, line.size(), file_);
-    std::fflush(file_);
 }
 
 } // namespace telemetry

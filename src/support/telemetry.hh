@@ -1,6 +1,6 @@
 /**
  * @file
- * Process-wide metrics registry and shard-lifecycle trace log.
+ * Process-wide metrics registry and per-stage health heartbeats.
  *
  * Every fleet stage (transport, listener, aggregator, journal, store,
  * thread pool) reports through this registry. Three metric kinds:
@@ -29,9 +29,8 @@
  *         telemetry::counter("hbbp_transport_frames_sent_total");
  *     c.add();
  *
- * TraceLog appends timestamped JSONL span records for shard-lifecycle
- * tracing (see --trace-log); trace ids are minted by shardTraceId() in
- * fleet/manifest.
+ * Shard-lifecycle spans are records in the structured event log
+ * (support/events), not metrics.
  */
 
 #ifndef HBBP_SUPPORT_TELEMETRY_HH
@@ -39,7 +38,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -246,44 +244,6 @@ bool anyStageStalled(int64_t now_ms, double stall_s,
  * `stage <name> age_s=<age> loop=<0|1>` line per enabled stage.
  */
 std::string renderHealth(int64_t now_ms, double stall_s);
-
-/**
- * Append-only JSONL span log for shard-lifecycle tracing.
- *
- * One record per line:
- *   {"ts_us":<wall-clock us>,"node":"...","span":"...","trace":"...",
- *    "detail":"..."}
- *
- * Wall-clock (not steady) timestamps so spans from different processes
- * on one machine order correctly when merged. Default-constructed logs
- * are disabled and span() is a no-op.
- */
-class TraceLog
-{
-  public:
-    TraceLog() = default;
-    ~TraceLog();
-    TraceLog(const TraceLog &) = delete;
-    TraceLog &operator=(const TraceLog &) = delete;
-
-    /**
-     * Open `path` for appending and tag every record with `node`.
-     * An empty path leaves the log disabled. fatal()s if the file
-     * cannot be opened.
-     */
-    void open(const std::string &path, const std::string &node);
-
-    bool active() const { return file_ != nullptr; }
-
-    /** Append one span record (flushed per line). */
-    void span(const std::string &span_name, const std::string &trace_id,
-              const std::string &detail = std::string());
-
-  private:
-    FILE *file_ = nullptr;
-    std::string node_;
-    std::mutex mu_;
-};
 
 } // namespace telemetry
 } // namespace hbbp

@@ -15,15 +15,15 @@
  *   hbbp-tool push    <workload> --host ID (--to HOST:PORT |
  *                     --export-dir DIR) [--seq N] [--chunks N]
  *                     [--retries N] [--jobs N] [-o <profile>]
+ *                     [--event-log FILE]
  *   hbbp-tool aggregate (--watch-dir DIR | --listen PORT)
  *                     [-o <profile>] [--expect N] [--timeout-ms N]
- *                     [--analyze <workload>] [--store DIR]
- *                     [--state FILE] [--port-file FILE] [--bind ADDR]
- *                     [--journal-every N]
+ *                     [--store DIR] [--state FILE] [--port-file FILE]
+ *                     [--bind ADDR]
  *   hbbp-tool relay   --listen PORT --to HOST:PORT [--relay-id ID]
  *                     [--flush-every N] [--expect N] [--timeout-ms N]
- *                     [--state FILE] [--journal-every N] [--retries N]
- *                     [--bind ADDR] [--port-file FILE] [--store DIR]
+ *                     [--state FILE] [--retries N] [--bind ADDR]
+ *                     [--port-file FILE] [--store DIR]
  *   hbbp-tool query   --from HOST:PORT <verb> [--host H] [options]
  *   hbbp-tool store   gc --store DIR [--max-age-s N] [--max-bytes N]
  *   hbbp-tool store   (stat|verify|rebuild-index) --store DIR
@@ -60,7 +60,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -111,22 +110,21 @@ usage()
                  "(--to HOST:PORT | --export-dir DIR)\n"
                  "                 [--seq N] [--chunks N] [--retries N] "
                  "[--jobs N] [-o <profile>]\n"
+                 "                 [--event-log FILE]\n"
                  "       hbbp-tool aggregate (--watch-dir DIR | "
                  "--listen PORT) [-o <profile>]\n"
                  "                 [--expect N] [--timeout-ms N] "
-                 "[--analyze <workload>] [--store DIR]\n"
-                 "                 [--state FILE] [--port-file FILE] "
-                 "[--bind ADDR] [--journal-every N]\n"
+                 "[--store DIR] [--state FILE]\n"
+                 "                 [--port-file FILE] [--bind ADDR]\n"
                  "       hbbp-tool relay --listen PORT --to HOST:PORT "
                  "[--relay-id ID]\n"
                  "                 [--flush-every N] [--expect N] "
                  "[--timeout-ms N] [--state FILE]\n"
-                 "                 [--journal-every N] [--retries N] "
-                 "[--bind ADDR] [--port-file FILE] [--store DIR]\n"
+                 "                 [--retries N] [--bind ADDR] "
+                 "[--port-file FILE] [--store DIR]\n"
                  "       (daemons also take --metrics-port N "
-                 "--trace-log FILE --event-log FILE\n"
-                 "        --stall-warn-s N; --timeout-ms 0 never "
-                 "idles out)\n"
+                 "--event-log FILE --stall-warn-s N;\n"
+                 "        --timeout-ms 0 never idles out)\n"
                  "       hbbp-tool query --from HOST:PORT "
                  "<mix|report|fdo|hosts|status|shutdown>\n"
                  "                 [--host ID] [--format text|csv|json] "
@@ -404,7 +402,7 @@ cmdPush(const PushOptions &opts)
     // deliver incrementally as each chunk finishes.
     ShardPlan plan;
     plan.shards = opts.chunks;
-    plan.jobs = opts.coll.jobs;
+    plan.jobs = opts.jobs;
     ProfileKey key{w.name, cc, plan.shards, MachineConfig{}};
     std::vector<ProfileData> parts =
         collectShards(*w.program, MachineConfig{}, cc, plan);
@@ -430,20 +428,22 @@ cmdPush(const PushOptions &opts)
     if (!opts.profile_out.empty())
         merged.save(opts.profile_out);
 
-    // Tracing is opt-in: it stamps the shard's trace id into the
-    // manifest (so relays and the root can attribute it), and an
-    // unstamped push keeps the exact pre-tracing manifest bytes.
-    telemetry::TraceLog trace;
+    // Tracing is opt-in: a push with an event log stamps the shard's
+    // trace id into the manifest (so relays and the root can attribute
+    // it), and an unstamped push keeps the exact pre-tracing manifest
+    // bytes.
+    events::openLog(opts.event_log, "collector:" + opts.host);
     std::string trace_id;
-    if (!opts.trace_log.empty()) {
-        trace.open(opts.trace_log, "collector:" + opts.host);
+    if (events::logActive()) {
         trace_id = shardTraceId(manifest);
         manifest.trace_ids.push_back(trace_id);
     }
 
     SendResult res;
-    trace.span("push_start", trace_id,
-               format("seq=%u chunks=%zu", opts.seq, chunks.size()));
+    events::emit(events::Level::Info, "push_start",
+                 {{"trace", trace_id},
+                  {"seq", format("%u", opts.seq)},
+                  {"chunks", format("%zu", chunks.size())}});
     if (!opts.to.empty()) {
         SocketTransportOptions so;
         parseHostPort(opts.to, "--to", &so.host, &so.port);
@@ -457,9 +457,10 @@ cmdPush(const PushOptions &opts)
     }
     if (!res.ok)
         fatal("push failed: %s", res.error.c_str());
-    trace.span("push_acked", trace_id,
-               format("attempts=%d%s", res.attempts,
-                      res.duplicate ? " duplicate" : ""));
+    events::emit(events::Level::Info, "push_acked",
+                 {{"trace", trace_id},
+                  {"attempts", format("%d", res.attempts)},
+                  {"duplicate", res.duplicate ? "1" : "0"}});
 
     std::printf("pushed shard host=%s seq=%u workload=%s "
                 "checksum=%016llx (%zu chunk%s, %d attempt%s%s) "
@@ -488,12 +489,12 @@ idleTimeoutMs(const DaemonOptions &d)
 /**
  * The ingest node's daemon: fold shards from N hosts as they arrive —
  * polled out of a drop directory or pushed to a listening socket —
- * optionally re-analyzing per arrival, persisting restorable state per
- * arrival, and saving the canonical aggregate. A listening node also
- * answers hbbp-query/1 on the shard port: every accepted shard bumps
- * the epoch that invalidates the analysis caches, and a `shutdown`
- * query stops the daemon. All of it runs on the listener's single
- * poll thread — no locks anywhere near the aggregator.
+ * persisting restorable state per arrival, and saving the canonical
+ * aggregate. A listening node also answers hbbp-query/1 on the shard
+ * port: every accepted shard bumps the epoch that invalidates the
+ * analysis caches, and a `shutdown` query stops the daemon. All of it
+ * runs on the listener's single poll thread — no locks anywhere near
+ * the aggregator.
  */
 int
 cmdAggregate(const AggregateOptions &opts)
@@ -507,9 +508,7 @@ cmdAggregate(const AggregateOptions &opts)
     std::unique_ptr<Observability> obs = startObservability(d, "root");
     IngestOptions io;
     io.state_file = d.state_file;
-    io.journal_every = d.journal_every;
     io.store_dir = opts.store_dir;
-    io.trace_log = d.trace_log;
     io.federator = obs->federator.get();
     IngestNode node(std::move(io));
     IncrementalAggregator &agg = node.aggregator();
@@ -521,19 +520,9 @@ cmdAggregate(const AggregateOptions &opts)
                     agg.hostCount(),
                     agg.hostCount() == 1 ? "" : "s");
 
-    std::optional<Workload> aw;
-    if (!opts.analyze_workload.empty())
-        aw = requireWorkloadByName(opts.analyze_workload);
-    Analyzer analyzer;
-    auto analyze = [&] {
-        if (aw)
-            agg.analyzeWith(*aw->program, analyzer);
-    };
-
     AggregatorProfileSource source(agg);
     AnalysisService service(source, makeWorkloadByName);
     QueryEndpoint endpoint(service);
-    endpoint.setTraceLog(&node.trace(), "root");
 
     if (listening) {
         ShardListener listener(
@@ -550,7 +539,6 @@ cmdAggregate(const AggregateOptions &opts)
         lo.on_accept = [&](const ShardManifest &m,
                            const ProfileData &pd,
                            const std::vector<std::string> &chunks) {
-            analyze();
             node.accept(m, &pd, chunks);
         };
         lo.on_query = [&](const std::string &body) {
@@ -563,7 +551,6 @@ cmdAggregate(const AggregateOptions &opts)
         wo.expect = d.expect;
         wo.timeout_ms = idleTimeoutMs(d);
         wo.on_accept = [&](const ShardManifest &m) {
-            analyze();
             node.acceptFile(m, opts.watch_dir + "/" + m.profile_file);
         };
         watchAndAggregate(agg, opts.watch_dir, wo);
@@ -586,14 +573,14 @@ cmdAggregate(const AggregateOptions &opts)
 
     const ServiceStats &ss = service.stats();
     std::printf("aggregate: accepted=%zu duplicates=%zu "
-                "incompatible=%zu malformed=%zu analyses=%zu "
-                "rebuilds=%zu restored=%zu hosts=%zu covered=%zu "
+                "incompatible=%zu malformed=%zu rebuilds=%zu "
+                "restored=%zu hosts=%zu covered=%zu "
                 "aggregates=%zu superseded=%zu saturated=%llu "
                 "epoch=%llu requests=%llu cache_hits=%llu "
                 "cache_misses=%llu query_errors=%llu "
                 "analysis_runs=%llu%s%s\n",
                 st.accepted, st.duplicates, st.incompatible,
-                st.malformed, st.analyses, st.rebuilds,
+                st.malformed, st.rebuilds,
                 agg.restoredShards(), agg.hostCount(),
                 agg.coveredShards(), st.aggregates, st.superseded,
                 static_cast<unsigned long long>(saturatedFoldLanes()),
@@ -645,9 +632,7 @@ cmdRelay(const RelayCliOptions &opts)
     ro.expect = d.expect;
     ro.idle_timeout_ms = idleTimeoutMs(d);
     ro.state_file = d.state_file;
-    ro.journal_every = d.journal_every;
     ro.upstream_retries = std::max(opts.retries, 1);
-    ro.trace_log = d.trace_log;
     ro.store_dir = opts.store_dir;
 
     std::unique_ptr<Observability> obs =

@@ -225,10 +225,8 @@ addDaemonFlags(ArgParser &parser, DaemonOptions *opts)
     parser.count("--expect", &opts->expect);
     parser.count("--timeout-ms", &opts->timeout_ms,
                  static_cast<uint64_t>(INT_MAX));
-    parser.count("--journal-every", &opts->journal_every);
     parser.count("--metrics-port", &opts->metrics_port, UINT16_MAX);
     parser.value("--metrics-port-file", &opts->metrics_port_file);
-    parser.value("--trace-log", &opts->trace_log);
     parser.value("--event-log", &opts->event_log);
     parser.number("--stall-warn-s", &opts->stall_warn_s);
 }
@@ -295,16 +293,17 @@ PushOptions::parse(int argc, char **argv)
     p.value("--to", &opts.to);
     p.value("--export-dir", &opts.export_dir);
     p.value("-o", &opts.profile_out);
-    p.value("--trace-log", &opts.trace_log);
+    p.value("--event-log", &opts.event_log);
     p.count("--seq", &opts.seq, UINT32_MAX);
     p.count("--chunks", &opts.chunks, UINT32_MAX);
     p.count("--retries", &opts.retries,
             static_cast<uint64_t>(INT_MAX));
     p.count("--fail-after", &opts.fail_after,
             static_cast<uint64_t>(INT_MAX));
-    addCollectionFlags(p, &opts.coll);
+    p.count("--jobs", &opts.jobs, static_cast<uint64_t>(UINT_MAX));
     opts.workload = exactPositionals(p, 1, "workload")[0];
-    opts.coll.finalize();
+    if (opts.jobs == 0)
+        fatal("--jobs must be >= 1");
     return opts;
 }
 
@@ -315,7 +314,6 @@ AggregateOptions::parse(int argc, char **argv)
     ArgParser p(argc, argv, 2);
     p.value("--watch-dir", &opts.watch_dir);
     p.value("-o", &opts.profile_out);
-    p.value("--analyze", &opts.analyze_workload);
     p.value("--store", &opts.store_dir);
     addDaemonFlags(p, &opts.daemon);
     p.run();

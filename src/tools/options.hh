@@ -119,7 +119,7 @@ struct AnalysisOptions
  *  --pivot/--top/--function/--format/--csv. */
 void addAnalysisFlags(ArgParser &parser, AnalysisOptions *opts);
 
-/** Collection sizing shared by collect/batch/export/push. */
+/** Collection sizing shared by collect/batch/export. */
 struct CollectionOptions
 {
     unsigned jobs = 1;
@@ -142,19 +142,17 @@ struct DaemonOptions
     std::string state_file;
     size_t expect = 0;
     int timeout_ms = 10'000; ///< Idle exit; 0 = never idle out.
-    size_t journal_every = 32;
     int metrics_port = -1; ///< -1 = off.
     std::string metrics_port_file;
-    std::string trace_log;
-    /** Structured JSONL event log (support/events); empty = off. */
+    /** Structured JSONL event and span log (support/events); "" = off. */
     std::string event_log;
     /** Watchdog: warn when a loop stage stalls this long; 0 = off. */
     double stall_warn_s = 0.0;
 };
 
 /** Registers --listen/--bind/--port-file/--state/--expect/
- *  --timeout-ms/--journal-every/--metrics-port/--metrics-port-file/
- *  --trace-log/--event-log/--stall-warn-s. */
+ *  --timeout-ms/--metrics-port/--metrics-port-file/--event-log/
+ *  --stall-warn-s. */
 void addDaemonFlags(ArgParser &parser, DaemonOptions *opts);
 
 // ---------------------------------------------------------------------------
@@ -205,12 +203,13 @@ struct PushOptions
     std::string to;
     std::string export_dir;
     std::string profile_out;
-    std::string trace_log;
+    /** Event and span log; also stamps the shard's trace id. */
+    std::string event_log;
     uint32_t seq = 0;
     uint32_t chunks = 1;
     int retries = 5;
     int fail_after = -1; ///< Test hook: die after N acked chunks.
-    CollectionOptions coll;
+    unsigned jobs = 1;
 
     static PushOptions parse(int argc, char **argv);
 };
@@ -219,7 +218,6 @@ struct AggregateOptions
 {
     std::string watch_dir;
     std::string profile_out;
-    std::string analyze_workload;
     std::string store_dir;
     DaemonOptions daemon;
 
@@ -263,7 +261,7 @@ struct EventsOptions
 {
     std::string from;      ///< Event-log file to read.
     std::string code;      ///< Keep only this stable code; "" = all.
-    uint64_t since_ms = 0; ///< Keep only ts_ms >= this; 0 = all.
+    uint64_t since_ms = 0; ///< Keep records at or after this ms; 0 = all.
 
     static EventsOptions parse(int argc, char **argv);
 };

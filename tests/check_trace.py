@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Assert a complete shard-lifecycle trace in a --trace-log JSONL file.
+"""Assert a complete shard-lifecycle trace in an --event-log JSONL file.
 
-Usage: check_trace.py <trace.jsonl> <host> [--serve] [--query-trace ID]
+Usage: check_trace.py <events.jsonl> <host> [--serve] [--query-trace ID]
 
-Finds the trace id stamped by `push --host <host>` and checks that its
-span records reconstruct the full collector -> relay -> root chain
-(push_start, push_acked, relay_accept, relay_flush, root_fold) with
-monotonic wall-clock timestamps along the lifecycle. Used by
-cli_relay_smoke.cmake.
+Spans are event records whose `code` is the span name and whose
+`fields.trace` is the trace id; records without a trace id are plain
+events and are skipped. Finds the trace id stamped by
+`push --host <host>` and checks that its span records reconstruct the
+full collector -> relay -> root chain (push_start, push_acked,
+relay_accept, relay_flush, root_fold) with monotonic microsecond
+wall-clock timestamps along the lifecycle. Used by
+cli_relay_smoke.cmake and, on hand-made bad chains,
+check_trace_rejects.cmake.
 
 With --serve the chain is the query-serving root's shorter
 push_start/push_acked/root_fold lifecycle (no relay hops), and
@@ -23,7 +27,7 @@ import sys
 
 
 def load_traces(path):
-    """trace id -> span name -> list of records."""
+    """trace id -> span name (record code) -> list of records."""
     traces = {}
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -34,11 +38,14 @@ def load_traces(path):
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 sys.exit(f"{path}:{lineno}: invalid JSON: {e}")
-            for key in ("ts_us", "node", "span", "trace"):
+            for key in ("ts_us", "node", "code", "fields"):
                 if key not in rec:
                     sys.exit(f"{path}:{lineno}: missing key '{key}'")
-            traces.setdefault(rec["trace"], {}).setdefault(
-                rec["span"], []).append(rec)
+            trace = rec["fields"].get("trace")
+            if trace is None:
+                continue
+            traces.setdefault(trace, {}).setdefault(
+                rec["code"], []).append(rec)
     return traces
 
 

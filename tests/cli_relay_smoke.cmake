@@ -8,9 +8,10 @@
 #   exactly two aggregate arrivals covering four hosts. Each relay's
 #   --metrics-port endpoint is scraped live (after its first accept,
 #   while it waits for its second) and must report exactly one folded
-#   shard; every process appends to one --trace-log, and check_trace.py
+#   shard; every process appends to one --event-log, check_trace.py
 #   must reconstruct hostA's complete collector -> relay -> root span
-#   chain with monotonic timestamps.
+#   chain with monotonic timestamps from it, and `hbbp-tool events`
+#   must list those spans.
 #
 #   Phase 2: the same tree, but relay1 runs with --state and
 #   --flush-every 1 and is SIGKILLed after accepting (and flushing)
@@ -67,9 +68,9 @@ waitport() {
         sleep 0.1
     done
 }
-trace=\"$dir/trace.jsonl\"
+evlog=\"$dir/events.jsonl\"
 \"$tool\" aggregate --listen 0 --port-file \"$dir/root1.port\" --expect 4 \\
-    --timeout-ms 120000 -o \"$dir/root1.profile\" --trace-log \"$trace\" \\
+    --timeout-ms 120000 -o \"$dir/root1.profile\" --event-log \"$evlog\" \\
     > \"$dir/root1.log\" 2>&1 &
 rootpid=$!
 waitport \"$dir/root1.port\"
@@ -77,12 +78,12 @@ rp=$(cat \"$dir/root1.port\")
 \"$tool\" relay --listen 0 --port-file \"$dir/r1.port\" --to 127.0.0.1:$rp \\
     --relay-id relay1 --expect 2 --timeout-ms 120000 \\
     --metrics-port 0 --metrics-port-file \"$dir/r1.mport\" \\
-    --trace-log \"$trace\" > \"$dir/r1.log\" 2>&1 &
+    --event-log \"$evlog\" > \"$dir/r1.log\" 2>&1 &
 r1pid=$!
 \"$tool\" relay --listen 0 --port-file \"$dir/r2.port\" --to 127.0.0.1:$rp \\
     --relay-id relay2 --expect 2 --timeout-ms 120000 \\
     --metrics-port 0 --metrics-port-file \"$dir/r2.mport\" \\
-    --trace-log \"$trace\" > \"$dir/r2.log\" 2>&1 &
+    --event-log \"$evlog\" > \"$dir/r2.log\" 2>&1 &
 r2pid=$!
 waitport \"$dir/r1.port\"
 waitport \"$dir/r2.port\"
@@ -95,20 +96,20 @@ p2=$(cat \"$dir/r2.port\")
 # folded so far. Same dance on relay2 with hostC. hostB/hostD then
 # push concurrently with each other.
 \"$tool\" push test40 --host hostA --to 127.0.0.1:$p1 --retries 20 \\
-    --trace-log \"$trace\" -o \"$dir/a.profile\" > \"$dir/pushA.log\" 2>&1 \\
+    --event-log \"$evlog\" -o \"$dir/a.profile\" > \"$dir/pushA.log\" 2>&1 \\
     || exit 1
 \"$tool\" stats --from 127.0.0.1:$(cat \"$dir/r1.mport\") \\
     > \"$dir/metrics_r1.txt\" 2> \"$dir/scrape1.log\" || exit 1
 \"$tool\" push test40 --host hostB --to 127.0.0.1:$p1 --retries 20 \\
-    --trace-log \"$trace\" -o \"$dir/b.profile\" > \"$dir/pushB.log\" 2>&1 &
+    --event-log \"$evlog\" -o \"$dir/b.profile\" > \"$dir/pushB.log\" 2>&1 &
 pb=$!
 \"$tool\" push test40 --host hostC --to 127.0.0.1:$p2 --retries 20 \\
-    --trace-log \"$trace\" -o \"$dir/c.profile\" > \"$dir/pushC.log\" 2>&1 \\
+    --event-log \"$evlog\" -o \"$dir/c.profile\" > \"$dir/pushC.log\" 2>&1 \\
     || exit 1
 \"$tool\" stats --from 127.0.0.1:$(cat \"$dir/r2.mport\") \\
     > \"$dir/metrics_r2.txt\" 2> \"$dir/scrape2.log\" || exit 1
 \"$tool\" push test40 --host hostD --to 127.0.0.1:$p2 --retries 20 \\
-    --trace-log \"$trace\" -o \"$dir/d.profile\" > \"$dir/pushD.log\" 2>&1 &
+    --event-log \"$evlog\" -o \"$dir/d.profile\" > \"$dir/pushD.log\" 2>&1 &
 pd=$!
 rc=0
 wait $pb || rc=1
@@ -146,16 +147,27 @@ foreach(relay r1 r2)
     endif()
 endforeach()
 
-# The trace log must reconstruct hostA's full lifecycle: push_start/
-# push_acked at the collector, relay_accept/relay_flush at relay1,
-# root_fold at the root, with monotonic timestamps.
+# The shared event log must reconstruct hostA's full lifecycle:
+# push_start/push_acked at the collector, relay_accept/relay_flush at
+# relay1, root_fold at the root, with monotonic timestamps.
 execute_process(COMMAND python3 "${CMAKE_CURRENT_LIST_DIR}/check_trace.py"
-    "${WORK_DIR}/trace.jsonl" hostA
+    "${WORK_DIR}/events.jsonl" hostA
     RESULT_VARIABLE trace_rc OUTPUT_VARIABLE trace_out ERROR_VARIABLE trace_err)
 if(NOT trace_rc EQUAL 0)
     message(FATAL_ERROR "trace reconstruction failed: ${trace_out}${trace_err}")
 endif()
 message(STATUS "${trace_out}")
+# The spans are ordinary records to the one reader.
+execute_process(COMMAND "${HBBP_TOOL}" events --from "${WORK_DIR}/events.jsonl"
+    RESULT_VARIABLE ev_rc OUTPUT_VARIABLE ev_out ERROR_VARIABLE ev_err)
+if(NOT ev_rc EQUAL 0)
+    message(FATAL_ERROR "events --from events.jsonl failed: ${ev_out}${ev_err}")
+endif()
+foreach(span push_start push_acked relay_accept relay_flush root_fold)
+    if(NOT ev_out MATCHES "info  ${span} node=[^ ]+ trace=")
+        message(FATAL_ERROR "events lists no ${span} span: ${ev_out}")
+    endif()
+endforeach()
 
 # Byte-identical to a flat one-shot merge of the same four shards.
 execute_process(COMMAND "${HBBP_TOOL}" merge -o "${WORK_DIR}/flat.profile"

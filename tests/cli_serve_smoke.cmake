@@ -13,7 +13,7 @@
 #   the daemon cleanly. The daemon's `-o` aggregate must equal that
 #   merge too: one process is both the root and the query server.
 #
-#   The daemon and the hostA collector share one --trace-log: every
+#   The daemon and the hostA collector share one --event-log: every
 #   query reply must carry per-stage `timing` metadata, and the served
 #   query's trace span must join onto hostA's ingestion chain
 #   (push_start -> push_acked -> root_fold -> query_serve), checked by
@@ -64,7 +64,7 @@ q() { # q <name> <verb> [extra args...] -- query, split payload/meta
 daemon() {
     \"$tool\" aggregate --listen 0 --timeout-ms 0 --port-file \"$dir/$1\" \\
         --state \"$dir/serve.state\" --store \"$dir/store\" -o \"$dir/$3\" \\
-        --trace-log \"$dir/trace.jsonl\" > \"$dir/$2\" 2>&1 &
+        --event-log \"$dir/events.jsonl\" > \"$dir/$2\" 2>&1 &
     servepid=$!
     i=0
     while [ ! -s \"$dir/$1\" ]; do
@@ -98,7 +98,7 @@ storm & stormpid=$!
 
 # Shards arrive mid-storm; after each wave the epoch must have moved.
 \"$tool\" push test40 --host hostA --to 127.0.0.1:$port --chunks 2 \\
-    --retries 20 --trace-log \"$dir/trace.jsonl\" \\
+    --retries 20 --event-log \"$dir/events.jsonl\" \\
     -o \"$dir/a.profile\" > \"$dir/pushA.log\" 2>&1 || exit 1
 q epoch1 status || exit 1
 \"$tool\" push test40 --host hostB --to 127.0.0.1:$port --chunks 3 \\
@@ -206,13 +206,13 @@ endif()
 
 # The query's trace span joins its shard's ingestion chain: the reply
 # names a trace id, and check_trace.py must find its query_serve span
-# after hostA's push_start/push_acked/root_fold in the shared log.
+# after hostA's push_start/push_acked/root_fold in the shared event log.
 if(NOT mix_cold_meta MATCHES "trace=(query-root-[0-9]+)")
     message(FATAL_ERROR "cold query meta lacks a trace id: ${mix_cold_meta}")
 endif()
 set(query_trace "${CMAKE_MATCH_1}")
 execute_process(COMMAND python3 "${CMAKE_CURRENT_LIST_DIR}/check_trace.py"
-    "${WORK_DIR}/trace.jsonl" hostA --serve --query-trace "${query_trace}"
+    "${WORK_DIR}/events.jsonl" hostA --serve --query-trace "${query_trace}"
     RESULT_VARIABLE trace_rc OUTPUT_VARIABLE trace_out ERROR_VARIABLE trace_err)
 if(NOT trace_rc EQUAL 0)
     message(FATAL_ERROR "query trace join failed: ${trace_out}${trace_err}")

@@ -14,7 +14,9 @@
 #   cached partials (restored=2 in the import-count stats, only hostC
 #   is newly imported) and produces the same bytes again. Both runs
 #   deposit into one --store: after the clean exit it must hold the
-#   three shards with no pin left behind.
+#   three shards with no pin left behind. Between the two runs a push
+#   with --event-log to the killed aggregator's port must fail, and
+#   its log must hold the collector's push_start and push_retry.
 #
 # Invoked as:
 #   cmake -DHBBP_TOOL=<hbbp-tool> -DWORK_DIR=<scratch dir> \
@@ -134,6 +136,12 @@ port=$(cat \"$dir/port2\")
     --retries 20 > \"$dir/push2B.log\" 2>&1 || exit 1
 kill -9 $aggpid 2>/dev/null
 wait $aggpid 2>/dev/null
+# Nothing listens there now: the push gives up after two attempts.
+if \"$tool\" push test40 --host hostD --to 127.0.0.1:$port --retries 2 \\
+    --event-log \"$dir/dead_push.events\" > \"$dir/push2dead.log\" 2>&1; then
+    echo 'push to the killed aggregator succeeded'
+    exit 1
+fi
 # The restarted aggregator resumes from the checkpointed partials and
 # only needs hostC to finish the fleet.
 \"$tool\" aggregate --listen 0 --port-file \"$dir/port3\" \\
@@ -178,6 +186,19 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
 if(differs2)
     message(FATAL_ERROR "resumed aggregate is not byte-identical to the single-run merge")
 endif()
+
+# The failed push logged its start and its retry as the collector.
+execute_process(COMMAND "${HBBP_TOOL}" events
+    --from "${WORK_DIR}/dead_push.events"
+    RESULT_VARIABLE ev_rc OUTPUT_VARIABLE ev_out ERROR_VARIABLE ev_err)
+if(NOT ev_rc EQUAL 0)
+    message(FATAL_ERROR "events --from dead_push.events failed: ${ev_out}${ev_err}")
+endif()
+foreach(code push_start push_retry)
+    if(NOT ev_out MATCHES "${code} node=collector:hostD ")
+        message(FATAL_ERROR "no ${code} from collector:hostD: ${ev_out}")
+    endif()
+endforeach()
 
 # Both runs pinned under the owner their shared --state names; the
 # restart's clean exit removed that owner's pin file.

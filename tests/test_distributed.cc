@@ -16,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/analyzer.hh"
 #include "fleet/aggregate.hh"
 #include "fleet/manifest.hh"
 #include "fleet/merge.hh"
@@ -522,6 +521,15 @@ TEST(Aggregator, AggregateIsCachedUntilInvalidated)
     agg.aggregate();
     agg.aggregate();
     EXPECT_EQ(agg.stats().rebuilds, 2u);
+
+    // A rejected duplicate must not invalidate anything derived from
+    // the aggregate: the epoch and the cached aggregate stand still.
+    uint64_t epoch = agg.epoch();
+    EXPECT_FALSE(agg.addShard(manifestFor(a, "late-host"), a));
+    EXPECT_EQ(agg.stats().duplicates, 1u);
+    EXPECT_EQ(agg.epoch(), epoch);
+    agg.aggregate();
+    EXPECT_EQ(agg.stats().rebuilds, 2u);
 }
 
 using AggregatorDeath = ::testing::Test;
@@ -531,52 +539,6 @@ TEST(AggregatorDeath, EmptyAggregateDies)
     IncrementalAggregator agg;
     EXPECT_EXIT(agg.aggregate(), ::testing::ExitedWithCode(1),
                 "no shards");
-}
-
-/**
- * The invalidation contract: analysis recomputes exactly once per
- * newly arrived shard — repeated queries between arrivals are cache
- * hits, and every arrival invalidates exactly once.
- */
-TEST(Aggregator, ReanalysisTriggersExactlyOncePerArrivedShard)
-{
-    auto lp = testutil::makeLoopProgram(20'000);
-    CollectorConfig cc;
-    cc.runtime_class = RuntimeClass::Seconds;
-    cc.max_instructions = 300'000;
-    cc.seed = 7;
-    std::vector<ProfileData> shards =
-        collectShards(*lp.program, MachineConfig{}, cc, ShardPlan{3, 1});
-    ASSERT_EQ(shards.size(), 3u);
-
-    Analyzer analyzer;
-    IncrementalAggregator agg;
-    for (uint32_t i = 0; i < 3; i++) {
-        ASSERT_TRUE(agg.addShard(
-            manifestFor(shards[i], format("host%u", i)), shards[i]));
-        agg.analyzeWith(*lp.program, analyzer);
-        // Cache hits: no new shard arrived, so no recomputation.
-        agg.analyzeWith(*lp.program, analyzer);
-        agg.analyzeWith(*lp.program, analyzer);
-        EXPECT_EQ(agg.stats().analyses, i + 1u);
-    }
-
-    // A rejected duplicate must NOT invalidate the analysis.
-    agg.addShard(manifestFor(shards[0], "late-host"), shards[0]);
-    agg.analyzeWith(*lp.program, analyzer);
-    EXPECT_EQ(agg.stats().analyses, 3u);
-    EXPECT_EQ(agg.stats().duplicates, 1u);
-
-    // And the incremental mix equals analyzing the one-shot merge.
-    Counter<Mnemonic> reference =
-        analyzer.analyze(*lp.program, mergeProfiles(shards))
-            .hbbpMix()
-            .mnemonicCounts();
-    const Counter<Mnemonic> &got =
-        agg.analyzeWith(*lp.program, analyzer);
-    EXPECT_EQ(got.size(), reference.size());
-    for (const auto &[mn, count] : reference.items())
-        EXPECT_DOUBLE_EQ(got.get(mn), count) << name(mn);
 }
 
 // ---------------------------------------------------------------------------
@@ -791,12 +753,7 @@ TEST(Store, UnreadableEntriesAreEvictedNotLeaked)
     // entries whose keys are no longer requested). A failed load now
     // unlinks the entry.
     std::string dir = freshDir("evict_store");
-    // The stale files below are written moments before the lookup;
-    // disable the heal grace window that would (correctly) treat
-    // such young entries as a racing depositor's work.
-    ProfileStore::Options opts;
-    opts.heal_grace_s = 0;
-    ProfileStore store(dir, opts);
+    ProfileStore store(dir);
     CollectorConfig cc;
     ProfileKey stale_key{"loop", cc, 1, MachineConfig{}};
     cc.seed = 99;
@@ -804,6 +761,12 @@ TEST(Store, UnreadableEntriesAreEvictedNotLeaked)
 
     writeFile(store.pathFor(stale_key), "HBBPPROFxxxx not really");
     writeFile(store.pathFor(other_stale), "legacy junk");
+    // Backdate both past the heal grace window, which (correctly)
+    // spares young entries as a racing depositor's work.
+    for (const ProfileKey &key : {stale_key, other_stale})
+        fs::last_write_time(store.pathFor(key),
+                            fs::file_time_type::clock::now() -
+                                std::chrono::hours(1));
     // Out-of-band writes bypass the index; rebuild adopts them (the
     // unreadable bytes still occupy disk, which is the point here).
     store.rebuildIndex();

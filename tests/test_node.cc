@@ -2,8 +2,8 @@
  * @file
  * Tests for the IngestNode accept path that `aggregate` (socket and
  * drop directory) and RelayNode share: what each kind of arrival
- * deposits into the store and journals into --state, the fallbacks
- * when a watched file vanishes or journaling is off, and the pin rule.
+ * deposits into the store and journals into --state, the fallback
+ * when a watched file vanishes, and the pin rule.
  * Every case ends by restoring a fresh node from the same --state,
  * which must hold the same aggregate bytes.
  */
@@ -131,11 +131,10 @@ struct ServedNode
 
 /** A node with --state and --store under @p dir. */
 IngestOptions
-statefulOptions(const std::string &dir, size_t journal_every = 32)
+statefulOptions(const std::string &dir)
 {
     IngestOptions io;
     io.state_file = dir + "/node.state";
-    io.journal_every = journal_every;
     io.store_dir = dir + "/store";
     return io;
 }
@@ -300,24 +299,6 @@ TEST(IngestNode, VanishedWatchFileFallsBackToAFullCheckpoint)
     EXPECT_FALSE(store.containsChecksum(b.checksum));
     EXPECT_EQ(restoredBytes(io),
               node.aggregator().aggregate().serialize());
-}
-
-TEST(IngestNode, JournalEveryZeroCheckpointsEachAccept)
-{
-    IngestOptions io = statefulOptions(freshDir("every0"),
-                                       /*journal_every=*/0);
-    IngestNode node(io);
-    for (uint64_t tag : {8, 9}) {
-        Leaf leaf = makeLeaf(tag == 8 ? "hostA" : "hostB", tag);
-        std::string why;
-        ASSERT_TRUE(node.aggregator().addShard(leaf.manifest,
-                                               leaf.profile, &why))
-            << why;
-        node.accept(leaf.manifest, &leaf.profile, leaf.chunks);
-        EXPECT_FALSE(fs::exists(io.state_file + ".journal"));
-        EXPECT_EQ(restoredBytes(io),
-                  node.aggregator().aggregate().serialize());
-    }
 }
 
 TEST(IngestNode, OnlyANodeWithStatePins)

@@ -439,6 +439,8 @@ TEST(QueryEndpointTest, ServesQueriesAndObservesArrivals)
     EXPECT_TRUE(reply.ok);
     EXPECT_EQ(reply.epoch, 1u);
     EXPECT_FALSE(reply.cached);
+    // Without an open event log a reply carries no query trace id.
+    EXPECT_TRUE(reply.trace_id.empty()) << reply.trace_id;
     std::string first_payload = reply.payload;
 
     // The analyzer-run count as `status` reports it on this connection.

@@ -4,7 +4,7 @@
  * sharding under concurrency, histogram bucket edges, deterministic
  * snapshot bytes), the --metrics-port HTTP endpoint, shard-lifecycle
  * trace ids in the manifest (including v1 byte compatibility), the
- * JSONL trace log, and the warn() rate limiter.
+ * JSONL event log its spans land in, and the warn() rate limiter.
  */
 
 #include <gtest/gtest.h>
@@ -289,56 +289,6 @@ TEST(TraceId, MalformedTraceValuesRejected)
     }
 }
 
-TEST(TraceLog, AppendsJsonlSpans)
-{
-    std::string path = testing::TempDir() + "/trace_log_test.jsonl";
-    std::remove(path.c_str());
-    {
-        telemetry::TraceLog log;
-        log.open(path, "unit");
-        log.span("push_start", "h1-0-abc", "seq=0");
-        log.span("push_acked", "h1-0-abc");
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string line;
-    std::vector<std::string> lines;
-    while (std::getline(in, line))
-        lines.push_back(line);
-    ASSERT_EQ(lines.size(), 2u);
-    EXPECT_NE(lines[0].find("\"node\":\"unit\""), std::string::npos);
-    EXPECT_NE(lines[0].find("\"span\":\"push_start\""),
-              std::string::npos);
-    EXPECT_NE(lines[0].find("\"trace\":\"h1-0-abc\""),
-              std::string::npos);
-    EXPECT_NE(lines[0].find("\"detail\":\"seq=0\""), std::string::npos);
-    EXPECT_EQ(lines[0].find("\"ts_us\":"), 1u);
-    // No detail key when the detail is empty.
-    EXPECT_EQ(lines[1].find("\"detail\""), std::string::npos);
-}
-
-TEST(TraceLog, InactiveLogIsANoOp)
-{
-    telemetry::TraceLog log;
-    EXPECT_FALSE(log.active());
-    log.span("whatever", "id"); // must not crash or create files
-}
-
-TEST(TraceLog, EscapesJsonMetacharacters)
-{
-    std::string path = testing::TempDir() + "/trace_log_escape.jsonl";
-    std::remove(path.c_str());
-    telemetry::TraceLog log;
-    log.open(path, "unit");
-    log.span("s", "id", "quote\" back\\slash\ttab");
-    std::ifstream in(path);
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_NE(line.find("quote\\\" back\\\\slash\\u0009tab"),
-              std::string::npos)
-        << line;
-}
-
 TEST(WarnRateLimiter, BurstThenSuppress)
 {
     WarnRateLimiter rl(/*burst=*/2, /*interval_ms=*/1000);
@@ -600,18 +550,26 @@ TEST(Events, EmitLoadRoundTripAndFilters)
     std::remove(log.c_str());
     events::openLog(log, "nodeX");
     events::emit(events::Level::Warn, "shard_reject",
-                 {{"reason", "bad \"quote\""}});
+                 {{"reason", "bad \"quote\" back\\slash\ttab"}});
     events::emit(events::Level::Info, "store_gc_evict",
                  {{"checksum", "00ff"}});
+    // A shard-lifecycle span: an info event keyed by its trace id.
+    events::emit(events::Level::Info, "push_start",
+                 {{"trace", "h1-0-abc"}, {"seq", "0"}});
     std::vector<events::Event> all;
     std::string why;
     ASSERT_TRUE(events::loadEvents(log, "", 0, &all, &why)) << why;
-    ASSERT_EQ(all.size(), 2u);
+    ASSERT_EQ(all.size(), 3u);
     EXPECT_EQ(all[0].code, "shard_reject");
     EXPECT_EQ(all[0].level, events::Level::Warn);
     EXPECT_EQ(all[0].node, "nodeX");
-    EXPECT_EQ(all[0].field("reason"), "bad \"quote\"");
-    EXPECT_GT(all[0].ts_ms, 0u);
+    EXPECT_EQ(all[0].field("reason"), "bad \"quote\" back\\slash\ttab");
+    EXPECT_GT(all[0].ts_us, 0u);
+    EXPECT_EQ(all[2].code, "push_start");
+    EXPECT_EQ(all[2].level, events::Level::Info);
+    EXPECT_EQ(all[2].field("trace"), "h1-0-abc");
+    EXPECT_EQ(all[2].field("seq"), "0");
+    EXPECT_LE(all[0].ts_us, all[2].ts_us);
     std::vector<events::Event> evict;
     ASSERT_TRUE(
         events::loadEvents(log, "store_gc_evict", 0, &evict, &why))
@@ -619,11 +577,37 @@ TEST(Events, EmitLoadRoundTripAndFilters)
     ASSERT_EQ(evict.size(), 1u);
     EXPECT_EQ(evict[0].level, events::Level::Info);
     std::vector<events::Event> none;
-    ASSERT_TRUE(events::loadEvents(log, "", all[1].ts_ms + 60'000,
+    ASSERT_TRUE(events::loadEvents(log, "", all[2].ts_us / 1000 + 60'000,
                                    &none, &why))
         << why;
     EXPECT_TRUE(none.empty());
+    // On disk: one object per line, led by the microsecond stamp, with
+    // the JSON metacharacters escaped.
+    std::ifstream in(log);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line.rfind("{\"ts_us\":", 0), 0u) << line;
+    EXPECT_NE(line.find("bad \\\"quote\\\" back\\\\slash\\ttab"),
+              std::string::npos)
+        << line;
     events::openLog("", "");
+}
+
+TEST(Events, AnEmptyPathClosesTheLog)
+{
+    std::string log = testing::TempDir() + "/events_close.jsonl";
+    std::remove(log.c_str());
+    events::openLog(log, "unit");
+    EXPECT_TRUE(events::logActive());
+    events::emit(events::Level::Info, "before_close", {});
+    events::openLog("", "");
+    EXPECT_FALSE(events::logActive());
+    events::emit(events::Level::Info, "after_close", {}); // a no-op
+    std::vector<events::Event> evs;
+    std::string why;
+    ASSERT_TRUE(events::loadEvents(log, "", 0, &evs, &why)) << why;
+    ASSERT_EQ(evs.size(), 1u);
+    EXPECT_EQ(evs[0].code, "before_close");
 }
 
 TEST(Events, MalformedLinesFailTheLoadLoudly)
@@ -631,7 +615,7 @@ TEST(Events, MalformedLinesFailTheLoadLoudly)
     std::string log = testing::TempDir() + "/events_malformed.jsonl";
     {
         std::ofstream out(log, std::ios::trunc);
-        out << "{\"ts_ms\":1,\"level\":\"warn\",\"code\":\"x\","
+        out << "{\"ts_us\":1,\"level\":\"warn\",\"code\":\"x\","
                "\"node\":\"n\",\"fields\":{}}\n"
             << "not json\n";
     }
@@ -639,12 +623,23 @@ TEST(Events, MalformedLinesFailTheLoadLoudly)
     std::string why;
     EXPECT_FALSE(events::loadEvents(log, "", 0, &evs, &why));
     EXPECT_NE(why.find(":2:"), std::string::npos) << why;
+
+    // A record stamped in milliseconds (the format before microsecond
+    // stamps) has no ts_us: it fails too.
+    {
+        std::ofstream out(log, std::ios::trunc);
+        out << "{\"ts_ms\":1,\"level\":\"warn\",\"code\":\"x\","
+               "\"node\":\"n\",\"fields\":{}}\n";
+    }
+    why.clear();
+    EXPECT_FALSE(events::loadEvents(log, "", 0, &evs, &why));
+    EXPECT_NE(why.find(":1:"), std::string::npos) << why;
 }
 
 TEST(Events, RenderIsOneGreppableLine)
 {
     events::Event e;
-    e.ts_ms = 42;
+    e.ts_us = 42'999;
     e.level = events::Level::Error;
     e.code = "watchdog_stall";
     e.node = "relay-1";
