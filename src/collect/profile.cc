@@ -441,37 +441,23 @@ probeBytes(std::string_view bytes, const std::string &context,
 }
 
 /**
- * probeBytes() applied to the contents of @p path. *@p io_failed,
- * when non-null, distinguishes an I/O-level failure (open/read — no
+ * probeBytes() applied to the contents of @p path, read into *@p
+ * bytes. The result's body views *@p bytes, so the caller keeps that
+ * string alive and unmoved until the parse is done (moving a short
+ * string would leave the view dangling). *@p io_failed, when
+ * non-null, distinguishes an I/O-level failure (open/read — no
  * verdict on the bytes) from a content-level one.
  */
-struct ProbedFile
+std::optional<ProbedProfile>
+probe(const std::string &path, std::string *bytes, bool allow_legacy,
+      std::string *why, bool *io_failed = nullptr)
 {
-    /** Owns (or maps) the file bytes probed.body points into. */
-    MappedBytes data;
-    ProbedProfile probed;
-};
-
-std::optional<ProbedFile>
-probe(const std::string &path, bool allow_legacy, std::string *why,
-      bool *io_failed = nullptr)
-{
+    *bytes = readFileBytes(path, why);
     if (io_failed)
-        *io_failed = false;
-    ProbedFile f;
-    // mmap with a plain-read fallback (support/bytes): large profiles
-    // parse straight out of the page cache with no copy.
-    if (!f.data.open(path, why)) {
-        if (io_failed)
-            *io_failed = true;
+        *io_failed = !why->empty();
+    if (!why->empty())
         return std::nullopt;
-    }
-    std::optional<ProbedProfile> p =
-        probeBytes(f.data.view(), path, allow_legacy, why);
-    if (!p)
-        return std::nullopt;
-    f.probed = *p;
-    return std::optional<ProbedFile>(std::move(f));
+    return probeBytes(*bytes, path, allow_legacy, why);
 }
 
 } // namespace
@@ -552,13 +538,13 @@ ProfileData::payloadChecksum() const
 ProfileData
 ProfileData::load(const std::string &path)
 {
-    std::string why;
-    std::optional<ProbedFile> p =
-        probe(path, /*allow_legacy=*/false, &why);
+    std::string why, bytes;
+    std::optional<ProbedProfile> p =
+        probe(path, &bytes, /*allow_legacy=*/false, &why);
     if (!p)
         fatal("%s", why.c_str());
     try {
-        return parseProbed(p->probed, path);
+        return parseProbed(*p, path);
     } catch (const ByteParseError &e) {
         fatal("%s", e.what());
     }
@@ -567,15 +553,15 @@ ProfileData::load(const std::string &path)
 ProfileData
 ProfileData::loadAnyVersion(const std::string &path, uint32_t *version_out)
 {
-    std::string why;
-    std::optional<ProbedFile> p =
-        probe(path, /*allow_legacy=*/true, &why);
+    std::string why, bytes;
+    std::optional<ProbedProfile> p =
+        probe(path, &bytes, /*allow_legacy=*/true, &why);
     if (!p)
         fatal("%s", why.c_str());
     if (version_out)
-        *version_out = p->probed.version;
+        *version_out = p->version;
     try {
-        return parseProbed(p->probed, path);
+        return parseProbed(*p, path);
     } catch (const ByteParseError &e) {
         fatal("%s", e.what());
     }
@@ -585,31 +571,20 @@ std::optional<ProfileData>
 ProfileData::tryLoad(const std::string &path, std::string *why,
                      uint64_t *checksum_out, bool *io_failed)
 {
-    std::string local;
+    std::string local, bytes;
     std::string *out = why ? why : &local;
-    std::optional<ProbedFile> p =
-        probe(path, /*allow_legacy=*/false, out, io_failed);
+    std::optional<ProbedProfile> p =
+        probe(path, &bytes, /*allow_legacy=*/false, out, io_failed);
     if (!p)
         return std::nullopt;
     if (checksum_out)
-        *checksum_out = p->probed.checksum;
+        *checksum_out = p->checksum;
     try {
-        return parseProbed(p->probed, path);
+        return parseProbed(*p, path);
     } catch (const ByteParseError &e) {
         *out = e.what();
         return std::nullopt;
     }
-}
-
-std::optional<uint64_t>
-probeProfileChecksum(const std::string &path, std::string *why)
-{
-    std::string local;
-    std::optional<ProbedFile> p =
-        probe(path, /*allow_legacy=*/false, why ? why : &local);
-    if (!p)
-        return std::nullopt;
-    return p->probed.checksum;
 }
 
 } // namespace hbbp

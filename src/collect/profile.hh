@@ -156,16 +156,6 @@ struct ProfileData
     bool operator==(const ProfileData &other) const = default;
 };
 
-/**
- * Cheap integrity probe of a profile file: validates the header (magic,
- * version, payload length) and that the stored checksum matches the
- * payload bytes, without building a ProfileData. Returns the checksum,
- * or std::nullopt with *@p why describing the failure (including a
- * `hbbp-tool migrate` hint for legacy-version files).
- */
-std::optional<uint64_t> probeProfileChecksum(const std::string &path,
-                                             std::string *why);
-
 } // namespace hbbp
 
 #endif // HBBP_COLLECT_PROFILE_HH

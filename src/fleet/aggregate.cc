@@ -154,20 +154,14 @@ IncrementalAggregator::addShard(const ShardManifest &manifest,
 
     // Reconcile the module map here, before anything is folded: a
     // conflicting placement inside mergeInto() is fatal(), which would
-    // take down a long-running aggregator over one bad shard.
-    for (const MmapRecord &rec : profile.mmaps) {
-        for (const MmapRecord &have : mmaps_) {
-            std::string conflict;
-            // Same-name placement mismatches and cross-name address
-            // overlaps both reject: one shared predicate with
-            // mergeInto(), minus its fatal() severity.
-            if (mmapRecordsConflict(have, rec, &conflict))
-                return reject(
-                    &stats_.incompatible,
-                    format("incompatible shard from host '%s': %s",
-                           manifest.host.c_str(), conflict.c_str()));
-        }
-    }
+    // take down a long-running aggregator over one bad shard. The
+    // copy is committed only once the shard is accepted.
+    std::vector<MmapRecord> mmaps = mmaps_;
+    std::string conflict;
+    if (!reconcileMmaps(mmaps, profile.mmaps, &conflict))
+        return reject(&stats_.incompatible,
+                      format("incompatible shard from host '%s': %s",
+                             manifest.host.c_str(), conflict.c_str()));
 
     HostState &hs = hosts_[manifest.host];
     // The checksum differs (or we'd have caught it above), so two
@@ -184,16 +178,7 @@ IncrementalAggregator::addShard(const ShardManifest &manifest,
         compat_ref_ = compatReference(profile);
         workload_ = manifest.workload;
     }
-    for (const MmapRecord &rec : profile.mmaps) {
-        bool known = false;
-        for (const MmapRecord &have : mmaps_)
-            if (have.name == rec.name) {
-                known = true;
-                break;
-            }
-        if (!known)
-            mmaps_.push_back(rec);
-    }
+    mmaps_ = std::move(mmaps);
     seen_checksums_.insert(manifest.checksum);
     uint64_t fold_start = nowNs();
     if (manifest.seq == hs.next_seq) {
@@ -269,7 +254,7 @@ IncrementalAggregator::addAggregateShard(const ShardManifest &manifest,
     // Nothing below may mutate state until the whole arrival is
     // judged: a rejection must leave the aggregator exactly as it was.
     const ProfileData &ref = compat_ref_ ? *compat_ref_ : partials[0];
-    std::vector<MmapRecord> fresh_mmaps;
+    std::vector<MmapRecord> mmaps = mmaps_;
     for (size_t i = 0; i < partials.size(); i++) {
         std::string compat_why;
         if (!mergeCompatible(ref, partials[i], &compat_why))
@@ -281,26 +266,12 @@ IncrementalAggregator::addAggregateShard(const ShardManifest &manifest,
                        "class", manifest.host.c_str(),
                        manifest.covered[i].host.c_str(),
                        compat_why.c_str()));
-        for (const MmapRecord &rec : partials[i].mmaps) {
-            bool known = false;
-            for (const std::vector<MmapRecord> *have_list :
-                 {&mmaps_, &fresh_mmaps}) {
-                for (const MmapRecord &have : *have_list) {
-                    std::string conflict;
-                    if (mmapRecordsConflict(have, rec, &conflict))
-                        return reject(
-                            &stats_.incompatible,
-                            format("incompatible aggregate from relay "
-                                   "'%s': %s",
-                                   manifest.host.c_str(),
-                                   conflict.c_str()));
-                    if (have.name == rec.name)
-                        known = true;
-                }
-            }
-            if (!known)
-                fresh_mmaps.push_back(rec);
-        }
+        std::string conflict;
+        if (!reconcileMmaps(mmaps, partials[i].mmaps, &conflict))
+            return reject(&stats_.incompatible,
+                          format("incompatible aggregate from relay "
+                                 "'%s': %s",
+                                 manifest.host.c_str(), conflict.c_str()));
     }
 
     bool folds_anything = false;
@@ -335,8 +306,7 @@ IncrementalAggregator::addAggregateShard(const ShardManifest &manifest,
         compat_ref_ = compatReference(partials[0]);
         workload_ = manifest.workload;
     }
-    for (MmapRecord &rec : fresh_mmaps)
-        mmaps_.push_back(std::move(rec));
+    mmaps_ = std::move(mmaps);
     for (size_t i = 0; i < partials.size(); i++) {
         const HostCoverage &hc = manifest.covered[i];
         HostState &hs = hosts_[hc.host];

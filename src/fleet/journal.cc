@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <optional>
 
 #include "fleet/merge.hh"
@@ -17,12 +18,67 @@ namespace hbbp {
 
 namespace {
 
-// One appended record: the shared frameRecord() framing (magic, body
-// length, body checksum) around a body of manifest text +
-// transportable chunks. The checksum makes a torn append — the only
-// non-atomic write in the fleet layer — detectable, so replay stops
-// at the damage instead of trusting it.
+// One appended record: magic, body length, body checksum, then a body
+// of manifest text + transportable chunks. The checksum makes a torn
+// append — the only non-atomic write in the fleet layer — detectable,
+// so replay stops at the damage instead of trusting it.
 constexpr uint64_t kJournalMagic = 0x48424250'4a524e31ULL; // "HBBPJRN1"
+constexpr size_t kRecordHeaderBytes = 24;
+
+std::string
+frameRecord(const std::string &body)
+{
+    ByteWriter rec;
+    rec.u64(kJournalMagic);
+    rec.u64(body.size());
+    rec.u64(fnv1a(body));
+    std::string bytes = rec.bytes();
+    bytes += body;
+    return bytes;
+}
+
+/**
+ * Walk the framed records in @p bytes, calling @p fn on each body that
+ * passes its checksum; @p fn returning false stops the scan (its
+ * record is not counted as consumed). Returns the offset one past the
+ * last cleanly consumed record. When that is short of bytes.size(),
+ * *@p why describes the damage — a torn append, a checksum failure, a
+ * foreign magic.
+ */
+size_t
+scanRecords(std::string_view bytes,
+            const std::function<bool(std::string_view)> &fn,
+            std::string *why)
+{
+    why->clear();
+    size_t off = 0;
+    while (off + kRecordHeaderBytes <= bytes.size()) {
+        uint64_t got_magic, body_len, stored;
+        std::memcpy(&got_magic, bytes.data() + off, 8);
+        std::memcpy(&body_len, bytes.data() + off + 8, 8);
+        std::memcpy(&stored, bytes.data() + off + 16, 8);
+        if (got_magic != kJournalMagic) {
+            *why = format("bad record magic at offset %zu", off);
+            return off;
+        }
+        if (bytes.size() - off - kRecordHeaderBytes < body_len) {
+            // A torn append: the writer died mid-record.
+            *why = format("torn record at offset %zu", off);
+            return off;
+        }
+        std::string_view body =
+            bytes.substr(off + kRecordHeaderBytes,
+                         static_cast<size_t>(body_len));
+        if (fnv1a(body.data(), body.size()) != stored) {
+            *why = format("record checksum failure at offset %zu", off);
+            return off;
+        }
+        if (!fn(body))
+            return off;
+        off += kRecordHeaderBytes + static_cast<size_t>(body_len);
+    }
+    return off;
+}
 
 std::string
 renderRecord(const ShardManifest &manifest,
@@ -35,7 +91,7 @@ renderRecord(const ShardManifest &manifest,
         body.u64(chunk.size());
         body.raw(chunk.data(), chunk.size());
     }
-    return frameRecord(kJournalMagic, body.bytes());
+    return frameRecord(body.bytes());
 }
 
 /**
@@ -121,7 +177,7 @@ StateJournal::restore(IncrementalAggregator &agg, std::string *why)
     std::string bytes = readFileBytes(journal_, &read_why);
     std::string scan_why;
     size_t off = scanRecords(
-        bytes, kJournalMagic, 0,
+        bytes,
         [&](std::string_view body) {
             std::string replay_why;
             if (!replayBody(agg, body, journal_, &replay_why)) {

@@ -7,8 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "support/bytes.hh"
 #include "support/logging.hh"
@@ -331,15 +329,12 @@ ShardManifest::parse(const std::string &text, std::string *why)
 std::optional<ShardManifest>
 ShardManifest::tryLoad(const std::string &path, std::string *why)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        if (why)
-            *why = format("cannot open '%s' for reading", path.c_str());
+    std::string local;
+    std::string *out = why ? why : &local;
+    std::string text = readFileBytes(path, out);
+    if (!out->empty())
         return std::nullopt;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::optional<ShardManifest> m = parse(text.str(), why);
+    std::optional<ShardManifest> m = parse(text, why);
     if (!m && why)
         *why = format("'%s': %s", path.c_str(), why->c_str());
     return m;

@@ -91,6 +91,30 @@ mmapRecordsConflict(const MmapRecord &have, const MmapRecord &rec,
     return false;
 }
 
+bool
+reconcileMmaps(std::vector<MmapRecord> &map,
+               const std::vector<MmapRecord> &recs, std::string *why)
+{
+    size_t old_size = map.size();
+    for (const MmapRecord &rec : recs) {
+        bool found = false;
+        // Check every existing record, not just the same-named one: a
+        // differently-named record whose address range overlaps is a
+        // layout conflict too.
+        for (const MmapRecord &have : map) {
+            if (mmapRecordsConflict(have, rec, why)) {
+                map.resize(old_size);
+                return false;
+            }
+            if (have.name == rec.name)
+                found = true;
+        }
+        if (!found)
+            map.push_back(rec);
+    }
+    return true;
+}
+
 uint64_t
 saturatedFoldLanes()
 {
@@ -104,20 +128,8 @@ mergeInto(ProfileData &into, const ProfileData &shard)
     if (!mergeCompatible(into, shard, &why))
         fatal("cannot merge profiles: %s", why.c_str());
 
-    for (const MmapRecord &rec : shard.mmaps) {
-        bool found = false;
-        // Check every existing record, not just the same-named one: a
-        // differently-named record whose address range overlaps is a
-        // layout conflict too (it used to merge silently).
-        for (const MmapRecord &have : into.mmaps) {
-            if (mmapRecordsConflict(have, rec, &why))
-                fatal("cannot merge profiles: %s", why.c_str());
-            if (have.name == rec.name)
-                found = true;
-        }
-        if (!found)
-            into.mmaps.push_back(rec);
-    }
+    if (!reconcileMmaps(into.mmaps, shard.mmaps, &why))
+        fatal("cannot merge profiles: %s", why.c_str());
 
     into.ebs.insert(into.ebs.end(), shard.ebs.begin(), shard.ebs.end());
     into.lbr.insert(into.lbr.end(), shard.lbr.begin(), shard.lbr.end());

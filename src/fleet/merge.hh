@@ -44,6 +44,18 @@ bool mmapRecordsConflict(const MmapRecord &have, const MmapRecord &rec,
                          std::string *why = nullptr);
 
 /**
+ * Add @p recs to the module map @p map: each record is checked with
+ * mmapRecordsConflict() against every record already in @p map,
+ * including those added before it, and a name @p map already holds is
+ * not added twice. On a conflict returns false with *@p why set and
+ * leaves @p map as it was. The one module-map walk behind every merge
+ * and fold.
+ */
+bool reconcileMmaps(std::vector<MmapRecord> &map,
+                    const std::vector<MmapRecord> &recs,
+                    std::string *why = nullptr);
+
+/**
  * Process-wide count of u64 feature-counter lanes (cycles,
  * instructions, block entries, taken branches, SIMD instructions, PMI
  * count) that saturated at UINT64_MAX during merges. Saturation warns

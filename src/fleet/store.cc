@@ -1,12 +1,9 @@
 #include "fleet/store.hh"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cctype>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <vector>
 
@@ -21,17 +18,6 @@ namespace hbbp {
 
 namespace {
 
-// Index record framing magic: "HBBPIDX1".
-constexpr uint64_t kIndexMagic = 0x48424250'49445831ULL;
-
-// Record ops. The header record carries a per-rewrite generation so a
-// tailing reader can tell "the file grew" (catch up from its offset)
-// from "the file was rewritten" (reload from scratch) — both look
-// like a plausible size change from stat() alone.
-constexpr uint8_t kOpHeader = 0;
-constexpr uint8_t kOpPut = 1;
-constexpr uint8_t kOpErase = 2;
-
 // lookup() heals stale entries by unlinking them — but an entry
 // younger than this is plausibly a concurrent depositor's fresh
 // re-insert that this reader raced (it loaded the old bytes, the file
@@ -39,81 +25,64 @@ constexpr uint8_t kOpErase = 2;
 // good work. Entries younger than the grace window are not unlinked.
 constexpr auto kHealGrace = std::chrono::seconds(60);
 
-std::string
-headerRecord(uint64_t generation)
+/** One entry file, as a directory scan found it. */
+struct Entry
 {
-    ByteWriter body;
-    body.u8(kOpHeader);
-    body.u64(generation);
-    return frameRecord(kIndexMagic, body.bytes());
-}
+    std::string path;
+    bool shard = false;
+    /** From the name: a key hash, or a shard's payload checksum. */
+    uint64_t id = 0;
+    uint64_t size = 0;
+    fs::file_time_type mtime;
+};
 
-uint64_t
-freshGeneration()
-{
-    // Unique enough across processes and rewrites; this is a change
-    // detector, not a secret.
-    auto now = std::chrono::steady_clock::now().time_since_epoch();
-    std::string seed = format(
-        "%ld.%lld", static_cast<long>(::getpid()),
-        static_cast<long long>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(now)
-                .count()));
-    return fnv1a(seed);
-}
-
-/** Parse an entry filename into (kind, id); false for foreign files. */
+/** Parse an entry filename into (shard?, id); false for other files. */
 bool
-parseEntryName(const std::string &name, uint8_t *kind, uint64_t *id)
+parseEntryName(const std::string &name, bool *shard, uint64_t *id)
 {
     unsigned long long v = 0;
     char tail = 0;
     if (std::sscanf(name.c_str(), "shard-%16llx.hbb%c", &v, &tail) ==
             2 &&
         tail == 'p' && name.size() == 27) {
-        *kind = 1;
+        *shard = true;
         *id = v;
         return true;
     }
     if (std::sscanf(name.c_str(), "%16llx.hbb%c", &v, &tail) == 2 &&
         tail == 'p' && name.size() == 21) {
-        *kind = 0;
+        *shard = false;
         *id = v;
         return true;
     }
     return false;
 }
 
-/** Read [offset, offset+max_len) of @p path (to EOF when npos). */
-std::string
-readFileRange(const std::string &path, size_t offset, size_t max_len,
-              std::string *why)
+/**
+ * Every entry file in store directory @p dir. Temp files, the lock
+ * file and pins/ are not entries, and a file that vanishes mid-scan
+ * (another process's gc) is skipped.
+ */
+std::vector<Entry>
+scanEntries(const std::string &dir)
 {
-    why->clear();
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        *why = format("cannot open '%s' for reading", path.c_str());
-        return {};
+    std::vector<Entry> entries;
+    std::error_code ec;
+    for (const fs::directory_entry &e : fs::directory_iterator(dir, ec)) {
+        Entry entry;
+        if (!parseEntryName(e.path().filename().string(), &entry.shard,
+                            &entry.id))
+            continue;
+        entry.path = e.path().string();
+        entry.mtime = fs::last_write_time(e.path(), ec);
+        if (ec)
+            continue;
+        entry.size = fs::file_size(e.path(), ec);
+        if (ec)
+            continue;
+        entries.push_back(std::move(entry));
     }
-    std::fseek(f, 0, SEEK_END);
-    long size = std::ftell(f);
-    if (size < 0 || static_cast<size_t>(size) < offset) {
-        std::fclose(f);
-        *why = format("'%s' shrank under a tailing reader",
-                      path.c_str());
-        return {};
-    }
-    std::fseek(f, static_cast<long>(offset), SEEK_SET);
-    size_t want =
-        std::min(static_cast<size_t>(size) - offset, max_len);
-    std::string bytes(want, '\0');
-    size_t got = std::fread(bytes.data(), 1, bytes.size(), f);
-    std::fclose(f);
-    if (got != bytes.size()) {
-        *why = format("short read from '%s'", path.c_str());
-        return {};
-    }
-    return bytes;
+    return entries;
 }
 
 telemetry::Counter &
@@ -181,37 +150,13 @@ ProfileStore::ProfileStore(std::string dir)
     if (ec)
         fatal("cannot create profile store pins dir '%s': %s",
               pinsDir().c_str(), ec.message().c_str());
-    // The lock file path exists from here on (Guard creates it), so
-    // foreign-file handling below never has to special-case races.
-    FileLock::Guard guard(lock_, /*exclusive=*/true);
-    noteLockWait(guard);
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!fs::exists(indexPath(), ec))
-        rebuildIndexLocked();
-    else
-        loadIndexLocked();
-}
-
-std::unordered_map<uint64_t, ProfileStore::IndexEntry> &
-ProfileStore::mapFor(Kind kind) const
-{
-    return kind == Kind::Key ? keys_ : shards_;
-}
-
-std::string
-ProfileStore::entryPath(Kind kind, uint64_t id) const
-{
-    return kind == Kind::Key
-               ? format("%s/%016llx.hbbp", dir_.c_str(),
-                        static_cast<unsigned long long>(id))
-               : format("%s/shard-%016llx.hbbp", dir_.c_str(),
-                        static_cast<unsigned long long>(id));
 }
 
 std::string
 ProfileStore::pathFor(const ProfileKey &key) const
 {
-    return entryPath(Kind::Key, key.hash());
+    return format("%s/%016llx.hbbp", dir_.c_str(),
+                  static_cast<unsigned long long>(key.hash()));
 }
 
 std::string
@@ -219,7 +164,8 @@ ProfileStore::pathForChecksum(uint64_t checksum) const
 {
     // A distinct prefix keeps checksum-addressed shards from ever
     // colliding with a key-addressed collection cache entry.
-    return entryPath(Kind::Shard, checksum);
+    return format("%s/shard-%016llx.hbbp", dir_.c_str(),
+                  static_cast<unsigned long long>(checksum));
 }
 
 std::string
@@ -228,277 +174,18 @@ ProfileStore::pinPathFor(const std::string &owner) const
     return format("%s/%s.pins", pinsDir().c_str(), owner.c_str());
 }
 
-void
-ProfileStore::loadIndexLocked() const
-{
-    std::string why;
-    std::string bytes = readFileBytes(indexPath(), &why);
-    if (!why.empty()) {
-        // Unreadable index: the directory is the source of truth.
-        warn("profile store index '%s' is unreadable (%s); rebuilding",
-             indexPath().c_str(), why.c_str());
-        rebuildIndexLocked();
-        return;
-    }
-    keys_.clear();
-    shards_.clear();
-    index_off_ = 0;
-    index_header_.clear();
-    bool saw_header = false;
-    bool damaged = false;
-    std::string scan_why;
-    size_t off = scanRecords(
-        bytes, kIndexMagic, 0,
-        [&](std::string_view body) {
-            try {
-                ByteReader r(body, indexPath(), "store index");
-                uint8_t op = r.u8();
-                if (op == kOpHeader) {
-                    uint64_t gen = r.u64();
-                    r.expectEof();
-                    if (!saw_header) {
-                        saw_header = true;
-                        index_header_ = headerRecord(gen);
-                    }
-                    return true;
-                }
-                if (op == kOpPut) {
-                    uint8_t kind = r.u8();
-                    uint64_t id = r.u64();
-                    IndexEntry e;
-                    e.size = r.u64();
-                    e.checksum = r.u64();
-                    r.expectEof();
-                    mapFor(static_cast<Kind>(kind != 0))[id] = e;
-                    return true;
-                }
-                if (op == kOpErase) {
-                    uint8_t kind = r.u8();
-                    uint64_t id = r.u64();
-                    r.expectEof();
-                    mapFor(static_cast<Kind>(kind != 0)).erase(id);
-                    return true;
-                }
-                scan_why = format("unknown index op %u", op);
-            } catch (const ByteParseError &e) {
-                scan_why = e.what();
-            }
-            damaged = true;
-            return false;
-        },
-        damaged ? nullptr : &scan_why);
-    if (off < bytes.size() || !saw_header) {
-        // A torn or corrupt tail — or a pre-index-era file. The
-        // entries on disk are authoritative; rebuilding also repairs
-        // the file (we hold the exclusive lock at every call site).
-        static telemetry::Counter &m_rebuilds =
-            telemetry::counter("hbbp_store_index_rebuilds_total");
-        m_rebuilds.add();
-        warn("profile store index '%s' is damaged at offset %zu (%s); "
-             "rebuilding from the directory",
-             indexPath().c_str(), off,
-             scan_why.empty() ? "no header" : scan_why.c_str());
-        rebuildIndexLocked();
-        return;
-    }
-    index_off_ = off;
-}
-
-size_t
-ProfileStore::rebuildIndexLocked() const
-{
-    keys_.clear();
-    shards_.clear();
-    std::string bytes = headerRecord(freshGeneration());
-    index_header_ = bytes;
-    std::error_code ec;
-    for (const fs::directory_entry &e :
-         fs::directory_iterator(dir_, ec)) {
-        uint8_t kind_raw = 0;
-        uint64_t id = 0;
-        if (!parseEntryName(e.path().filename().string(), &kind_raw,
-                            &id))
-            continue;
-        IndexEntry entry;
-        entry.size = fs::file_size(e.path(), ec);
-        if (ec)
-            continue; // Vanished mid-scan.
-        if (kind_raw) {
-            // Shard entries are checksum-addressed: the name IS the
-            // payload checksum; no need to open the file.
-            entry.checksum = id;
-        } else {
-            std::string why;
-            std::optional<uint64_t> checksum =
-                probeProfileChecksum(e.path().string(), &why);
-            // An unreadable entry still occupies disk and must stay
-            // visible to gc and to lookup()'s heal — index it with a
-            // null checksum (verify() will flag it).
-            entry.checksum = checksum ? *checksum : 0;
-            if (!checksum)
-                warn("indexing unreadable profile store entry '%s' "
-                     "(%s)", e.path().c_str(), why.c_str());
-        }
-        Kind kind = kind_raw ? Kind::Shard : Kind::Key;
-        mapFor(kind)[id] = entry;
-        ByteWriter body;
-        body.u8(kOpPut);
-        body.u8(kind_raw);
-        body.u64(id);
-        body.u64(entry.size);
-        body.u64(entry.checksum);
-        bytes += frameRecord(kIndexMagic, body.bytes());
-    }
-    writeFileAtomically(indexPath(), bytes);
-    index_off_ = bytes.size();
-    return keys_.size() + shards_.size();
-}
-
-void
-ProfileStore::refreshLocked() const
-{
-    static telemetry::Counter &m_refreshes =
-        telemetry::counter("hbbp_store_index_refreshes_total");
-    std::error_code ec;
-    uint64_t size = fs::file_size(indexPath(), ec);
-    // A rewrite (rebuild-index, a repair) invalidates our offset even
-    // when the new file happens to be longer; the generation header
-    // catches that, a shrink catches truncation.
-    if (ec || size < index_off_ || size < index_header_.size()) {
-        m_refreshes.add();
-        loadIndexLocked();
-        return;
-    }
-    std::string why;
-    std::string head =
-        readFileRange(indexPath(), 0, index_header_.size(), &why);
-    if (!why.empty() || head != index_header_) {
-        m_refreshes.add();
-        loadIndexLocked();
-        return;
-    }
-    if (size == index_off_)
-        return; // Nothing new.
-    m_refreshes.add();
-    std::string tail = readFileRange(indexPath(), index_off_,
-                                     std::string::npos, &why);
-    if (!why.empty()) {
-        loadIndexLocked();
-        return;
-    }
-    size_t consumed = scanRecords(
-        tail, kIndexMagic, 0,
-        [&](std::string_view body) {
-            try {
-                ByteReader r(body, indexPath(), "store index");
-                uint8_t op = r.u8();
-                if (op == kOpPut) {
-                    uint8_t kind = r.u8();
-                    uint64_t id = r.u64();
-                    IndexEntry e;
-                    e.size = r.u64();
-                    e.checksum = r.u64();
-                    r.expectEof();
-                    mapFor(static_cast<Kind>(kind != 0))[id] = e;
-                    return true;
-                }
-                if (op == kOpErase) {
-                    uint8_t kind = r.u8();
-                    uint64_t id = r.u64();
-                    r.expectEof();
-                    mapFor(static_cast<Kind>(kind != 0)).erase(id);
-                    return true;
-                }
-                // A header mid-tail means a rewrite we raced; fall
-                // back to a full reload below.
-            } catch (const ByteParseError &) {
-            }
-            return false;
-        });
-    if (consumed < tail.size()) {
-        // Damage or a raced rewrite past the consumed prefix. A full
-        // reload re-derives clean state (and rebuilds — repairing
-        // the file — when the caller holds the exclusive lock, which
-        // every writer does).
-        loadIndexLocked();
-        return;
-    }
-    index_off_ += consumed;
-}
-
-void
-ProfileStore::appendLocked(const std::string &body) const
-{
-    std::string rec = frameRecord(kIndexMagic, body);
-    std::FILE *f = std::fopen(indexPath().c_str(), "ab");
-    if (!f)
-        fatal("cannot open profile store index '%s' for appending",
-              indexPath().c_str());
-    size_t written = std::fwrite(rec.data(), 1, rec.size(), f);
-    bool flushed = std::fflush(f) == 0;
-    std::fclose(f);
-    if (written != rec.size() || !flushed)
-        fatal("cannot append to profile store index '%s' (disk "
-              "full?)", indexPath().c_str());
-    index_off_ += rec.size();
-}
-
-void
-ProfileStore::recordPut(Kind kind, uint64_t id,
-                        const IndexEntry &e) const
-{
-    ByteWriter body;
-    body.u8(kOpPut);
-    body.u8(kind == Kind::Shard ? 1 : 0);
-    body.u64(id);
-    body.u64(e.size);
-    body.u64(e.checksum);
-    appendLocked(body.bytes());
-    mapFor(kind)[id] = e;
-}
-
-void
-ProfileStore::recordErase(Kind kind, uint64_t id) const
-{
-    ByteWriter body;
-    body.u8(kOpErase);
-    body.u8(kind == Kind::Shard ? 1 : 0);
-    body.u64(id);
-    appendLocked(body.bytes());
-    mapFor(kind).erase(id);
-}
-
 bool
 ProfileStore::contains(const ProfileKey &key) const
 {
-    static telemetry::Counter &m_index_hits =
-        telemetry::counter("hbbp_store_index_hits_total");
-    uint64_t id = key.hash();
-    std::lock_guard<std::mutex> lk(mu_);
-    if (keys_.count(id)) {
-        m_index_hits.add();
-        return true;
-    }
-    FileLock::Guard guard(lock_, /*exclusive=*/false);
-    noteLockWait(guard);
-    refreshLocked();
-    return keys_.count(id) != 0;
+    std::error_code ec;
+    return fs::exists(pathFor(key), ec);
 }
 
 bool
 ProfileStore::containsChecksum(uint64_t checksum) const
 {
-    static telemetry::Counter &m_index_hits =
-        telemetry::counter("hbbp_store_index_hits_total");
-    std::lock_guard<std::mutex> lk(mu_);
-    if (shards_.count(checksum)) {
-        m_index_hits.add();
-        return true;
-    }
-    FileLock::Guard guard(lock_, /*exclusive=*/false);
-    noteLockWait(guard);
-    refreshLocked();
-    return shards_.count(checksum) != 0;
+    std::error_code ec;
+    return fs::exists(pathForChecksum(checksum), ec);
 }
 
 std::optional<ProfileData>
@@ -510,10 +197,6 @@ ProfileStore::lookup(const ProfileKey &key) const
         telemetry::counter("hbbp_store_misses_total");
     static telemetry::Counter &m_heals =
         telemetry::counter("hbbp_store_heals_total");
-    if (!contains(key)) {
-        m_misses.add();
-        return std::nullopt;
-    }
     // A cache treats an unreadable entry — legacy format version,
     // stale checksum, truncation — as a miss to be re-collected and
     // overwritten, never a fatal error. Evict the dead file while
@@ -531,26 +214,15 @@ ProfileStore::lookup(const ProfileKey &key) const
     }
     m_misses.add();
     std::error_code ec;
-    if (io_failed && !fs::exists(path, ec)) {
-        // A stale index entry: another process's gc (or a manual rm)
-        // took the file. A clean miss — and heal the index so the
-        // next contains() is an honest one.
-        std::lock_guard<std::mutex> lk(mu_);
-        FileLock::Guard guard(lock_, /*exclusive=*/true);
-        noteLockWait(guard);
-        refreshLocked();
-        if (keys_.count(key.hash()) &&
-            !fs::exists(path, ec))
-            recordErase(Kind::Key, key.hash());
-        return std::nullopt;
-    }
     if (io_failed) {
-        // Only the entry's *content* condemns it. An I/O-level
-        // failure (fd exhaustion, a transient permission hiccup, a
-        // flaky mount) says nothing about the bytes — deleting on
-        // that would throw away a perfectly good entry.
-        warn("ignoring unreadable profile store entry (%s)",
-             why.c_str());
+        // No file (never inserted, or another process's gc took it)
+        // is a clean miss. Only the entry's *content* condemns it: an
+        // I/O-level failure (fd exhaustion, a transient permission
+        // hiccup, a flaky mount) says nothing about the bytes, and
+        // deleting on that would throw away a perfectly good entry.
+        if (fs::exists(path, ec))
+            warn("ignoring unreadable profile store entry (%s)",
+                 why.c_str());
         return std::nullopt;
     }
     // Stale content. But a *young* file is plausibly a concurrent
@@ -559,9 +231,9 @@ ProfileStore::lookup(const ProfileKey &key) const
     // unlinking it would destroy their good work. Heal only entries
     // older than the grace window, and re-check the age under the
     // exclusive lock so the decision and the unlink are atomic
-    // against depositors (their rename + index append hold it too).
+    // against depositors (their rename holds it too).
     std::lock_guard<std::mutex> lk(mu_);
-    FileLock::Guard guard(lock_, /*exclusive=*/true);
+    FileLock::Guard guard(lock_);
     noteLockWait(guard);
     auto mtime = fs::last_write_time(path, ec);
     if (ec)
@@ -576,9 +248,6 @@ ProfileStore::lookup(const ProfileKey &key) const
     warn("evicting stale profile store entry (%s)", why.c_str());
     m_heals.add();
     fs::remove(path, ec);
-    refreshLocked();
-    if (keys_.count(key.hash()))
-        recordErase(Kind::Key, key.hash());
     return std::nullopt;
 }
 
@@ -586,17 +255,12 @@ void
 ProfileStore::insert(const ProfileKey &key,
                      const ProfileData &profile) const
 {
+    // Locked although the rename alone is atomic: lookup()'s heal
+    // decides on the old file's age under this lock.
     std::lock_guard<std::mutex> lk(mu_);
-    FileLock::Guard guard(lock_, /*exclusive=*/true);
+    FileLock::Guard guard(lock_);
     noteLockWait(guard);
-    refreshLocked();
-    uint64_t checksum = 0;
-    profile.saveAtomically(pathFor(key), &checksum);
-    IndexEntry e;
-    std::error_code ec;
-    e.size = fs::file_size(pathFor(key), ec);
-    e.checksum = checksum;
-    recordPut(Kind::Key, key.hash(), e);
+    profile.saveAtomically(pathFor(key));
 }
 
 bool
@@ -606,24 +270,19 @@ ProfileStore::depositLocked(
 {
     static telemetry::Counter &m_dedup =
         telemetry::counter("hbbp_store_deposit_dedups_total");
+    std::string path = pathForChecksum(checksum);
     std::lock_guard<std::mutex> lk(mu_);
-    FileLock::Guard guard(lock_, /*exclusive=*/true);
+    FileLock::Guard guard(lock_);
     noteLockWait(guard);
-    refreshLocked();
-    if (shards_.count(checksum)) {
+    std::error_code ec;
+    if (fs::exists(path, ec)) {
         // Content-addressed: present means byte-identical. The check
         // and the deposit share this critical section, so concurrent
         // depositors across processes write each entry exactly once.
         m_dedup.add();
         return false;
     }
-    std::string path = pathForChecksum(checksum);
     write_to(path);
-    IndexEntry e;
-    std::error_code ec;
-    e.size = fs::file_size(path, ec);
-    e.checksum = checksum;
-    recordPut(Kind::Shard, checksum, e);
     telemetry::beatEnable(telemetry::Stage::Deposit);
     telemetry::beat(telemetry::Stage::Deposit);
     return true;
@@ -703,79 +362,18 @@ ProfileStore::pinnedChecksums() const
 ProfileStore::GcResult
 ProfileStore::gc(const GcOptions &options) const
 {
-    struct Entry
-    {
-        std::string path;
-        fs::file_time_type mtime;
-        uint64_t size = 0;
-        uint8_t kind = 0;
-        uint64_t id = 0;
-        uint64_t checksum = 0;
-    };
     // The whole pass holds the exclusive lock: depositors and other
     // gcs serialize against it, which is what lets eviction trust its
-    // pin snapshot and keep the index transactional.
+    // pin snapshot.
     std::lock_guard<std::mutex> lk(mu_);
-    FileLock::Guard guard(lock_, /*exclusive=*/true);
+    FileLock::Guard guard(lock_);
     noteLockWait(guard);
-    refreshLocked();
 
-    std::vector<Entry> entries;
     GcResult res;
-    std::error_code ec;
-    // Maintenance is the one path allowed to readdir: gc doubles as
-    // the index-vs-directory reconciler (strays adopted, ghosts
-    // erased), so a store that lost writes out-of-band converges.
-    std::set<std::pair<uint8_t, uint64_t>> on_disk;
-    for (const fs::directory_entry &e :
-         fs::directory_iterator(dir_, ec)) {
-        Entry entry;
-        if (!parseEntryName(e.path().filename().string(), &entry.kind,
-                            &entry.id))
-            continue;
-        entry.path = e.path().string();
-        entry.mtime = fs::last_write_time(e.path(), ec);
-        if (ec)
-            continue; // Vanished mid-scan (shouldn't happen locked).
-        entry.size = fs::file_size(e.path(), ec);
-        if (ec)
-            continue;
-        Kind kind = entry.kind ? Kind::Shard : Kind::Key;
-        auto it = mapFor(kind).find(entry.id);
-        if (it != mapFor(kind).end()) {
-            entry.checksum = it->second.checksum;
-        } else {
-            // A stray: deposited out-of-band or by a pre-index store.
-            // Adopt it even when unreadable — it occupies disk, so gc
-            // must be able to see and evict it.
-            if (entry.kind) {
-                entry.checksum = entry.id;
-            } else {
-                std::string why;
-                std::optional<uint64_t> checksum =
-                    probeProfileChecksum(entry.path, &why);
-                entry.checksum = checksum ? *checksum : 0;
-            }
-            IndexEntry ie;
-            ie.size = entry.size;
-            ie.checksum = entry.checksum;
-            recordPut(kind, entry.id, ie);
-        }
-        on_disk.insert({entry.kind, entry.id});
-        res.scanned++;
+    std::vector<Entry> entries = scanEntries(dir_);
+    for (const Entry &entry : entries)
         res.bytes_before += entry.size;
-        entries.push_back(std::move(entry));
-    }
-    // Ghosts: indexed entries whose file vanished out-of-band.
-    for (uint8_t kind_raw : {0, 1}) {
-        Kind kind = kind_raw ? Kind::Shard : Kind::Key;
-        std::vector<uint64_t> gone;
-        for (const auto &[id, e] : mapFor(kind))
-            if (!on_disk.count({kind_raw, id}))
-                gone.push_back(id);
-        for (uint64_t id : gone)
-            recordErase(kind, id);
-    }
+    res.scanned = entries.size();
     std::sort(entries.begin(), entries.end(),
               [](const Entry &a, const Entry &b) {
                   return a.mtime < b.mtime ||
@@ -787,7 +385,9 @@ ProfileStore::gc(const GcOptions &options) const
     // Eviction skips pinned entries rather than stopping at them:
     // the pin protects its entry, not everything younger.
     auto evict = [&](const Entry &entry) {
-        if (pinned.count(entry.checksum)) {
+        // A pin names a payload checksum, and only a shard's name is
+        // one.
+        if (entry.shard && pinned.count(entry.id)) {
             res.pinned_skipped++;
             static telemetry::Counter &m_pinned =
                 telemetry::counter("hbbp_store_gc_pinned_skips_total");
@@ -804,7 +404,6 @@ ProfileStore::gc(const GcOptions &options) const
                  entry.path.c_str(), rm_ec.message().c_str());
             return;
         }
-        recordErase(entry.kind ? Kind::Shard : Kind::Key, entry.id);
         res.evicted++;
         res.bytes_after -= entry.size;
         static telemetry::Counter &m_evictions =
@@ -812,9 +411,7 @@ ProfileStore::gc(const GcOptions &options) const
         m_evictions.add();
         events::emit(
             events::Level::Info, "store_gc_evict",
-            {{"checksum",
-              format("%016llx", static_cast<unsigned long long>(
-                                    entry.checksum))},
+            {{"entry", fs::path(entry.path).filename().string()},
              {"bytes", format("%llu", static_cast<unsigned long long>(
                                           entry.size))}});
     };
@@ -864,61 +461,29 @@ ProfileStore::gc(const GcOptions &options) const
     return res;
 }
 
-size_t
-ProfileStore::rebuildIndex() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    FileLock::Guard guard(lock_, /*exclusive=*/true);
-    noteLockWait(guard);
-    return rebuildIndexLocked();
-}
-
 ProfileStore::VerifyResult
 ProfileStore::verify() const
 {
-    VerifyResult res;
+    // Locked so a concurrent gc cannot unlink an entry between the
+    // scan and its read.
     std::lock_guard<std::mutex> lk(mu_);
-    FileLock::Guard guard(lock_, /*exclusive=*/true);
+    FileLock::Guard guard(lock_);
     noteLockWait(guard);
-    refreshLocked();
-    std::set<std::pair<uint8_t, uint64_t>> on_disk;
-    std::error_code ec;
-    for (const fs::directory_entry &e :
-         fs::directory_iterator(dir_, ec)) {
-        uint8_t kind_raw = 0;
-        uint64_t id = 0;
-        if (!parseEntryName(e.path().filename().string(), &kind_raw,
-                            &id))
-            continue;
-        on_disk.insert({kind_raw, id});
-        Kind kind = kind_raw ? Kind::Shard : Kind::Key;
-        auto it = mapFor(kind).find(id);
-        if (it == mapFor(kind).end()) {
-            res.stray_files++;
-            warn("store verify: '%s' is not indexed",
-                 e.path().c_str());
-            continue;
-        }
+    VerifyResult res;
+    for (const Entry &entry : scanEntries(dir_)) {
         res.checked++;
         std::string why;
-        std::optional<uint64_t> checksum =
-            probeProfileChecksum(e.path().string(), &why);
-        if (!checksum || *checksum != it->second.checksum) {
+        uint64_t checksum = 0;
+        if (!ProfileData::tryLoad(entry.path, &why, &checksum)) {
             res.checksum_mismatches++;
-            warn("store verify: '%s' disagrees with its index entry "
-                 "(%s)", e.path().c_str(),
-                 checksum ? "checksum mismatch" : why.c_str());
+            warn("store verify: '%s' does not load (%s)",
+                 entry.path.c_str(), why.c_str());
+        } else if (entry.shard && checksum != entry.id) {
+            res.checksum_mismatches++;
+            warn("store verify: the payload of '%s' hashes to %016llx",
+                 entry.path.c_str(),
+                 static_cast<unsigned long long>(checksum));
         }
-    }
-    for (uint8_t kind_raw : {0, 1}) {
-        Kind kind = kind_raw ? Kind::Shard : Kind::Key;
-        for (const auto &[id, e] : mapFor(kind))
-            if (!on_disk.count({kind_raw, id})) {
-                res.missing_files++;
-                warn("store verify: indexed entry %016llx has no "
-                     "file",
-                     static_cast<unsigned long long>(id));
-            }
     }
     return res;
 }
@@ -927,18 +492,10 @@ ProfileStore::Stats
 ProfileStore::stats() const
 {
     Stats s;
-    std::lock_guard<std::mutex> lk(mu_);
-    {
-        FileLock::Guard guard(lock_, /*exclusive=*/false);
-        noteLockWait(guard);
-        refreshLocked();
+    for (const Entry &entry : scanEntries(dir_)) {
+        (entry.shard ? s.shard_entries : s.key_entries)++;
+        s.total_bytes += entry.size;
     }
-    s.key_entries = keys_.size();
-    s.shard_entries = shards_.size();
-    for (const auto &[id, e] : keys_)
-        s.total_bytes += e.size;
-    for (const auto &[id, e] : shards_)
-        s.total_bytes += e.size;
     s.pinned = pinnedChecksums().size();
     std::error_code ec;
     for (const fs::directory_entry &e :
@@ -951,11 +508,7 @@ ProfileStore::stats() const
 size_t
 ProfileStore::entryCount() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    FileLock::Guard guard(lock_, /*exclusive=*/false);
-    noteLockWait(guard);
-    refreshLocked();
-    return keys_.size() + shards_.size();
+    return scanEntries(dir_).size();
 }
 
 StorePin::StorePin(const ProfileStore &store, std::string owner)
@@ -1018,7 +571,7 @@ StorePin::pin(uint64_t checksum)
     m_pins.add();
     telemetry::gauge("hbbp_store_pinned_entries")
         .set(static_cast<int64_t>(pins_.size()));
-    FileLock::Guard guard(lock_, /*exclusive=*/true);
+    FileLock::Guard guard(lock_);
     noteLockWait(guard);
     persist();
 }
@@ -1033,7 +586,7 @@ StorePin::unpin(uint64_t checksum)
     m_unpins.add();
     telemetry::gauge("hbbp_store_pinned_entries")
         .set(static_cast<int64_t>(pins_.size()));
-    FileLock::Guard guard(lock_, /*exclusive=*/true);
+    FileLock::Guard guard(lock_);
     noteLockWait(guard);
     persist();
 }
@@ -1043,7 +596,7 @@ StorePin::release()
 {
     pins_.clear();
     telemetry::gauge("hbbp_store_pinned_entries").set(0);
-    FileLock::Guard guard(lock_, /*exclusive=*/true);
+    FileLock::Guard guard(lock_);
     noteLockWait(guard);
     std::error_code ec;
     fs::remove(path_, ec);

@@ -1,6 +1,6 @@
 /**
  * @file
- * The content-addressed profile store — a small embedded database.
+ * The content-addressed profile store: a directory of profile files.
  *
  * Collection is the expensive half of the collector/analyzer split, and
  * fleet drivers re-request the same (workload, collection options) pairs
@@ -12,31 +12,27 @@
  * aggregation side addresses imported shards by payload checksum
  * instead.
  *
- * v2 structure (PR 9): beside the entry files the store keeps a
- * checksummed append-only index (`store.idx`, rebuildable from a
- * directory scan) that is loaded into an in-memory map at open, so
- * membership tests and entry counts never readdir; an flock(2) lock
- * file (`store.lock`) serializes index appends and gc across
- * *processes*, making several depositors plus a concurrent `store gc`
- * correct by construction; and a `pins/` directory holds persisted
- * StorePin refcounts so gc cannot evict a shard a pending (even
- * crashed) aggregate still references. Entries are written to a temp
- * file and renamed into place, so a crashed writer never leaves a
- * truncated profile behind, and reads go through mmap with a
- * plain-read fallback (support/bytes MappedBytes).
+ * The directory is the whole store: an entry exists exactly when its
+ * file does, so a membership test is one stat() and counts, gc and
+ * verify share one directory scan. Entries are written to a temp file
+ * and renamed into place, so a crashed writer never leaves a truncated
+ * profile behind. An flock(2) lock file (`store.lock`) makes a
+ * deposit's presence check and write one critical section against
+ * other depositors and gc, across *processes*, and a `pins/` directory
+ * holds persisted StorePin refcounts so gc cannot evict a shard a
+ * pending (even crashed) aggregate still references.
  */
 
 #ifndef HBBP_FLEET_STORE_HH
 #define HBBP_FLEET_STORE_HH
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
 #include "collect/collector.hh"
 #include "collect/profile.hh"
@@ -68,12 +64,7 @@ class StorePin;
 class ProfileStore
 {
   public:
-    /**
-     * Open (creating if needed) the store rooted at @p dir. A missing
-     * or unreadable index is rebuilt from a directory scan — the
-     * directory is the source of truth, the index is an acceleration
-     * structure.
-     */
+    /** Open (creating if needed) the store rooted at @p dir. */
     explicit ProfileStore(std::string dir);
 
     ProfileStore(const ProfileStore &) = delete;
@@ -82,11 +73,7 @@ class ProfileStore
     /** Path a profile with @p key lives at (whether present or not). */
     std::string pathFor(const ProfileKey &key) const;
 
-    /**
-     * True when a profile for @p key is cached. Answered from the
-     * in-memory index (refreshed from the shared index file on a
-     * miss, so another process's deposit is visible); never readdirs.
-     */
+    /** True when a profile for @p key is cached (one stat()). */
     bool contains(const ProfileKey &key) const;
 
     /**
@@ -95,9 +82,8 @@ class ProfileStore
      * stale checksum, truncation — is a miss (with a warn()), so a
      * store carried across format bumps heals by re-collection; the
      * heal skips entries younger than a grace window (a racing
-     * depositor's fresh re-insert). An index entry whose file
-     * vanished (another process's gc) is a clean miss that also heals
-     * the index.
+     * depositor's fresh re-insert). An entry another process's gc
+     * removed is a clean miss.
      */
     std::optional<ProfileData> lookup(const ProfileKey &key) const;
 
@@ -122,7 +108,7 @@ class ProfileStore
      */
     std::string pathForChecksum(uint64_t checksum) const;
 
-    /** True when a shard with @p checksum is cached (index-answered). */
+    /** True when a shard with @p checksum is cached (one stat()). */
     bool containsChecksum(uint64_t checksum) const;
 
     /**
@@ -144,7 +130,7 @@ class ProfileStore
     bool depositBytesByChecksum(uint64_t checksum,
                                 std::string_view bytes) const;
 
-    /** Number of cached entries, answered from the index. */
+    /** Number of cached entries (a directory scan). */
     size_t entryCount() const;
 
     /** Garbage-collection bounds; negative bounds are unlimited. */
@@ -173,37 +159,27 @@ class ProfileStore
      * modification time — a re-inserted entry is young again). The
      * store is a cache: an evicted entry turns the next lookup() into
      * a clean miss to re-collect, never an error. Runs under the
-     * exclusive cross-process lock, reconciles the index against the
-     * directory (this is the one maintenance path allowed to
-     * readdir), and never evicts an entry some StorePin holds.
+     * exclusive cross-process lock and never evicts a shard some
+     * StorePin holds.
      */
     GcResult gc(const GcOptions &options) const;
-
-    /**
-     * Rebuild the index from a directory scan (also what open does
-     * when the index is missing). Returns the number of entries
-     * indexed. The recovery tool for a lost or corrupted index — the
-     * entries themselves are always the source of truth.
-     */
-    size_t rebuildIndex() const;
 
     /** What verify() checked and found. */
     struct VerifyResult
     {
-        size_t checked = 0;             ///< Index entries examined.
-        size_t missing_files = 0;       ///< Indexed but no file.
-        size_t stray_files = 0;         ///< File but not indexed.
-        size_t checksum_mismatches = 0; ///< File disagrees with index.
-        bool ok() const
-        {
-            return missing_files == 0 && stray_files == 0 &&
-                   checksum_mismatches == 0;
-        }
+        size_t checked = 0; ///< Entry files examined.
+        /**
+         * Entries that do not load, or shards whose payload hashes to
+         * another checksum than the one in their name.
+         */
+        size_t checksum_mismatches = 0;
+        bool ok() const { return checksum_mismatches == 0; }
     };
 
     /**
-     * Cross-check the index against the directory and every entry's
-     * recorded payload checksum against the bytes on disk.
+     * Check that every entry loads (header, payload checksum, body)
+     * and that each shard's payload hashes to the checksum its name
+     * carries.
      */
     VerifyResult verify() const;
 
@@ -225,53 +201,19 @@ class ProfileStore
   private:
     friend class StorePin;
 
-    enum class Kind : uint8_t
-    {
-        Key = 0,
-        Shard = 1,
-    };
-
-    struct IndexEntry
-    {
-        uint64_t size = 0;
-        uint64_t checksum = 0;
-    };
-
-    std::string indexPath() const { return dir_ + "/store.idx"; }
     std::string pinsDir() const { return dir_ + "/pins"; }
     std::string pinPathFor(const std::string &owner) const;
-    std::string entryPath(Kind kind, uint64_t id) const;
 
-    /** Map for @p kind; call with mu_ held. */
-    std::unordered_map<uint64_t, IndexEntry> &mapFor(Kind kind) const;
-
-    /** Reload or tail-catch-up from the index file (locks held). */
-    void refreshLocked() const;
-    /** Full index load from disk (locks held). */
-    void loadIndexLocked() const;
-    /** Rebuild from a directory scan (exclusive lock + mu_ held). */
-    size_t rebuildIndexLocked() const;
-    /** Append one index record (exclusive lock + mu_ held). */
-    void appendLocked(const std::string &body) const;
-    /** Put/erase records, applied to memory and appended (locked). */
-    void recordPut(Kind kind, uint64_t id, const IndexEntry &e) const;
-    void recordErase(Kind kind, uint64_t id) const;
-    /** Shared deposit path for the three ByChecksum writers. */
+    /** Shared deposit path for the two ByChecksum writers. */
     bool depositLocked(uint64_t checksum,
                        const std::function<void(const std::string &)>
                            &write_to) const;
-    /** Checksums pinned by any owner (exclusive lock held). */
+    /** Checksums pinned by any owner. */
     std::set<uint64_t> pinnedChecksums() const;
 
     std::string dir_;
     mutable FileLock lock_;
     mutable std::mutex mu_;
-    mutable std::unordered_map<uint64_t, IndexEntry> keys_;
-    mutable std::unordered_map<uint64_t, IndexEntry> shards_;
-    /** Bytes of the index file already applied to the maps. */
-    mutable size_t index_off_ = 0;
-    /** The index generation header record (detects rewrites). */
-    mutable std::string index_header_;
 };
 
 /**

@@ -100,32 +100,15 @@ renderFrame(const ShardManifest &manifest, uint32_t chunk_index,
 std::optional<ProfileData>
 tryMergeChunks(std::vector<ProfileData> chunks, std::string *why)
 {
-    // Module maps accumulate across the stream, so every chunk must be
-    // checked against every record seen so far — not just chunk 0 —
-    // or a conflict between two later chunks would slip through to
-    // mergeInto()'s fatal().
-    std::vector<MmapRecord> seen = chunks[0].mmaps;
-    for (size_t i = 1; i < chunks.size(); i++) {
-        if (!mergeCompatible(chunks[0], chunks[i], why))
+    // Module maps accumulate across the stream, so every chunk is
+    // reconciled against every record seen so far — not just chunk 0
+    // — with mergeInto()'s own walk, or a conflict between two later
+    // chunks would slip through to its fatal().
+    std::vector<MmapRecord> seen;
+    for (const ProfileData &chunk : chunks)
+        if (!mergeCompatible(chunks[0], chunk, why) ||
+            !reconcileMmaps(seen, chunk.mmaps, why))
             return std::nullopt;
-        for (const MmapRecord &rec : chunks[i].mmaps) {
-            bool known = false;
-            for (const MmapRecord &have : seen) {
-                if (have.name != rec.name)
-                    continue;
-                if (!(have == rec)) {
-                    *why = format(
-                        "chunks disagree about module '%s' placement",
-                        rec.name.c_str());
-                    return std::nullopt;
-                }
-                known = true;
-                break;
-            }
-            if (!known)
-                seen.push_back(rec);
-        }
-    }
     ProfileData merged = std::move(chunks[0]);
     for (size_t i = 1; i < chunks.size(); i++)
         mergeInto(merged, chunks[i]);

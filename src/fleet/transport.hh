@@ -16,9 +16,10 @@
  *    ShardListener, with bounded retry/backoff and mid-stream resume:
  *    every frame is acknowledged, so a reconnecting sender continues
  *    from its first unacknowledged chunk instead of starting over.
- *    Multi-chunk sends stream `status=partial` frames and finalize
- *    with a `status=complete` frame — long collections deliver
- *    incrementally instead of buffering at the sender.
+ *    Multi-chunk sends frame each chunk `status=partial` and finalize
+ *    with a `status=complete` frame: a chunk bounds one frame's size,
+ *    and a resumed send skips the chunks already acknowledged. The
+ *    sender holds every chunk before the first frame goes out.
  *
  * The receiving end verifies every chunk's payload checksum on
  * receipt, stages partial chunks per (host, seq), and only hands the

@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -13,7 +12,6 @@
 #include <cstring>
 
 #include "support/logging.hh"
-#include "support/rng.hh"
 
 namespace hbbp {
 
@@ -93,10 +91,15 @@ readFileBytes(const std::string &path, std::string *why)
         *why = format("cannot open '%s' for reading", path.c_str());
         return {};
     }
-    std::fseek(f, 0, SEEK_END);
-    long size = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    std::string bytes(size > 0 ? static_cast<size_t>(size) : 0, '\0');
+    // Only a regular file's size says how many bytes it holds: a
+    // directory opens fine and then reports a size near LONG_MAX.
+    struct stat st{};
+    if (::fstat(::fileno(f), &st) != 0 || !S_ISREG(st.st_mode)) {
+        std::fclose(f);
+        *why = format("'%s' is not a regular file", path.c_str());
+        return {};
+    }
+    std::string bytes(static_cast<size_t>(st.st_size), '\0');
     size_t got = std::fread(bytes.data(), 1, bytes.size(), f);
     std::fclose(f);
     if (got != bytes.size()) {
@@ -132,84 +135,6 @@ writeFileAtomically(const std::string &path, const std::string &bytes)
               path.c_str());
 }
 
-MappedBytes &
-MappedBytes::operator=(MappedBytes &&other) noexcept
-{
-    if (this == &other)
-        return *this;
-    close();
-    owned_ = std::move(other.owned_);
-    map_ = other.map_;
-    map_len_ = other.map_len_;
-    // owned_'s move may reseat the buffer; rebuild the view from
-    // whichever backing store this instance now holds.
-    view_ = map_ ? std::string_view(static_cast<const char *>(map_),
-                                    other.view_.size())
-                 : std::string_view(owned_);
-    other.map_ = nullptr;
-    other.map_len_ = 0;
-    other.view_ = {};
-    return *this;
-}
-
-bool
-MappedBytes::open(const std::string &path, std::string *why, Mode mode)
-{
-    why->clear();
-    close();
-    if (mode != Mode::Read) {
-        int fd = ::open(path.c_str(), O_RDONLY);
-        if (fd < 0) {
-            *why = format("cannot open '%s' for reading", path.c_str());
-            return false;
-        }
-        struct stat st;
-        if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-            ::close(fd);
-            *why = format("cannot stat '%s'", path.c_str());
-            return false;
-        }
-        size_t size = static_cast<size_t>(st.st_size);
-        bool want_map = size > 0 && (mode == Mode::Map ||
-                                     size >= kMapThresholdBytes);
-        if (want_map) {
-            void *m = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd,
-                             0);
-            // The mapping outlives the fd (POSIX keeps the pages);
-            // fall through to the plain read on any mmap refusal —
-            // the caller asked for bytes, not for a mapping.
-            ::close(fd);
-            if (m != MAP_FAILED) {
-                map_ = m;
-                map_len_ = size;
-                view_ = std::string_view(static_cast<const char *>(m),
-                                         size);
-                return true;
-            }
-        } else {
-            ::close(fd);
-        }
-    }
-    owned_ = readFileBytes(path, why);
-    if (!why->empty())
-        return false;
-    view_ = std::string_view(owned_);
-    return true;
-}
-
-void
-MappedBytes::close()
-{
-    if (map_) {
-        ::munmap(map_, map_len_);
-        map_ = nullptr;
-        map_len_ = 0;
-    }
-    owned_.clear();
-    owned_.shrink_to_fit();
-    view_ = {};
-}
-
 FileLock::~FileLock()
 {
     if (fd_ >= 0)
@@ -227,10 +152,10 @@ FileLock::fd()
     return fd_;
 }
 
-FileLock::Guard::Guard(FileLock &lock, bool exclusive) : lock_(lock)
+FileLock::Guard::Guard(FileLock &lock) : lock_(lock)
 {
     auto start = std::chrono::steady_clock::now();
-    while (::flock(lock_.fd(), exclusive ? LOCK_EX : LOCK_SH) != 0) {
+    while (::flock(lock_.fd(), LOCK_EX) != 0) {
         if (errno == EINTR)
             continue;
         fatal("cannot lock '%s'", lock_.path_.c_str());
@@ -246,58 +171,6 @@ FileLock::Guard::~Guard()
     // Releasing cannot meaningfully fail; an EINTR'd unlock would
     // leave the fd locked until close, which the destructor handles.
     ::flock(lock_.fd_, LOCK_UN);
-}
-
-std::string
-frameRecord(uint64_t magic, const std::string &body)
-{
-    ByteWriter rec;
-    rec.u64(magic);
-    rec.u64(body.size());
-    rec.u64(fnv1a(body));
-    std::string bytes = rec.bytes();
-    bytes += body;
-    return bytes;
-}
-
-size_t
-scanRecords(std::string_view bytes, uint64_t magic, size_t offset,
-            const std::function<bool(std::string_view)> &fn,
-            std::string *why)
-{
-    if (why)
-        why->clear();
-    size_t off = offset;
-    while (off + kRecordHeaderBytes <= bytes.size()) {
-        uint64_t got_magic, body_len, stored;
-        std::memcpy(&got_magic, bytes.data() + off, 8);
-        std::memcpy(&body_len, bytes.data() + off + 8, 8);
-        std::memcpy(&stored, bytes.data() + off + 16, 8);
-        if (got_magic != magic) {
-            if (why)
-                *why = format("bad record magic at offset %zu", off);
-            return off;
-        }
-        if (bytes.size() - off - kRecordHeaderBytes < body_len) {
-            // A torn append: the writer died mid-record.
-            if (why)
-                *why = format("torn record at offset %zu", off);
-            return off;
-        }
-        std::string_view body =
-            bytes.substr(off + kRecordHeaderBytes,
-                         static_cast<size_t>(body_len));
-        if (fnv1a(body.data(), body.size()) != stored) {
-            if (why)
-                *why = format("record checksum failure at offset %zu",
-                              off);
-            return off;
-        }
-        if (!fn(body))
-            return off;
-        off += kRecordHeaderBytes + static_cast<size_t>(body_len);
-    }
-    return off;
 }
 
 } // namespace hbbp

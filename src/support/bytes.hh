@@ -10,23 +10,11 @@
  * a diagnostic naming the source) instead of reading garbage — every
  * caller decides whether that means fatal() (trusted local files) or
  * a rejection (untrusted input). The file helpers implement the
- * repository-wide write discipline: unique temp file + rename, so a
- * crashed writer never publishes a truncated artifact.
- *
- * Three more pieces of shared file discipline live here:
- *
- *  - MappedBytes: zero-copy reads of large immutable files via mmap,
- *    with a transparent plain-read fallback (small files, filesystems
- *    without mmap) — easel's esl_buffer pattern. Readers consume a
- *    std::string_view either way.
- *  - FileLock: an flock(2)-based advisory lock whose Guard scopes a
- *    shared or exclusive critical section. Cross-process by
- *    construction (the kernel owns the lock), which is what makes
- *    concurrent depositors and gc on one profile store safe.
- *  - frameRecord()/scanRecords(): the checksummed append-only record
- *    framing shared by the aggregator state journal and the profile
- *    store index — a torn or corrupt tail is detected and cleanly
- *    dropped instead of trusted.
+ * repository-wide file discipline: every whole-file read goes through
+ * readFileBytes(), and every write through a unique temp file +
+ * rename, so a crashed writer never publishes a truncated artifact.
+ * FileLock is the flock(2)-based lock that makes concurrent
+ * depositors and gc on one profile store safe across processes.
  */
 
 #ifndef HBBP_SUPPORT_BYTES_HH
@@ -34,7 +22,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -122,9 +109,8 @@ class ByteReader
 {
   public:
     /**
-     * @p buf may be a view into an mmap'd file (MappedBytes): the
-     * reader copies out of it and never keeps references, but the
-     * caller owns keeping the view alive across the parse.
+     * The reader copies out of @p buf and never keeps references, but
+     * the caller owns keeping the view alive across the parse.
      */
     ByteReader(std::string_view buf, const std::string &context,
                const char *what = "data")
@@ -176,8 +162,10 @@ class ByteReader
 };
 
 /**
- * Whole file as bytes. On failure returns an empty string with *@p why
- * set (and *@p why cleared on success, so callers can test it).
+ * A regular file's whole contents. On failure — the file cannot be
+ * opened, is not a regular file (a directory, a pipe), or reads short
+ * — returns an empty string with *@p why set (and *@p why cleared on
+ * success, so callers can test it).
  */
 std::string readFileBytes(const std::string &path, std::string *why);
 
@@ -191,71 +179,12 @@ void writeFileAtomically(const std::string &path,
                          const std::string &bytes);
 
 /**
- * A file's bytes, mmap'd when that pays and plain-read otherwise.
- *
- * Large immutable files (profile store entries, state checkpoints)
- * are parsed once and thrown away; copying them through a std::string
- * first doubles the peak memory and the memcpy cost. MappedBytes maps
- * files at or above a threshold read-only and falls back to an owned
- * read — small files (where two syscalls beat page-fault setup),
- * filesystems that refuse mmap, or a forced mode — so callers always
- * get a std::string_view and never care which path produced it.
- *
- * The store's write discipline (unique temp + rename, never rewrite
- * in place) is what makes read-only mapping safe: a concurrent
- * re-insert replaces the directory entry, while the mapping keeps the
- * old inode's bytes alive until close().
- */
-class MappedBytes
-{
-  public:
-    enum class Mode
-    {
-        Auto, ///< mmap at/above the threshold, read below it.
-        Map,  ///< Force mmap (still falls back if mmap fails).
-        Read, ///< Force a plain read.
-    };
-
-    /** Auto threshold: below this, a plain read wins. */
-    static constexpr size_t kMapThresholdBytes = 64 * 1024;
-
-    MappedBytes() = default;
-    MappedBytes(MappedBytes &&other) noexcept { *this = std::move(other); }
-    MappedBytes &operator=(MappedBytes &&other) noexcept;
-    MappedBytes(const MappedBytes &) = delete;
-    MappedBytes &operator=(const MappedBytes &) = delete;
-    ~MappedBytes() { close(); }
-
-    /**
-     * Open @p path and make its bytes available via view(). False
-     * with *@p why set on I/O failure (*why cleared on success).
-     */
-    bool open(const std::string &path, std::string *why,
-              Mode mode = Mode::Auto);
-
-    /** The file's bytes; valid until close() or destruction. */
-    std::string_view view() const { return view_; }
-
-    /** True when view() aliases an mmap'd region (not a copy). */
-    bool mapped() const { return map_ != nullptr; }
-
-    /** Unmap / free; view() becomes empty. */
-    void close();
-
-  private:
-    std::string owned_;
-    void *map_ = nullptr;
-    size_t map_len_ = 0;
-    std::string_view view_;
-};
-
-/**
  * An flock(2)-based advisory file lock — the cross-process mutex
- * guarding the profile store's index appends and gc. The lock file is
- * created on first use and never deleted (deleting a lock file is the
- * classic unlink/flock race). Within one process, callers still need
- * their own mutex: flock is per open file description, and one
- * FileLock holds one.
+ * around the profile store's deposits, pin writes and gc. The lock
+ * file is created on first use and never deleted (deleting a lock
+ * file is the classic unlink/flock race). Within one process, callers
+ * still need their own mutex: flock is per open file description, and
+ * one FileLock holds one.
  */
 class FileLock
 {
@@ -266,11 +195,11 @@ class FileLock
     FileLock(const FileLock &) = delete;
     FileLock &operator=(const FileLock &) = delete;
 
-    /** Scoped shared/exclusive hold; fatal() on open failure. */
+    /** Scoped exclusive hold; fatal() on open failure. */
     class Guard
     {
       public:
-        Guard(FileLock &lock, bool exclusive);
+        explicit Guard(FileLock &lock);
         ~Guard();
         Guard(const Guard &) = delete;
         Guard &operator=(const Guard &) = delete;
@@ -289,31 +218,6 @@ class FileLock
     std::string path_;
     int fd_ = -1;
 };
-
-/**
- * Frame @p body as one append-only log record: @p magic, body length,
- * body checksum, body. The framing the aggregator state journal and
- * the profile store index share — appends are the one write that
- * cannot be atomic, and the checksum turns a torn or interleaved
- * append into a detectable, droppable tail instead of silent
- * corruption.
- */
-std::string frameRecord(uint64_t magic, const std::string &body);
-
-/** Bytes of the frame header frameRecord() prepends. */
-constexpr size_t kRecordHeaderBytes = 24;
-
-/**
- * Walk framed records in @p bytes from @p offset, calling @p fn on
- * each body that passes its checksum; @p fn returning false stops the
- * scan (its record is not counted as consumed). Returns the offset
- * one past the last cleanly consumed record. When that is short of
- * bytes.size(), *@p why (optional) describes the damage — a torn
- * append, a checksum failure, a foreign magic.
- */
-size_t scanRecords(std::string_view bytes, uint64_t magic, size_t offset,
-                   const std::function<bool(std::string_view)> &fn,
-                   std::string *why = nullptr);
 
 } // namespace hbbp
 

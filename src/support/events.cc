@@ -7,6 +7,7 @@
 #include <cstring>
 #include <mutex>
 
+#include "support/bytes.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
 #include "support/telemetry.hh"
@@ -338,18 +339,9 @@ bool
 loadEvents(const std::string &path, const std::string &code,
            uint64_t since_ms, std::vector<Event> *out, std::string *why)
 {
-    FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        *why = format("cannot open '%s': %s", path.c_str(),
-                      std::strerror(errno));
+    std::string content = readFileBytes(path, why);
+    if (!why->empty())
         return false;
-    }
-    std::string content;
-    char buf[4096];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        content.append(buf, got);
-    std::fclose(f);
 
     size_t lineno = 0;
     for (const std::string &line : split(content, '\n')) {

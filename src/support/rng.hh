@@ -67,7 +67,7 @@ uint64_t splitmix64(uint64_t x);
  */
 uint64_t fnv1a(const void *data, size_t len);
 
-/** fnv1a() over a byte string (or a view into an mmap'd one). */
+/** fnv1a() over a byte string or a view into one. */
 inline uint64_t
 fnv1a(std::string_view bytes)
 {

@@ -26,7 +26,7 @@
  *                     [--port-file FILE] [--store DIR]
  *   hbbp-tool query   --from HOST:PORT <verb> [--host H] [options]
  *   hbbp-tool store   gc --store DIR [--max-age-s N] [--max-bytes N]
- *   hbbp-tool store   (stat|verify|rebuild-index) --store DIR
+ *   hbbp-tool store   (stat|verify) --store DIR
  *   hbbp-tool stats   [--from HOST:PORT] [--tree] [--healthz]
  *                     [--watch N [--count M]]
  *   hbbp-tool events  --from FILE [--code C] [--since T]
@@ -131,8 +131,7 @@ usage()
                  "[analysis options]\n"
                  "       hbbp-tool store gc --store DIR "
                  "[--max-age-s N] [--max-bytes N]\n"
-                 "       hbbp-tool store (stat|verify|rebuild-index) "
-                 "--store DIR\n"
+                 "       hbbp-tool store (stat|verify) --store DIR\n"
                  "       hbbp-tool stats [--from HOST:PORT] [--tree] "
                  "[--healthz]\n"
                  "                 [--watch N [--count M]]\n"
@@ -397,9 +396,10 @@ cmdPush(const PushOptions &opts)
     cc.pmu.seed = hostStreamSeed(cc.pmu.seed ^ 0x5851f42d4c957f2dULL,
                                  opts.host, opts.seq);
 
-    // The chunk is the streaming unit: collect --chunks shards whose
-    // in-order merge is the shard profile, so long collections can
-    // deliver incrementally as each chunk finishes.
+    // Collect --chunks shards whose in-order merge is the shard
+    // profile. All of them are collected before the first frame goes
+    // out: a chunk bounds one frame's size, and a resumed send skips
+    // the chunks the receiver already acknowledged.
     ShardPlan plan;
     plan.shards = opts.chunks;
     plan.jobs = opts.jobs;
@@ -715,10 +715,10 @@ cmdQuery(const QueryCliOptions &opts)
 }
 
 /**
- * Store maintenance: `hbbp-tool store gc|stat|verify|rebuild-index`.
- * gc is bounded eviction; stat summarizes the index; verify
- * cross-checks index vs directory vs checksums; rebuild-index
- * re-derives the index from the entries (the recovery tool).
+ * Store maintenance: `hbbp-tool store gc|stat|verify`. gc is bounded
+ * eviction; stat counts entries, bytes and pins; verify loads every
+ * entry and checks each shard's payload against the checksum in its
+ * name (exit 1 when any entry fails).
  */
 int
 cmdStore(const StoreOptions &opts)
@@ -754,21 +754,14 @@ cmdStore(const StoreOptions &opts)
     if (opts.action == "verify") {
         ProfileStore store(opts.store_dir);
         ProfileStore::VerifyResult res = store.verify();
-        std::printf("store verify: checked=%zu missing_files=%zu "
-                    "stray_files=%zu checksum_mismatches=%zu %s\n",
-                    res.checked, res.missing_files, res.stray_files,
-                    res.checksum_mismatches,
+        std::printf("store verify: checked=%zu checksum_mismatches=%zu "
+                    "%s\n",
+                    res.checked, res.checksum_mismatches,
                     res.ok() ? "ok" : "NOT OK");
         return res.ok() ? 0 : 1;
     }
-    if (opts.action == "rebuild-index") {
-        ProfileStore store(opts.store_dir);
-        size_t n = store.rebuildIndex();
-        std::printf("store rebuild-index: indexed=%zu\n", n);
-        return 0;
-    }
-    fatal("unknown store action '%s' (expected: gc, stat, verify, "
-          "rebuild-index)", opts.action.c_str());
+    fatal("unknown store action '%s' (expected: gc, stat, verify)",
+          opts.action.c_str());
 }
 
 /** `name{labels} value` → series key + numeric value. */

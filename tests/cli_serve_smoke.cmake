@@ -22,7 +22,8 @@
 #   Phase 2 restarts the daemon on the same --state and --store with
 #   no new shard: mix and report must answer byte-identically from the
 #   restored aggregate, and after a clean shutdown the store must hold
-#   the three shards with no pin left behind.
+#   the three shards with no pin left behind. `store verify` must pass
+#   on that store, and fail once one byte of one shard is flipped.
 #
 # Invoked as:
 #   cmake -DHBBP_TOOL=<hbbp-tool> -DWORK_DIR=<scratch dir> \
@@ -138,6 +139,17 @@ q report2 report || exit 1
 q shutdown2 shutdown || exit 1
 wait $servepid || exit 1
 \"$tool\" store stat --store \"$dir/store\" > \"$dir/store_stat.out\" || exit 1
+\"$tool\" store verify --store \"$dir/store\" > \"$dir/store_verify.out\" || exit 1
+# Flip one byte of one shard's payload: verify must now exit 1.
+f=$(ls \"$dir\"/store/shard-*.hbbp | head -n 1)
+off=$(( $(wc -c < \"$f\") - 1 ))
+v=$(od -An -tu1 -j $off -N 1 \"$f\")
+printf \"\\\\$(printf %o $(( v ^ 255 )))\" |
+    dd of=\"$f\" bs=1 seek=$off count=1 conv=notrunc 2>/dev/null || exit 1
+\"$tool\" store verify --store \"$dir/store\" > \"$dir/store_flipped.out\" \\
+    2> \"$dir/store_flipped.log\"
+rc=$?
+[ $rc -eq 1 ] || { echo \"store verify of a flipped byte exited $rc\"; exit 1; }
 exit 0
 ")
 execute_process(COMMAND sh -c "${serve_script}" RESULT_VARIABLE rc)
@@ -305,5 +317,14 @@ file(READ "${WORK_DIR}/store_stat.out" store_stat)
 if(NOT store_stat MATCHES "shard_entries=3 .* pinned=0 pin_owners=0")
     message(FATAL_ERROR "unexpected store after shutdown: ${store_stat}")
 endif()
+# Every deposit loads and hashes to its name, until one byte flips.
+file(READ "${WORK_DIR}/store_verify.out" store_verify)
+if(NOT store_verify MATCHES "checked=3 checksum_mismatches=0 ok")
+    message(FATAL_ERROR "store verify failed on the filled store: ${store_verify}")
+endif()
+file(READ "${WORK_DIR}/store_flipped.out" store_flipped)
+if(NOT store_flipped MATCHES "checksum_mismatches=1 NOT OK")
+    message(FATAL_ERROR "store verify missed a flipped byte: ${store_flipped}")
+endif()
 
-message(STATUS "serve smoke OK: ${storm_count}-iteration query storm over live ingestion; epoch 1->3 observed; mix/csv/report/fdo byte-identical to offline; cached repeat identical; query timing + trace join checked; -o == merge; restart on --state answers identically; store holds 3 shards, no pins; clean shutdown")
+message(STATUS "serve smoke OK: ${storm_count}-iteration query storm over live ingestion; epoch 1->3 observed; mix/csv/report/fdo byte-identical to offline; cached repeat identical; query timing + trace join checked; -o == merge; restart on --state answers identically; store holds 3 shards, no pins, verify catches a flipped byte; clean shutdown")

@@ -14,7 +14,8 @@
 #   cached partials (restored=2 in the import-count stats, only hostC
 #   is newly imported) and produces the same bytes again. Both runs
 #   deposit into one --store: after the clean exit it must hold the
-#   three shards with no pin left behind. Between the two runs a push
+#   three shards with no pin left behind, `store verify` must pass on
+#   it, and fail once one byte of one shard is flipped. Between the two runs a push
 #   with --event-log to the killed aggregator's port must fail, and
 #   its log must hold the collector's push_start and push_retry.
 #
@@ -158,6 +159,17 @@ port=$(cat \"$dir/port3\")
     --retries 20 > \"$dir/push2C.log\" 2>&1 || exit 1
 wait $agg2pid || exit 1
 \"$tool\" store stat --store \"$dir/store\" > \"$dir/store_stat.out\" || exit 1
+\"$tool\" store verify --store \"$dir/store\" > \"$dir/store_verify.out\" || exit 1
+# Flip one byte of one shard's payload: verify must now exit 1.
+f=$(ls \"$dir\"/store/shard-*.hbbp | head -n 1)
+off=$(( $(wc -c < \"$f\") - 1 ))
+v=$(od -An -tu1 -j $off -N 1 \"$f\")
+printf \"\\\\$(printf %o $(( v ^ 255 )))\" |
+    dd of=\"$f\" bs=1 seek=$off count=1 conv=notrunc 2>/dev/null || exit 1
+\"$tool\" store verify --store \"$dir/store\" > \"$dir/store_flipped.out\" \\
+    2> \"$dir/store_flipped.log\"
+rc=$?
+[ $rc -eq 1 ] || { echo \"store verify of a flipped byte exited $rc\"; exit 1; }
 exit 0
 ")
 execute_process(COMMAND sh -c "${phase2_script}" RESULT_VARIABLE rc)
@@ -206,5 +218,14 @@ file(READ "${WORK_DIR}/store_stat.out" store_stat)
 if(NOT store_stat MATCHES "shard_entries=3 .* pinned=0 pin_owners=0")
     message(FATAL_ERROR "unexpected store after the resumed run: ${store_stat}")
 endif()
+# Every deposit loads and hashes to its name, until one byte flips.
+file(READ "${WORK_DIR}/store_verify.out" store_verify)
+if(NOT store_verify MATCHES "checked=3 checksum_mismatches=0 ok")
+    message(FATAL_ERROR "store verify failed on the filled store: ${store_verify}")
+endif()
+file(READ "${WORK_DIR}/store_flipped.out" store_flipped)
+if(NOT store_flipped MATCHES "checksum_mismatches=1 NOT OK")
+    message(FATAL_ERROR "store verify missed a flipped byte: ${store_flipped}")
+endif()
 
-message(STATUS "transport smoke OK: 3 concurrent pushes (one crash + retry) -> byte-identical aggregate; kill -9 + --state resume -> same bytes, no pins left")
+message(STATUS "transport smoke OK: 3 concurrent pushes (one crash + retry) -> byte-identical aggregate; kill -9 + --state resume -> same bytes, no pins left, store verify catches a flipped byte")

@@ -141,6 +141,15 @@ TEST(ProfileDeath, LoadRejectsGarbage)
     EXPECT_EXIT(ProfileData::load(path), ::testing::ExitedWithCode(1),
                 "not an HBBP profile");
     std::remove(path.c_str());
+
+    // A directory opens like a file but has no bytes to read: a
+    // diagnostic, not an allocation the size of its bogus length.
+    std::string dir = ::testing::TempDir();
+    std::string why;
+    EXPECT_FALSE(ProfileData::tryLoad(dir, &why).has_value());
+    EXPECT_NE(why.find("not a regular file"), std::string::npos) << why;
+    EXPECT_EXIT(ProfileData::load(dir), ::testing::ExitedWithCode(1),
+                "not a regular file");
 }
 
 namespace profiledeath {
@@ -448,9 +457,6 @@ TEST(Profile, LoadReadsVersion3WithoutMigrate)
     ASSERT_TRUE(loaded.has_value()) << why;
     EXPECT_EQ(*loaded, original);
     EXPECT_EQ(checksum, v3_checksum);
-    std::optional<uint64_t> probed = probeProfileChecksum(path, &why);
-    ASSERT_TRUE(probed.has_value()) << why;
-    EXPECT_EQ(*probed, v3_checksum);
 
     checksum = 0;
     std::optional<ProfileData> parsed =
@@ -606,16 +612,17 @@ TEST(Profile, PayloadChecksumIsContentStable)
     b.ebs[0].ip++;
     EXPECT_NE(a.payloadChecksum(), b.payloadChecksum());
 
-    // Stable across a save/load round trip, and probeProfileChecksum
-    // agrees without parsing.
+    // Stable across a save/load round trip, and the checksum a load
+    // reports from the file's bytes agrees.
     std::string path = ::testing::TempDir() + "/checksum_stable.hbbp";
     a.save(path);
     EXPECT_EQ(ProfileData::load(path).payloadChecksum(),
               a.payloadChecksum());
     std::string why;
-    std::optional<uint64_t> probed = probeProfileChecksum(path, &why);
-    ASSERT_TRUE(probed.has_value()) << why;
-    EXPECT_EQ(*probed, a.payloadChecksum());
+    uint64_t checksum = 0;
+    ASSERT_TRUE(ProfileData::tryLoad(path, &why, &checksum).has_value())
+        << why;
+    EXPECT_EQ(checksum, a.payloadChecksum());
     std::remove(path.c_str());
 }
 

@@ -1,12 +1,10 @@
 /**
  * @file
- * Tests for the profile store's v2 embedded-database layer: the
- * append-only index (persistence, torn-tail recovery, rebuild,
- * membership answered without a directory scan), the
- * cross-process flock discipline (multi-process depositor + gc
- * stress), the StorePin refcount GC (including survival across a
- * SIGKILL'd owner), the lookup-heal grace window, and the
- * mmap-vs-read byte identity of MappedBytes.
+ * Tests for the profile store as a directory: persistence across
+ * reopen, entries written or removed behind an open store seen at
+ * once, the cross-process flock discipline (multi-process depositor +
+ * gc stress), the StorePin refcount GC (including survival across a
+ * SIGKILL'd owner), and the lookup-heal grace window.
  */
 
 #include <gtest/gtest.h>
@@ -24,8 +22,6 @@
 
 #include "collect/profile.hh"
 #include "fleet/store.hh"
-#include "support/bytes.hh"
-#include "support/telemetry.hh"
 
 namespace fs = std::filesystem;
 
@@ -64,7 +60,7 @@ keyConfig(uint64_t seed)
 }
 
 // ---------------------------------------------------------------------------
-// Index persistence and recovery.
+// Persistence and out-of-band changes.
 // ---------------------------------------------------------------------------
 
 TEST(StoreIndex, PersistsAcrossReopen)
@@ -81,11 +77,7 @@ TEST(StoreIndex, PersistsAcrossReopen)
             << "re-deposit of a present checksum must dedup";
         EXPECT_EQ(store.entryCount(), 2u);
     }
-    // A second open loads the index file; to prove the answers come
-    // from the index (not a directory scan), feed it an index that
-    // disagrees with the directory: move the directory aside, keep
-    // the index... simpler and honest: reopen and compare, then
-    // verify() cross-checks index against directory.
+    // A second open sees both entries, and verify() loads each one.
     ProfileStore store(dir);
     EXPECT_TRUE(store.contains(key));
     EXPECT_TRUE(store.containsChecksum(checksum));
@@ -95,125 +87,47 @@ TEST(StoreIndex, PersistsAcrossReopen)
     EXPECT_EQ(v.checked, 2u);
 }
 
-TEST(StoreIndex, TornTailIsRecovered)
-{
-    std::string dir = freshStoreDir("torntail");
-    ProfileData pd = taggedProfile(2);
-    uint64_t checksum = pd.payloadChecksum();
-    {
-        ProfileStore store(dir);
-        store.insertByChecksum(checksum, pd);
-    }
-    // A depositor died mid-append: garbage (and a half-record) on the
-    // index tail. Open must recover the clean prefix — here by
-    // rebuilding from the directory, which is authoritative.
-    {
-        std::ofstream f(dir + "/store.idx",
-                        std::ios::binary | std::ios::app);
-        f << "torn garbage that is not a framed record";
-    }
-    ProfileStore store(dir);
-    EXPECT_TRUE(store.containsChecksum(checksum));
-    EXPECT_EQ(store.entryCount(), 1u);
-    EXPECT_TRUE(store.verify().ok());
-}
-
-TEST(StoreIndex, CorruptIndexIsRebuiltFromDirectory)
-{
-    std::string dir = freshStoreDir("corrupt");
-    ProfileData pd = taggedProfile(3);
-    uint64_t checksum = pd.payloadChecksum();
-    {
-        ProfileStore store(dir);
-        store.insertByChecksum(checksum, pd);
-    }
-    // Flip a byte in the middle of the index: the record checksum
-    // fails and open falls back to the directory.
-    {
-        std::fstream f(dir + "/store.idx",
-                       std::ios::binary | std::ios::in | std::ios::out);
-        f.seekp(40);
-        f.put('\xff');
-    }
-    ProfileStore store(dir);
-    EXPECT_TRUE(store.containsChecksum(checksum));
-    EXPECT_EQ(store.entryCount(), 1u);
-}
-
-TEST(StoreIndex, MissingIndexIsRebuiltAndRebuildIndexAdoptsStrays)
-{
-    std::string dir = freshStoreDir("rebuild");
-    ProfileData pd = taggedProfile(4);
-    uint64_t checksum = pd.payloadChecksum();
-    {
-        ProfileStore store(dir);
-        store.insertByChecksum(checksum, pd);
-    }
-    fs::remove(dir + "/store.idx");
-    ProfileStore store(dir);
-    EXPECT_TRUE(store.containsChecksum(checksum));
-
-    // An out-of-band deposit (a file placed directly in the dir) is
-    // invisible to the index until an explicit rebuild adopts it.
-    ProfileData stray = taggedProfile(5);
-    uint64_t stray_checksum = stray.payloadChecksum();
-    stray.saveAtomically(store.pathForChecksum(stray_checksum));
-    EXPECT_EQ(store.verify().stray_files, 1u);
-    EXPECT_EQ(store.rebuildIndex(), 2u);
-    EXPECT_TRUE(store.containsChecksum(stray_checksum));
-    EXPECT_TRUE(store.verify().ok());
-}
-
 TEST(StoreIndex, CrossProcessDepositIsVisibleWithoutReopen)
 {
     std::string dir = freshStoreDir("crossproc_visible");
     ProfileStore a(dir);
-    ProfileStore b(dir); // A second "process" (own index fd + maps).
+    ProfileStore b(dir); // A second "process" (own lock fd).
     ProfileData pd = taggedProfile(6);
     uint64_t checksum = pd.payloadChecksum();
     EXPECT_FALSE(a.containsChecksum(checksum));
     EXPECT_TRUE(b.insertByChecksum(checksum, pd));
-    // a's in-memory map is stale; the miss path must refresh from the
-    // shared index tail and see b's deposit.
     EXPECT_TRUE(a.containsChecksum(checksum));
     EXPECT_EQ(a.entryCount(), 1u);
 }
 
-TEST(StoreIndex, MembershipNeverEnumeratesTheDirectory)
+TEST(StoreDirectory, EntriesChangedBehindAnOpenStoreAreSeenAtOnce)
 {
-    std::string dir = freshStoreDir("membership");
-    constexpr uint64_t kEntries = 2'000;
-    {
-        ProfileStore store(dir);
-        for (uint64_t i = 0; i < kEntries; i++) {
-            ProfileData pd = taggedProfile(10'000 + i);
-            ASSERT_TRUE(store.insertByChecksum(pd.payloadChecksum(), pd));
-        }
-    }
+    // The directory is the store: a file placed or removed without
+    // going through this ProfileStore (another tool, a restore from
+    // backup, an operator's rm) is what every answer reports next.
+    std::string dir = freshStoreDir("out_of_band");
     ProfileStore store(dir);
-    // With every entry file unlinked behind the open handle, an answer
-    // read from the directory would find nothing.
-    std::vector<fs::path> entries;
-    for (const fs::directory_entry &e : fs::directory_iterator(dir))
-        if (e.path().extension() == ".hbbp")
-            entries.push_back(e.path());
-    ASSERT_EQ(entries.size(), kEntries);
-    for (const fs::path &p : entries)
-        fs::remove(p);
+    ProfileData pd = taggedProfile(12);
+    uint64_t checksum = pd.payloadChecksum();
+    EXPECT_EQ(store.entryCount(), 0u);
 
-    telemetry::Counter &hits =
-        telemetry::counter("hbbp_store_index_hits_total");
-    telemetry::Counter &rebuilds =
-        telemetry::counter("hbbp_store_index_rebuilds_total");
-    uint64_t hits_before = hits.value();
-    uint64_t rebuilds_before = rebuilds.value();
-    uint64_t found = 0;
-    for (uint64_t i = 0; i < 2 * kEntries; i++)
-        found += store.containsChecksum(
-            taggedProfile(10'000 + i).payloadChecksum());
-    EXPECT_EQ(found, kEntries);
-    EXPECT_EQ(hits.value() - hits_before, kEntries);
-    EXPECT_EQ(rebuilds.value(), rebuilds_before);
+    pd.saveAtomically(store.pathForChecksum(checksum));
+    EXPECT_TRUE(store.containsChecksum(checksum));
+    EXPECT_EQ(store.entryCount(), 1u);
+    ProfileStore::VerifyResult v = store.verify();
+    EXPECT_TRUE(v.ok());
+    EXPECT_EQ(v.checked, 1u);
+
+    // A loadable profile under another payload's name is caught too.
+    taggedProfile(13).saveAtomically(store.pathForChecksum(checksum));
+    EXPECT_EQ(store.verify().checksum_mismatches, 1u);
+
+    fs::remove(store.pathForChecksum(checksum));
+    EXPECT_FALSE(store.containsChecksum(checksum));
+    EXPECT_EQ(store.entryCount(), 0u);
+    v = store.verify();
+    EXPECT_TRUE(v.ok());
+    EXPECT_EQ(v.checked, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -348,8 +262,7 @@ TEST(StoreMultiProcess, ConcurrentDepositorsAndGcStayConsistent)
     }
     // The parent runs gc passes concurrently with the depositors —
     // age-bounded with a huge cutoff, so nothing qualifies, but every
-    // pass excercises the exclusive-lock reconcile against live
-    // appends.
+    // pass takes the exclusive lock and scans against live deposits.
     ProfileStore store(dir);
     for (int pass = 0; pass < 5; pass++) {
         ProfileStore::GcResult res = store.gc({/*max_age_s=*/3600, -1});
@@ -362,7 +275,7 @@ TEST(StoreMultiProcess, ConcurrentDepositorsAndGcStayConsistent)
             << "depositor child died";
     }
 
-    // Afterwards: index and directory must agree exactly, and every
+    // Afterwards: the store counts exactly the files, and every
     // deposit must be present.
     size_t files = 0;
     for (const fs::directory_entry &e : fs::directory_iterator(dir))
@@ -377,9 +290,7 @@ TEST(StoreMultiProcess, ConcurrentDepositorsAndGcStayConsistent)
             EXPECT_TRUE(store.containsChecksum(pd.payloadChecksum()));
         }
     ProfileStore::VerifyResult v = store.verify();
-    EXPECT_TRUE(v.ok()) << "missing=" << v.missing_files
-                        << " stray=" << v.stray_files
-                        << " mismatch=" << v.checksum_mismatches;
+    EXPECT_TRUE(v.ok()) << "mismatch=" << v.checksum_mismatches;
 }
 
 // ---------------------------------------------------------------------------
@@ -399,7 +310,6 @@ TEST(StoreHeal, YoungStaleEntryIsNotUnlinked)
         std::ofstream f(store.pathFor(key), std::ios::binary);
         f << "HBBPPROFxxxx not a real profile";
     }
-    store.rebuildIndex();
     EXPECT_EQ(store.lookup(key), std::nullopt) << "stale = miss";
     EXPECT_TRUE(fs::exists(store.pathFor(key)))
         << "a young entry (a racing depositor's fresh re-insert) "
@@ -415,72 +325,11 @@ TEST(StoreHeal, OldStaleEntryIsUnlinked)
         std::ofstream f(store.pathFor(key), std::ios::binary);
         f << "HBBPPROFxxxx not a real profile";
     }
-    store.rebuildIndex();
     ageFile(store.pathFor(key), 3600); // Well past the grace window.
     EXPECT_EQ(store.lookup(key), std::nullopt);
     EXPECT_FALSE(fs::exists(store.pathFor(key)))
         << "an old stale entry leaks forever if the heal skips it";
-    EXPECT_EQ(store.entryCount(), 0u) << "the heal must fix the index";
-}
-
-// ---------------------------------------------------------------------------
-// MappedBytes: mmap and plain reads are interchangeable.
-// ---------------------------------------------------------------------------
-
-TEST(MappedBytesStore, MapAndReadSeeIdenticalBytes)
-{
-    std::string dir = freshStoreDir("mmap");
-    fs::create_directories(dir);
-    // Large enough that Mode::Auto maps it.
-    std::string big(3 * MappedBytes::kMapThresholdBytes, '\0');
-    for (size_t i = 0; i < big.size(); i++)
-        big[i] = static_cast<char>((i * 131) & 0xff);
-    std::string path = dir + "/big.bin";
-    writeFileAtomically(path, big);
-
-    MappedBytes mapped, plain;
-    std::string why;
-    ASSERT_TRUE(mapped.open(path, &why, MappedBytes::Mode::Map)) << why;
-    ASSERT_TRUE(plain.open(path, &why, MappedBytes::Mode::Read)) << why;
-    EXPECT_TRUE(mapped.mapped());
-    EXPECT_FALSE(plain.mapped());
-    ASSERT_EQ(mapped.view().size(), big.size());
-    EXPECT_TRUE(mapped.view() == plain.view());
-    EXPECT_TRUE(mapped.view() == std::string_view(big));
-
-    // Auto mode maps above the threshold and reads below it.
-    MappedBytes auto_big;
-    ASSERT_TRUE(auto_big.open(path, &why)) << why;
-    EXPECT_TRUE(auto_big.mapped());
-    std::string small_path = dir + "/small.bin";
-    writeFileAtomically(small_path, "tiny");
-    MappedBytes auto_small;
-    ASSERT_TRUE(auto_small.open(small_path, &why)) << why;
-    EXPECT_FALSE(auto_small.mapped());
-    EXPECT_TRUE(auto_small.view() == std::string_view("tiny"));
-}
-
-TEST(MappedBytesStore, StoreProfilesLoadIdenticallyViaBothPaths)
-{
-    std::string dir = freshStoreDir("mmap_profile");
-    ProfileStore store(dir);
-    // A profile big enough to cross the mmap threshold.
-    ProfileData pd = taggedProfile(11);
-    for (uint64_t i = 0; i < 20'000; i++)
-        pd.ebs.push_back({0x400000 + i, i, Ring::User});
-    uint64_t checksum = pd.payloadChecksum();
-    store.insertByChecksum(checksum, pd);
-    std::string path = store.pathForChecksum(checksum);
-
-    MappedBytes mapped, plain;
-    std::string why;
-    ASSERT_TRUE(mapped.open(path, &why, MappedBytes::Mode::Map)) << why;
-    ASSERT_TRUE(plain.open(path, &why, MappedBytes::Mode::Read)) << why;
-    EXPECT_TRUE(mapped.mapped());
-    EXPECT_TRUE(mapped.view() == plain.view());
-
-    // And the parse (which rides MappedBytes in Auto mode) agrees.
-    EXPECT_EQ(ProfileData::load(path), pd);
+    EXPECT_EQ(store.entryCount(), 0u) << "the heal must remove the entry";
 }
 
 } // namespace

@@ -634,6 +634,11 @@ TEST(Events, MalformedLinesFailTheLoadLoudly)
     why.clear();
     EXPECT_FALSE(events::loadEvents(log, "", 0, &evs, &why));
     EXPECT_NE(why.find(":1:"), std::string::npos) << why;
+
+    // A directory is not a log, even though it opens.
+    why.clear();
+    EXPECT_FALSE(events::loadEvents(testing::TempDir(), "", 0, &evs, &why));
+    EXPECT_NE(why.find("not a regular file"), std::string::npos) << why;
 }
 
 TEST(Events, RenderIsOneGreppableLine)

@@ -705,38 +705,66 @@ TEST(SocketTransport, StructurallyCorruptChunkBehindValidChecksumIsRejected)
 
 TEST(SocketTransport, ConflictingModulesBetweenLaterChunksAreRejected)
 {
-    // Chunk 0 doesn't know module extra.so; chunks 1 and 2 disagree
-    // about its placement. The conflict must be caught at assembly —
-    // against the accumulated map, not just chunk 0 — instead of
-    // fatal()ing the listener inside mergeInto().
-    ListenerHarness h;
-    ProfileData c0 = chunkProfile(170);
-    ProfileData c1 = chunkProfile(171);
-    c1.mmaps.push_back({"extra.so", 0x700000, 0x1000, false});
-    ProfileData c2 = chunkProfile(172);
-    c2.mmaps.push_back({"extra.so", 0x800000, 0x1000, false});
+    // Chunk 0 knows neither module record; chunks 1 and 2 conflict
+    // over them. The conflict must be caught at assembly — against
+    // the accumulated map, not just chunk 0 — instead of fatal()ing
+    // the listener inside mergeInto(). Two names over one address
+    // range conflict as much as one name placed twice, and an
+    // aggregate's per-host partials assemble through the same merge.
+    struct Case
+    {
+        const char *what;
+        MmapRecord in_c1, in_c2;
+        bool aggregate;
+        const char *expect;
+    };
+    const Case cases[] = {
+        {"one name, two placements",
+         {"extra.so", 0x700000, 0x1000, false},
+         {"extra.so", 0x800000, 0x1000, false}, false,
+         "module 'extra.so' mapped at"},
+        {"two names, overlapping ranges",
+         {"a.so", 0x700000, 0x1000, false},
+         {"b.so", 0x700800, 0x1000, false}, false,
+         "modules 'a.so' (0x700000+0x1000) and 'b.so'"},
+        {"an aggregate's partials, overlapping ranges",
+         {"a.so", 0x700000, 0x1000, false},
+         {"b.so", 0x700800, 0x1000, false}, true,
+         "modules 'a.so' (0x700000+0x1000) and 'b.so'"},
+    };
+    for (const Case &c : cases) {
+        ListenerHarness h;
+        ProfileData c0 = chunkProfile(170);
+        ProfileData c1 = chunkProfile(171);
+        c1.mmaps.push_back(c.in_c1);
+        ProfileData c2 = chunkProfile(172);
+        c2.mmaps.push_back(c.in_c2);
 
-    PreparedShard shard;
-    shard.manifest.host = "hostA";
-    shard.manifest.workload = "test40";
-    shard.manifest.checksum = 0; // Never reached: assembly fails first.
-    shard.bytes = {c0.serialize(), c1.serialize(), c2.serialize()};
+        PreparedShard shard;
+        shard.manifest.host = "hostA";
+        shard.manifest.workload = "test40";
+        shard.manifest.checksum = 0; // Never reached: assembly fails.
+        if (c.aggregate) {
+            shard.manifest.level = 1;
+            shard.manifest.covered = {{"h0", 1}, {"h1", 1}, {"h2", 1}};
+        }
+        shard.bytes = {c0.serialize(), c1.serialize(), c2.serialize()};
 
-    ListenOptions lo;
-    lo.expect = 1;
-    lo.idle_timeout_ms = 500;
-    h.start(lo);
+        ListenOptions lo;
+        lo.expect = 1;
+        lo.idle_timeout_ms = 500;
+        h.start(lo);
 
-    SocketTransport transport(fastOptions(h.listener.port()));
-    SendResult res = transport.sendShard(shard.manifest, shard.bytes);
-    h.join();
+        SocketTransport transport(fastOptions(h.listener.port()));
+        SendResult res = transport.sendShard(shard.manifest, shard.bytes);
+        h.join();
 
-    EXPECT_FALSE(res.ok);
-    EXPECT_NE(res.error.find("disagree about module 'extra.so'"),
-              std::string::npos)
-        << res.error;
-    EXPECT_EQ(h.agg.stats().accepted, 0u);
-    EXPECT_EQ(h.agg.stats().malformed, 1u);
+        EXPECT_FALSE(res.ok) << c.what;
+        EXPECT_NE(res.error.find(c.expect), std::string::npos)
+            << c.what << ": " << res.error;
+        EXPECT_EQ(h.agg.stats().accepted, 0u) << c.what;
+        EXPECT_EQ(h.agg.stats().malformed, 1u) << c.what;
+    }
 }
 
 TEST(SocketTransport, CorruptChunkPayloadIsRejected)
@@ -1015,6 +1043,13 @@ TEST(AggregatorState, MissingFileIsAColdStart)
     std::string why;
     EXPECT_FALSE(agg.restoreState("/nonexistent/agg.state", &why));
     EXPECT_NE(why.find("cannot open"), std::string::npos) << why;
+    EXPECT_EQ(agg.restoredShards(), 0u);
+
+    // A directory where the state file should be is no state either
+    // (it opens, and then claims a size no read can satisfy).
+    std::string dir = freshDir("state_is_a_dir");
+    EXPECT_FALSE(agg.restoreState(dir, &why));
+    EXPECT_NE(why.find("not a regular file"), std::string::npos) << why;
     EXPECT_EQ(agg.restoredShards(), 0u);
 }
 
