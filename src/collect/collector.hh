@@ -8,6 +8,12 @@
  * LBR data source. Sampling periods are chosen from the workload's
  * runtime class (Table 4), scaled down for simulation. The output is a
  * ProfileData, our perf.data equivalent, including module map records.
+ *
+ * The engine hands the PMU one executed basic block at a time, and the
+ * PMU looks at single instructions only in the few blocks where a PMI
+ * falls due or its EBS counter overflows (see pmu.hh). An Instrumenter
+ * rides along for the SIMD instruction count the overhead model needs;
+ * it too counts once per block.
  */
 
 #ifndef HBBP_COLLECT_COLLECTOR_HH

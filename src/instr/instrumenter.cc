@@ -9,11 +9,11 @@ Instrumenter::Instrumenter(const Program &prog, bool include_kernel)
 }
 
 void
-Instrumenter::onBlockEntry(const BasicBlock &blk, Ring ring)
+Instrumenter::onBlock(const BlockRetire &blk)
 {
-    if (ring == Ring::Kernel && !include_kernel_)
+    if (blk.ring == Ring::Kernel && !include_kernel_)
         return;
-    bbec_[blk.id]++;
+    bbec_[blk.block->id]++;
 }
 
 std::unordered_map<uint64_t, uint64_t>

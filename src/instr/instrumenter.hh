@@ -34,7 +34,7 @@ class Instrumenter : public ExecObserver
     explicit Instrumenter(const Program &prog,
                           bool include_kernel = false);
 
-    void onBlockEntry(const BasicBlock &blk, Ring ring) override;
+    void onBlock(const BlockRetire &blk) override;
 
     /** Exact execution count of program block @p id. */
     uint64_t bbec(BlockId id) const { return bbec_[id]; }

@@ -9,7 +9,7 @@ LbrRing::LbrRing(uint32_t depth, LbrQuirkConfig quirk, uint64_t seed)
 {
     if (depth_ == 0)
         panic("LbrRing: depth must be >= 1");
-    ring_.reserve(depth_);
+    slots_.resize(depth_);
 }
 
 bool
@@ -23,8 +23,8 @@ LbrRing::isSticky(uint64_t source) const
 void
 LbrRing::insert(uint64_t source, uint64_t target)
 {
-    if (ring_.size() < depth_) {
-        ring_.push_back({source, target});
+    if (size_ < depth_) {
+        slots_[size_++] = {source, target};
         return;
     }
     // Ring is full: evict the oldest entry — unless the quirk freezes
@@ -34,7 +34,7 @@ LbrRing::insert(uint64_t source, uint64_t target)
     // entry[0]; execution that has moved on is under-represented and the
     // pre-freeze window over-represented, which is exactly the
     // disproportionate-entry[0] distortion of Section III.C.
-    bool freeze = isSticky(ring_.front().source) &&
+    bool freeze = isSticky(slots_[head_].source) &&
                   persist_count_ < quirk_.sticky_max_persist &&
                   rng_.chance(quirk_.sticky_persist_prob);
     if (freeze) {
@@ -42,20 +42,26 @@ LbrRing::insert(uint64_t source, uint64_t target)
         return;
     }
     persist_count_ = 0;
-    ring_.erase(ring_.begin());
-    ring_.push_back({source, target});
+    slots_[head_] = {source, target};
+    head_ = head_ + 1 == depth_ ? 0 : head_ + 1;
 }
 
 std::vector<LbrEntry>
 LbrRing::snapshot() const
 {
-    return ring_;
+    // A ring that is not full has its head at slot 0.
+    std::vector<LbrEntry> out;
+    out.reserve(size_);
+    out.insert(out.end(), slots_.begin() + head_, slots_.begin() + size_);
+    out.insert(out.end(), slots_.begin(), slots_.begin() + head_);
+    return out;
 }
 
 void
 LbrRing::clear()
 {
-    ring_.clear();
+    head_ = 0;
+    size_ = 0;
     persist_count_ = 0;
 }
 

@@ -13,8 +13,10 @@
  * the oldest slot goes stale and the <target[0], source[1]> stream
  * becomes temporally inconsistent.
  *
- * Snapshots are returned oldest-first, matching the paper's indexing
- * where source[0] has no corresponding target[-1].
+ * The ring is a fixed circular buffer: an eviction overwrites the
+ * oldest slot and advances the head, so inserting costs the same at
+ * every depth. Snapshots are unrolled oldest-first, matching the
+ * paper's indexing where source[0] has no corresponding target[-1].
  */
 
 #ifndef HBBP_PMU_LBR_HH
@@ -63,7 +65,7 @@ class LbrRing
     std::vector<LbrEntry> snapshot() const;
 
     /** Number of valid entries (== depth once warmed up). */
-    uint32_t size() const { return static_cast<uint32_t>(ring_.size()); }
+    uint32_t size() const { return size_; }
 
     /** Configured depth. */
     uint32_t depth() const { return depth_; }
@@ -78,8 +80,11 @@ class LbrRing
     uint32_t depth_;
     LbrQuirkConfig quirk_;
     Rng rng_;
-    /** ring_[0] is oldest. */
-    std::vector<LbrEntry> ring_;
+    /** depth_ slots; the size_ valid entries start at slots_[head_]. */
+    std::vector<LbrEntry> slots_;
+    /** Slot of the oldest entry; nonzero only once the ring is full. */
+    uint32_t head_ = 0;
+    uint32_t size_ = 0;
     uint32_t persist_count_ = 0;
 };
 

@@ -4,24 +4,54 @@
 
 namespace hbbp {
 
+namespace {
+
+/** @p config, once it is one the PMU can run; fatal() otherwise. */
+const PmuConfig &
+checked(const PmuConfig &config)
+{
+    if (config.ebs_period == 0 || config.lbr_period == 0)
+        fatal("DualCollectionPmu: sampling periods must be non-zero");
+    if (config.precise_skid_max_cycles < config.precise_skid_min_cycles)
+        fatal("DualCollectionPmu: precise skid range [%u, %u] is reversed",
+              config.precise_skid_min_cycles,
+              config.precise_skid_max_cycles);
+    if (config.lbr_depth == 0)
+        fatal("DualCollectionPmu: LBR depth must be non-zero");
+    return config;
+}
+
+} // namespace
+
 DualCollectionPmu::DualCollectionPmu(const PmuConfig &config)
-    : config_(config), rng_(config.seed),
+    : config_(checked(config)), rng_(config.seed),
       ring_(config.lbr_depth, config.quirk, splitmix64(config.seed))
 {
-    if (config_.ebs_period == 0 || config_.lbr_period == 0)
-        fatal("DualCollectionPmu: sampling periods must be non-zero");
 }
 
 void
-DualCollectionPmu::onRetire(const Instruction &instr, const BasicBlock &blk,
-                            uint64_t cycle_start, uint64_t cycle_end,
-                            Ring ring)
+DualCollectionPmu::onBlock(const BlockRetire &blk)
 {
-    (void)blk;
-    (void)cycle_start;
-    if (!config_.monitor_kernel && ring == Ring::Kernel)
+    if (!config_.monitor_kernel && blk.ring == Ring::Kernel)
         return;
 
+    // Which instruction retired matters only where a PMI is delivered
+    // or the EBS counter overflows. Anywhere else the block just counts.
+    uint64_t end = blk.cycleEnd();
+    bool declined = (ebs_pmi_pending_ && end >= ebs_pmi_cycle_) ||
+                    (lbr_pmi_pending_ && end >= lbr_pmi_cycle_) ||
+                    ebs_counter_ + blk.size() >= config_.ebs_period;
+    if (!declined) {
+        ebs_counter_ += blk.size();
+        return;
+    }
+    for (size_t i = 0; i < blk.size(); i++)
+        retire(blk.block->instrs[i].addr, blk.instrEnd(i), blk.ring);
+}
+
+void
+DualCollectionPmu::retire(uint64_t ip, uint64_t cycle_end, Ring ring)
+{
     // Deliver any pending PMIs whose delay has elapsed. The sampled IP is
     // the instruction retiring at delivery time — this is where skid and
     // shadowing come from: during a retirement stall, cycle_end jumps
@@ -32,7 +62,7 @@ DualCollectionPmu::onRetire(const Instruction &instr, const BasicBlock &blk,
         pmi_count_++;
         // Eventing IP kept; LBR payload of this collection is discarded
         // at analysis time, so it is not stored at all.
-        ebs_.push_back({instr.addr, cycle_end, ring});
+        ebs_.push_back({ip, cycle_end, ring});
     }
     if (lbr_pmi_pending_ && cycle_end >= lbr_pmi_cycle_) {
         lbr_pmi_pending_ = false;
@@ -41,7 +71,7 @@ DualCollectionPmu::onRetire(const Instruction &instr, const BasicBlock &blk,
         sample.entries = ring_.snapshot();
         sample.cycle = cycle_end;
         sample.ring = ring;
-        sample.eventing_ip = instr.addr; // discarded by analysis
+        sample.eventing_ip = ip; // discarded by analysis
         lbr_.push_back(std::move(sample));
     }
 

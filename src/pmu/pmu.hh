@@ -20,6 +20,18 @@
  *  - shadowing: retirement stalls on long-latency instructions make the
  *    instruction after the stall absorb all PMIs initiated during it;
  *  - LBR entry[0] bias: see lbr.hh.
+ *
+ * The PMU takes execution a basic block at a time. Which instruction
+ * retired matters only where a PMI is delivered or the EBS counter
+ * overflows, so a block where neither happens just adds its length to
+ * the EBS counter. The PMU declines that shortcut when a pending EBS
+ * or LBR PMI falls due by the block's last retire cycle, or when the
+ * EBS counter would reach its period inside the block, and then
+ * retires the block one instruction at a time. Nothing else happens
+ * inside a block: taken branches, and with them the LBR ring and
+ * counter, arrive only between blocks, and the skid, the PMU's only
+ * random draw, is drawn only at an overflow. Both paths therefore
+ * collect exactly the same samples.
  */
 
 #ifndef HBBP_PMU_PMU_HH
@@ -95,11 +107,14 @@ struct PmuConfig
 class DualCollectionPmu : public ExecObserver
 {
   public:
+    /**
+     * fatal() on a configuration no hardware has: a zero sampling
+     * period, a skid range whose maximum is below its minimum, or an
+     * LBR depth of 0.
+     */
     explicit DualCollectionPmu(const PmuConfig &config);
 
-    void onRetire(const Instruction &instr, const BasicBlock &blk,
-                  uint64_t cycle_start, uint64_t cycle_end,
-                  Ring ring) override;
+    void onBlock(const BlockRetire &blk) override;
     void onTakenBranch(const TakenBranch &branch) override;
 
     /** EBS samples collected so far. */
@@ -119,6 +134,9 @@ class DualCollectionPmu : public ExecObserver
     std::vector<LbrStackSample> takeLbrSamples() { return std::move(lbr_); }
 
   private:
+    /** One retired instruction: deliver due PMIs, count, overflow. */
+    void retire(uint64_t ip, uint64_t cycle_end, Ring ring);
+
     PmuConfig config_;
     Rng rng_;
     LbrRing ring_;

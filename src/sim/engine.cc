@@ -10,9 +10,17 @@ ExecutionEngine::ExecutionEngine(const Program &prog,
 {
     behavior_state_.assign(prog.blocks().size(), 0);
     block_ring_.reserve(prog.blocks().size());
+    cost_offset_.reserve(prog.blocks().size());
     for (const BasicBlock &blk : prog.blocks()) {
         const Function &fn = prog.function(blk.func);
         block_ring_.push_back(prog.module(fn.module).ring);
+        cost_offset_.push_back(retire_cost_.size());
+        uint64_t cost = 0;
+        retire_cost_.push_back(cost);
+        for (const Instruction &instr : blk.instrs) {
+            cost += config_.retireCost(instr);
+            retire_cost_.push_back(cost);
+        }
     }
 }
 
@@ -97,15 +105,12 @@ ExecutionEngine::run(uint64_t max_instructions)
         const BasicBlock &blk = prog_.block(cur);
         Ring ring = block_ring_[cur];
         stats_.block_entries++;
-        for (ExecObserver *obs : observers_)
-            obs->onBlockEntry(blk, ring);
 
-        for (const Instruction &instr : blk.instrs) {
-            uint64_t start = cycle_;
-            cycle_ += config_.retireCost(instr);
-            for (ExecObserver *obs : observers_)
-                obs->onRetire(instr, blk, start, cycle_, ring);
-        }
+        BlockRetire retired{&blk, ring, cycle_,
+                            &retire_cost_[cost_offset_[cur]]};
+        for (ExecObserver *obs : observers_)
+            obs->onBlock(retired);
+        cycle_ = retired.cycleEnd();
         stats_.instructions += blk.instrs.size();
         if (ring == Ring::User)
             stats_.user_instructions += blk.instrs.size();

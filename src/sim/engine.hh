@@ -5,8 +5,12 @@
  * Interprets a Program: walks basic blocks, resolves terminators through
  * their declared behaviours, maintains the call stack and privilege ring,
  * advances the cycle clock per the MachineConfig, and feeds events to the
- * attached observers. Execution is fully deterministic for a given
- * Program and seed.
+ * attached observers. The basic block is the unit of retirement: the
+ * engine computes every block's cumulative per-instruction retire costs
+ * once, when it is constructed, then advances the clock a whole block at
+ * a time and hands each executed block to the observers as one
+ * BlockRetire. Execution is fully deterministic for a given Program and
+ * seed.
  */
 
 #ifndef HBBP_SIM_ENGINE_HH
@@ -87,6 +91,14 @@ class ExecutionEngine
 
     /** Per-block ring, precomputed from the owning module. */
     std::vector<Ring> block_ring_;
+
+    /**
+     * Cumulative retire costs of every block's instructions, one run of
+     * size() + 1 values per block (see BlockRetire), at the offset
+     * cost_offset_[block].
+     */
+    std::vector<uint64_t> retire_cost_;
+    std::vector<size_t> cost_offset_;
 
     uint64_t cycle_ = 0;
     ExecStats stats_;

@@ -2,17 +2,24 @@
  * @file
  * Execution observation interface.
  *
- * Observers attach to the ExecutionEngine and receive retirement and
- * control-flow events. The software instrumenter (ground truth) and the
- * PMU (sampling) are both observers; neither perturbs execution, which
- * models the paper's claim that PMU collection does not disturb the
- * execution path. Instrumentation overhead is modelled analytically in
- * src/instr instead of by slowing down the simulation.
+ * Observers attach to the ExecutionEngine and receive one event per
+ * executed basic block, one per taken control transfer and one at the
+ * end of the run. The basic block is the unit of retirement: a
+ * BlockRetire carries the block, its ring, the cycle it began retiring
+ * and the cumulative retire costs of its instructions, from which an
+ * observer that needs per-instruction timing (the PMU, when a PMI falls
+ * due inside the block) recovers every instruction's retire cycles. The
+ * software instrumenter (ground truth) and the PMU (sampling) are both
+ * observers; neither perturbs execution, which models the paper's claim
+ * that PMU collection does not disturb the execution path.
+ * Instrumentation overhead is modelled analytically in src/instr
+ * instead of by slowing down the simulation.
  */
 
 #ifndef HBBP_SIM_OBSERVER_HH
 #define HBBP_SIM_OBSERVER_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "program/block.hh"
@@ -29,41 +36,53 @@ struct TakenBranch
     Ring ring = Ring::User;
 };
 
+/**
+ * One executed basic block. Its instructions retire back to back:
+ * instruction i over the cycles from instrStart(i) to instrEnd(i).
+ * retire_cost holds size() + 1 cumulative costs, the first 0 and the
+ * last the whole block's; the engine computes them once per program.
+ */
+struct BlockRetire
+{
+    const BasicBlock *block = nullptr;
+    Ring ring = Ring::User;
+    uint64_t cycle_start = 0; ///< Cycle the first instruction begins.
+    const uint64_t *retire_cost = nullptr;
+
+    /** Number of instructions in the block. */
+    size_t size() const { return block->instrs.size(); }
+
+    /** Cycle instruction @p i begins retiring. */
+    uint64_t
+    instrStart(size_t i) const
+    {
+        return cycle_start + retire_cost[i];
+    }
+
+    /** Cycle instruction @p i completes retirement. */
+    uint64_t instrEnd(size_t i) const { return instrStart(i + 1); }
+
+    /** Cycle the block's last instruction completes retirement. */
+    uint64_t cycleEnd() const { return instrStart(size()); }
+};
+
 /** Receives execution events from the engine. */
 class ExecObserver
 {
   public:
     virtual ~ExecObserver() = default;
 
-    /** A basic block's execution begins. */
+    /** A basic block executed; its instructions all retired. */
     virtual void
-    onBlockEntry(const BasicBlock &blk, Ring ring)
+    onBlock(const BlockRetire &blk)
     {
         (void)blk;
-        (void)ring;
     }
 
     /**
-     * One instruction retired.
-     *
-     * @param instr       the retired instruction
-     * @param blk         its enclosing block
-     * @param cycle_start cycle retirement began
-     * @param cycle_end   cycle retirement completed
-     * @param ring        privilege ring
+     * A control transfer was architecturally taken: the block that
+     * ends in it has just been passed to onBlock.
      */
-    virtual void
-    onRetire(const Instruction &instr, const BasicBlock &blk,
-             uint64_t cycle_start, uint64_t cycle_end, Ring ring)
-    {
-        (void)instr;
-        (void)blk;
-        (void)cycle_start;
-        (void)cycle_end;
-        (void)ring;
-    }
-
-    /** A control transfer was architecturally taken. */
     virtual void
     onTakenBranch(const TakenBranch &branch)
     {

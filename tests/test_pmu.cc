@@ -158,6 +158,125 @@ TEST(LbrRing, FreezeDropsIncomingBranches)
     EXPECT_EQ(ring.snapshot().back().source, 0x7000u);
 }
 
+/** Insert @p n branches numbered from @p first: source i, target 1000+i. */
+void
+insertNumbered(LbrRing &ring, uint64_t first, uint64_t n)
+{
+    for (uint64_t i = first; i < first + n; i++)
+        ring.insert(i, 1000 + i);
+}
+
+/** Expect the snapshot to hold branches first..first+n-1, oldest first. */
+void
+expectConsecutive(const LbrRing &ring, uint64_t first, uint64_t n)
+{
+    auto snap = ring.snapshot();
+    ASSERT_EQ(snap.size(), n);
+    for (size_t i = 0; i < snap.size(); i++) {
+        EXPECT_EQ(snap[i].source, first + i) << "entry " << i;
+        EXPECT_EQ(snap[i].target, 1000 + first + i) << "entry " << i;
+    }
+}
+
+TEST(LbrRing, SnapshotsStayConsecutiveAcrossWraps)
+{
+    LbrQuirkConfig quirk;
+    quirk.enabled = false;
+    for (uint32_t depth : {4u, 16u}) {
+        SCOPED_TRACE(depth);
+        LbrRing ring(depth, quirk);
+        insertNumbered(ring, 0, depth);
+        expectConsecutive(ring, 0, depth);
+        // Three and a half more wraps, checked after every insert so
+        // the oldest entry visits every physical slot.
+        for (uint64_t next = depth; next < 4 * depth + depth / 2; next++) {
+            ring.insert(next, 1000 + next);
+            expectConsecutive(ring, next + 1 - depth, depth);
+        }
+    }
+}
+
+TEST(LbrRing, ClearAfterAWrapThenRefill)
+{
+    LbrQuirkConfig quirk;
+    quirk.enabled = false;
+    LbrRing ring(4, quirk);
+    insertNumbered(ring, 0, 7);
+    expectConsecutive(ring, 3, 4);
+
+    ring.clear();
+    EXPECT_EQ(ring.size(), 0u);
+    EXPECT_TRUE(ring.snapshot().empty());
+
+    insertNumbered(ring, 50, 2);
+    EXPECT_EQ(ring.size(), 2u);
+    expectConsecutive(ring, 50, 2);
+    insertNumbered(ring, 52, 5);
+    expectConsecutive(ring, 53, 4);
+}
+
+TEST(LbrRing, DepthOneKeepsTheNewestBranch)
+{
+    LbrQuirkConfig quirk;
+    quirk.enabled = false;
+    LbrRing ring(1, quirk);
+    EXPECT_TRUE(ring.snapshot().empty());
+    for (uint64_t i = 0; i < 5; i++) {
+        ring.insert(i, 1000 + i);
+        EXPECT_EQ(ring.size(), 1u);
+        expectConsecutive(ring, i, 1);
+    }
+}
+
+TEST(LbrRing, FreezeAtAWrappedHeadThenEvictionResumes)
+{
+    LbrQuirkConfig quirk;
+    quirk.sticky_persist_prob = 1.0;
+    quirk.sticky_max_persist = 3;
+    LbrRing ring(4, quirk, 77);
+
+    uint64_t sticky = 0;
+    for (uint64_t addr = 0x1000;; addr += 4) {
+        if (ring.isSticky(addr)) {
+            sticky = addr;
+            break;
+        }
+    }
+    std::vector<uint64_t> plain;
+    for (uint64_t addr = 0x9000; plain.size() < 6; addr += 4)
+        if (!ring.isSticky(addr))
+            plain.push_back(addr);
+
+    // Slots 0..3 take plain[0], plain[1], sticky, plain[2]. The next
+    // two inserts evict plain[0] and plain[1], so the oldest entry, the
+    // sticky branch, sits in physical slot 2.
+    ring.insert(plain[0], 1);
+    ring.insert(plain[1], 2);
+    ring.insert(sticky, 3);
+    ring.insert(plain[2], 4);
+    ring.insert(plain[3], 5);
+    ring.insert(plain[4], 6);
+    std::vector<LbrEntry> frozen = {
+        {sticky, 3}, {plain[2], 4}, {plain[3], 5}, {plain[4], 6}};
+    ASSERT_EQ(ring.snapshot(), frozen);
+
+    // Frozen for the persist cap of 3 inserts, which are dropped.
+    for (uint64_t i = 0; i < 3; i++) {
+        ring.insert(0x7000 + 4 * i, 7);
+        EXPECT_EQ(ring.snapshot(), frozen) << "insert " << i;
+    }
+
+    // Then the sticky branch is evicted and the ring rotates on.
+    ring.insert(plain[5], 8);
+    std::vector<LbrEntry> resumed = {
+        {plain[2], 4}, {plain[3], 5}, {plain[4], 6}, {plain[5], 8}};
+    EXPECT_EQ(ring.snapshot(), resumed);
+    ring.insert(0x7100, 9);
+    std::vector<LbrEntry> rotated = {
+        {plain[3], 5}, {plain[4], 6}, {plain[5], 8}, {0x7100, 9}};
+    EXPECT_EQ(ring.snapshot(), rotated);
+}
+
 // ---------------------------------------------------------------------
 // Dual collection on real executions.
 
@@ -292,6 +411,28 @@ TEST(DualCollectionDeath, ZeroPeriodIsFatal)
     config.ebs_period = 0;
     EXPECT_EXIT(DualCollectionPmu pmu(config),
                 ::testing::ExitedWithCode(1), "period");
+}
+
+TEST(DualCollectionDeath, ReversedSkidRangeIsFatal)
+{
+    // A reversed range used to wrap the unsigned skid span, schedule
+    // the first EBS PMI at a cycle never reached and so drop every EBS
+    // sample after it.
+    for (auto [lo, hi] : {std::pair{4u, 1u}, std::pair{2u, 1u}}) {
+        PmuConfig config;
+        config.precise_skid_min_cycles = lo;
+        config.precise_skid_max_cycles = hi;
+        EXPECT_EXIT(DualCollectionPmu pmu(config),
+                    ::testing::ExitedWithCode(1), "skid range");
+    }
+}
+
+TEST(DualCollectionDeath, ZeroLbrDepthIsFatal)
+{
+    PmuConfig config;
+    config.lbr_depth = 0;
+    EXPECT_EXIT(DualCollectionPmu pmu(config),
+                ::testing::ExitedWithCode(1), "LBR depth");
 }
 
 } // namespace

@@ -24,19 +24,17 @@ class RecordingObserver : public ExecObserver
     bool cycles_monotone = true;
 
     void
-    onBlockEntry(const BasicBlock &blk, Ring) override
+    onBlock(const BlockRetire &blk) override
     {
-        block_entries.push_back(blk.id);
-    }
-
-    void
-    onRetire(const Instruction &instr, const BasicBlock &,
-             uint64_t cycle_start, uint64_t cycle_end, Ring) override
-    {
-        retires.push_back(instr.mnemonic);
-        if (cycle_end <= cycle_start || cycle_start < last_cycle_end)
-            cycles_monotone = false;
-        last_cycle_end = cycle_end;
+        block_entries.push_back(blk.block->id);
+        for (size_t i = 0; i < blk.size(); i++) {
+            retires.push_back(blk.block->instrs[i].mnemonic);
+            uint64_t cycle_start = blk.instrStart(i);
+            uint64_t cycle_end = blk.instrEnd(i);
+            if (cycle_end <= cycle_start || cycle_start < last_cycle_end)
+                cycles_monotone = false;
+            last_cycle_end = cycle_end;
+        }
     }
 
     void
