@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <thread>
 #include <vector>
 
 #include "fleet/merge.hh"
-#include "support/bytes.hh"
 #include "support/events.hh"
 #include "support/logging.hh"
-#include "support/rng.hh"
 #include "support/telemetry.hh"
 
 namespace fs = std::filesystem;
@@ -29,40 +26,6 @@ compatReference(const ProfileData &pd)
     ref.paper_periods = pd.paper_periods;
     ref.runtime_class = pd.runtime_class;
     return ref;
-}
-
-// Aggregator state file: the same header discipline as profile v3 —
-// magic, format version, payload length, payload checksum — so a
-// truncated or corrupt state file is detected before anything is
-// trusted, and a restarted aggregator falls back to a cold start
-// instead of resuming from garbage. Version 2 added the relay fields
-// (max level seen, aggregate/superseded arrival counts); version-1
-// files from pre-relay builds restore as a cold start.
-constexpr uint64_t kStateMagic = 0x48424250'41474753ULL; // "HBBPAGGS"
-constexpr uint32_t kStateVersion = 2;
-
-/** Embed a serialized profile (self-validating bytes) in the state. */
-void
-putProfile(ByteWriter &w, const ProfileData &pd)
-{
-    std::string bytes = pd.serialize();
-    w.u64(bytes.size());
-    w.raw(bytes.data(), bytes.size());
-}
-
-ProfileData
-takeProfile(ByteReader &r, const std::string &path)
-{
-    uint64_t n = r.count(r.u64(), 1, "embedded profile byte");
-    std::string bytes(static_cast<size_t>(n), '\0');
-    r.raw(bytes.data(), bytes.size());
-    std::string why;
-    std::optional<ProfileData> pd = ProfileData::parse(bytes, path, &why);
-    if (!pd)
-        throw ByteParseError(format(
-            "embedded profile in aggregator state '%s' is invalid: %s",
-            path.c_str(), why.c_str()));
-    return std::move(*pd);
 }
 
 /** Steady-clock nanoseconds, for fold-time accounting. */
@@ -184,15 +147,12 @@ IncrementalAggregator::addShard(const ShardManifest &manifest,
     if (manifest.seq == hs.next_seq) {
         // Move rather than copy: arrivals are the import hot path and
         // the sample vectors dominate the profile's size.
-        if (!hs.partial)
-            hs.partial = std::move(profile);
-        else
-            mergeInto(*hs.partial, profile);
+        accumulateInto(hs.partial, std::move(profile));
         hs.next_seq++;
         // Drain any out-of-order arrivals that are now contiguous.
         auto it = hs.pending.begin();
         while (it != hs.pending.end() && it->first == hs.next_seq) {
-            accumulateInto(hs.partial, it->second);
+            accumulateInto(hs.partial, std::move(it->second));
             hs.next_seq++;
             it = hs.pending.erase(it);
         }
@@ -310,6 +270,12 @@ IncrementalAggregator::addAggregateShard(const ShardManifest &manifest,
     for (size_t i = 0; i < partials.size(); i++) {
         const HostCoverage &hc = manifest.covered[i];
         HostState &hs = hosts_[hc.host];
+        // The same one-path rule makes this flush's prefix stand in
+        // for any shorter one the host holds, adopted or not.
+        if (hc.count > 0 && hc.count >= hs.lineage_covered) {
+            hs.lineage = manifest.checksum;
+            hs.lineage_covered = hc.count;
+        }
         // Supersede, never merge: the arriving fold *contains* every
         // leaf shard [0, count) — each host reports through exactly
         // one relay path, so our shorter prefix is a strict subset of
@@ -323,7 +289,7 @@ IncrementalAggregator::addAggregateShard(const ShardManifest &manifest,
         while (it != hs.pending.end() && it->first < hs.next_seq)
             it = hs.pending.erase(it); // Retired: the fold covers them.
         while (it != hs.pending.end() && it->first == hs.next_seq) {
-            accumulateInto(hs.partial, it->second);
+            accumulateInto(hs.partial, std::move(it->second));
             hs.next_seq++;
             it = hs.pending.erase(it);
         }
@@ -340,6 +306,22 @@ IncrementalAggregator::addAggregateShard(const ShardManifest &manifest,
     stats_.aggregates++;
     max_level_ = std::max(max_level_, manifest.level);
     epoch_++;
+    return true;
+}
+
+bool
+IncrementalAggregator::superseded(const ShardManifest &m) const
+{
+    if (m.level == 0) {
+        auto it = hosts_.find(m.host);
+        return it != hosts_.end() && m.seq < it->second.lineage_covered;
+    }
+    for (const HostCoverage &hc : m.covered) {
+        auto it = hosts_.find(hc.host);
+        if (it != hosts_.end() && it->second.lineage_covered > 0 &&
+            it->second.lineage == m.checksum)
+            return false;
+    }
     return true;
 }
 
@@ -401,7 +383,7 @@ IncrementalAggregator::exportPartials() const
 
 std::optional<ShardManifest>
 IncrementalAggregator::importFile(const std::string &manifest_path,
-                                  std::string *why)
+                                  std::string *why, std::string *bytes)
 {
     std::string local_why;
     std::optional<ImportedShard> shard =
@@ -415,7 +397,9 @@ IncrementalAggregator::importFile(const std::string &manifest_path,
     if (!addShard(shard->manifest, std::move(shard->profile),
                   why ? why : &local_why))
         return std::nullopt;
-    return shard->manifest;
+    if (bytes)
+        *bytes = std::move(shard->bytes);
+    return std::move(shard->manifest);
 }
 
 const ProfileData &
@@ -456,178 +440,6 @@ IncrementalAggregator::aggregate()
     return *cached_aggregate_;
 }
 
-void
-IncrementalAggregator::saveState(const std::string &path) const
-{
-    ByteWriter w;
-    w.str(workload_);
-    w.u8(compat_ref_ ? 1 : 0);
-    if (compat_ref_) {
-        w.u64(compat_ref_->sim_periods.ebs);
-        w.u64(compat_ref_->sim_periods.lbr);
-        w.u64(compat_ref_->paper_periods.ebs);
-        w.u64(compat_ref_->paper_periods.lbr);
-        w.u8(static_cast<uint8_t>(compat_ref_->runtime_class));
-    }
-    w.u32(static_cast<uint32_t>(mmaps_.size()));
-    for (const MmapRecord &m : mmaps_) {
-        w.str(m.name);
-        w.u64(m.base);
-        w.u64(m.size);
-        w.u8(m.kernel ? 1 : 0);
-    }
-    w.u64(seen_checksums_.size());
-    for (uint64_t checksum : seen_checksums_)
-        w.u64(checksum);
-    w.u64(stats_.accepted);
-    w.u64(stats_.duplicates);
-    w.u64(stats_.incompatible);
-    w.u64(stats_.malformed);
-    w.u64(stats_.aggregates);
-    w.u64(stats_.superseded);
-    w.u32(max_level_);
-    w.u32(static_cast<uint32_t>(hosts_.size()));
-    for (const auto &[host, hs] : hosts_) {
-        w.str(host);
-        w.u32(hs.next_seq);
-        w.u8(hs.partial ? 1 : 0);
-        if (hs.partial)
-            putProfile(w, *hs.partial);
-        w.u32(static_cast<uint32_t>(hs.pending.size()));
-        for (const auto &[seq, pd] : hs.pending) {
-            w.u32(seq);
-            putProfile(w, pd);
-        }
-    }
-
-    ByteWriter out;
-    out.u64(kStateMagic);
-    out.u32(kStateVersion);
-    out.u64(w.bytes().size());
-    out.u64(fnv1a(w.bytes()));
-    std::string bytes = out.bytes();
-    bytes += w.bytes();
-    writeFileAtomically(path, bytes);
-}
-
-bool
-IncrementalAggregator::restoreState(const std::string &path,
-                                    std::string *why)
-{
-    std::string local;
-    std::string *out = why ? why : &local;
-    std::string bytes = readFileBytes(path, out);
-    if (!out->empty())
-        return false;
-    auto fail = [&](std::string reason) {
-        *out = std::move(reason);
-        return false;
-    };
-    if (bytes.size() < 28)
-        return fail(format("'%s' is truncated (corrupt aggregator "
-                           "state?)", path.c_str()));
-    uint64_t magic, payload_len, stored;
-    uint32_t version;
-    std::memcpy(&magic, bytes.data(), sizeof(magic));
-    std::memcpy(&version, bytes.data() + 8, sizeof(version));
-    std::memcpy(&payload_len, bytes.data() + 12, sizeof(payload_len));
-    std::memcpy(&stored, bytes.data() + 20, sizeof(stored));
-    if (magic != kStateMagic)
-        return fail(format("'%s' is not an aggregator state file",
-                           path.c_str()));
-    if (version != kStateVersion)
-        return fail(format(
-            "'%s' has unsupported aggregator state version %u (this "
-            "build reads version %u) — start fresh and re-import",
-            path.c_str(), version, kStateVersion));
-    if (bytes.size() - 28 != payload_len)
-        return fail(format(
-            "'%s' is truncated: header promises a %llu-byte payload "
-            "but %llu bytes follow (corrupt aggregator state?)",
-            path.c_str(), static_cast<unsigned long long>(payload_len),
-            static_cast<unsigned long long>(bytes.size() - 28)));
-    std::string body = bytes.substr(28);
-    if (fnv1a(body) != stored)
-        return fail(format(
-            "payload checksum mismatch in '%s' — the aggregator state "
-            "is corrupt; start fresh and re-import", path.c_str()));
-    if (!hosts_.empty() || stats_.accepted != 0)
-        fatal("restoreState() requires a fresh aggregator");
-
-    try {
-        parseStateBody(body, path);
-    } catch (const ByteParseError &e) {
-        // Structurally impossible content behind a matching checksum:
-        // still a cold start, never a crash — the shards can always
-        // be re-imported. Shed anything half-restored first.
-        *this = IncrementalAggregator();
-        return fail(e.what());
-    }
-    restored_ = stats_.accepted;
-    return true;
-}
-
-void
-IncrementalAggregator::parseStateBody(const std::string &body,
-                                      const std::string &path)
-{
-    ByteReader r(body, path, "aggregator state");
-    workload_ = r.str();
-    if (r.u8()) {
-        ProfileData ref;
-        ref.sim_periods.ebs = r.u64();
-        ref.sim_periods.lbr = r.u64();
-        ref.paper_periods.ebs = r.u64();
-        ref.paper_periods.lbr = r.u64();
-        uint8_t raw_class = r.u8();
-        // Range-check before the cast: a garbage class would not
-        // crash anything, but it would silently reject every shard as
-        // incompatible — worse than the cold start this throw buys.
-        if (raw_class > static_cast<uint8_t>(RuntimeClass::MinutesMany))
-            throw ByteParseError(format(
-                "invalid runtime class %u in '%s' (corrupt aggregator "
-                "state?)", raw_class, path.c_str()));
-        ref.runtime_class = static_cast<RuntimeClass>(raw_class);
-        compat_ref_ = std::move(ref);
-    }
-    uint32_t n_mmaps =
-        static_cast<uint32_t>(r.count(r.u32(), 21, "module map"));
-    mmaps_.reserve(n_mmaps);
-    for (uint32_t i = 0; i < n_mmaps; i++) {
-        MmapRecord m;
-        m.name = r.str();
-        m.base = r.u64();
-        m.size = r.u64();
-        m.kernel = r.u8() != 0;
-        mmaps_.push_back(std::move(m));
-    }
-    uint64_t n_seen = r.count(r.u64(), 8, "seen checksum");
-    for (uint64_t i = 0; i < n_seen; i++)
-        seen_checksums_.insert(r.u64());
-    stats_.accepted = r.u64();
-    stats_.duplicates = r.u64();
-    stats_.incompatible = r.u64();
-    stats_.malformed = r.u64();
-    stats_.aggregates = r.u64();
-    stats_.superseded = r.u64();
-    max_level_ = r.u32();
-    uint32_t n_hosts = static_cast<uint32_t>(r.count(r.u32(), 9, "host"));
-    for (uint32_t i = 0; i < n_hosts; i++) {
-        std::string host = r.str();
-        HostState &hs = hosts_[host];
-        hs.next_seq = r.u32();
-        if (r.u8())
-            hs.partial = takeProfile(r, path);
-        uint32_t n_pending =
-            static_cast<uint32_t>(r.count(r.u32(), 12, "pending shard"));
-        for (uint32_t j = 0; j < n_pending; j++) {
-            uint32_t seq = r.u32();
-            hs.pending.emplace(seq, takeProfile(r, path));
-        }
-    }
-    r.expectEof();
-}
-
 size_t
 watchAndAggregate(IncrementalAggregator &agg, const std::string &dir,
                   const WatchOptions &options)
@@ -659,13 +471,14 @@ watchAndAggregate(IncrementalAggregator &agg, const std::string &dir,
         std::sort(fresh.begin(), fresh.end());
         for (const std::string &path : fresh) {
             judged.insert(path);
-            std::string why;
-            std::optional<ShardManifest> m = agg.importFile(path, &why);
+            std::string why, bytes;
+            std::optional<ShardManifest> m =
+                agg.importFile(path, &why, &bytes);
             if (m) {
                 accepted++;
                 last_import = clock::now();
                 if (options.on_accept)
-                    options.on_accept(*m);
+                    options.on_accept(*m, bytes);
             } else {
                 warn("skipping shard '%s': %s", path.c_str(),
                      why.c_str());

@@ -13,6 +13,14 @@
  * the result is byte-identical no matter what order shards arrived in
  * — and identical to a one-shot mergeProfiles() over the same shards.
  *
+ * The aggregator keeps nothing durable itself. Its state is the
+ * sequence of arrivals it accepted, which a StateJournal (fleet/
+ * journal) logs as received and replays through addShard() and
+ * addAggregateShard(). To let that log drop what no longer counts,
+ * each host keeps its lineage: the checksum and coverage of the relay
+ * flush covering the longest prefix of its shards. superseded() reads
+ * it, and noteSeen() carries a dropped arrival's checksum back in.
+ *
  * watchAndAggregate() is the transport stand-in: it polls a drop
  * directory for shard manifests (the multi-host simulation; a network
  * transport would enqueue the same imports), skipping files it has
@@ -126,13 +134,14 @@ class IncrementalAggregator
 
     /**
      * importShard() the manifest at @p manifest_path and fold it in.
-     * Returns the manifest on acceptance; std::nullopt with *@p why
-     * set otherwise (unreadable files count into stats().malformed,
-     * rejected shards into duplicates/incompatible).
+     * Returns the manifest on acceptance, with *@p bytes (when
+     * non-null) set to the verified profile file as read; std::nullopt
+     * with *@p why set otherwise (unreadable files count into
+     * stats().malformed, rejected shards into duplicates/incompatible).
      */
     std::optional<ShardManifest>
     importFile(const std::string &manifest_path,
-               std::string *why = nullptr);
+               std::string *why = nullptr, std::string *bytes = nullptr);
 
     /**
      * The aggregate of everything accepted so far, in canonical order
@@ -222,43 +231,32 @@ class IncrementalAggregator
     }
 
     /**
-     * Persist everything acceptance depends on — the per-host partial
-     * aggregates (with their out-of-order pending shards), the
-     * seen-checksum set, the compatibility reference, the reconciled
-     * module map and the cumulative stats — to @p path as a versioned,
-     * checksummed binary state file (atomic write, like every on-disk
-     * artifact here). A fresh aggregator restored from the file and
-     * fed the remaining shards produces an aggregate byte-identical to
-     * one that never restarted.
+     * True when the accepted arrival @p m no longer adds anything a
+     * relay flush does not: a leaf shard whose host's lineage covers
+     * its sequence number, or an aggregate that is no covered host's
+     * lineage. Replaying the arrivals without the superseded ones
+     * (and noteSeen() for their checksums) rebuilds the same state.
      */
-    void saveState(const std::string &path) const;
+    bool superseded(const ShardManifest &m) const;
 
     /**
-     * Restore a *fresh* aggregator from a saveState() file. Returns
-     * false with *@p why set when the file is missing, unreadable, a
-     * foreign or unsupported format, fails its checksum, or is
-     * structurally corrupt behind a valid checksum — all of it a cold
-     * start, never a crash: the shards can always be re-imported.
+     * Account for @p checksum without folding anything: an arrival a
+     * journal dropped as superseded, so that its re-delivery still
+     * confirms back to the sender as a duplicate.
      */
-    bool restoreState(const std::string &path,
-                      std::string *why = nullptr);
+    void noteSeen(uint64_t checksum) { seen_checksums_.insert(checksum); }
 
-    /** Shards carried in by restoreState() (0 on a cold start). */
+    /**
+     * Arrivals a journal replay folded back in (0 on a cold start).
+     * A leaf shard and a relay flush count one each, so a root fed by
+     * relays restores fewer arrivals than it covers shards.
+     */
     size_t restoredShards() const { return restored_; }
 
-    /**
-     * Mark everything accepted so far as restored rather than newly
-     * imported — the journal-replay path's equivalent of the count
-     * restoreState() sets, so `restored=` reporting stays truthful
-     * when a checkpoint is topped up from an append-only journal.
-     */
+    /** Count everything accepted so far as restored, not new. */
     void markRestored() { restored_ = stats_.accepted; }
 
   private:
-    /** restoreState()'s checksummed-payload parse (throws on damage). */
-    void parseStateBody(const std::string &body,
-                        const std::string &path);
-
     /** One host's arrival state. */
     struct HostState
     {
@@ -268,6 +266,14 @@ class IncrementalAggregator
         uint32_t next_seq = 0;
         /** Out-of-order arrivals, folded once the gap fills. */
         std::map<uint32_t, ProfileData> pending;
+        /**
+         * The lineage: payload checksum and coverage [0,
+         * lineage_covered) of the latest accepted relay flush covering
+         * at least as much of this host as any before it. 0 coverage
+         * while no flush has covered the host.
+         */
+        uint64_t lineage = 0;
+        uint32_t lineage_covered = 0;
     };
 
     std::map<std::string, HostState> hosts_; ///< Sorted by host id.
@@ -288,7 +294,7 @@ class IncrementalAggregator
     std::optional<ProfileData> cached_aggregate_;
     uint64_t aggregate_epoch_ = UINT64_MAX;
 
-    size_t restored_ = 0; ///< Shards carried in by restoreState().
+    size_t restored_ = 0; ///< Arrivals carried in by a replay.
     AggregatorStats stats_;
 };
 
@@ -296,10 +302,10 @@ class IncrementalAggregator
 struct WatchOptions
 {
     /**
-     * Stop once this many leaf shards are covered (counting any
-     * restoreState() carry-in; equal to the accepted count when every
-     * arrival is a leaf shard); 0 means scan the directory once and
-     * return without waiting.
+     * Stop once this many leaf shards are covered (counting what a
+     * journal replay carried in; equal to the accepted count when
+     * every arrival is a leaf shard); 0 means scan the directory once
+     * and return without waiting.
      */
     size_t expect = 0;
     /**
@@ -312,8 +318,14 @@ struct WatchOptions
     int timeout_ms = 10'000;
     /** Poll interval between directory scans. */
     int poll_ms = 50;
-    /** Called after each accepted shard (e.g. to trigger analysis). */
-    std::function<void(const ShardManifest &)> on_accept;
+    /**
+     * Called after each accepted shard with its profile file's bytes
+     * as importShard() read and verified them — what a node deposits
+     * and journals, with no second read of a file the drop directory
+     * may already have lost.
+     */
+    std::function<void(const ShardManifest &, const std::string &bytes)>
+        on_accept;
 };
 
 /**

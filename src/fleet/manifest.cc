@@ -456,12 +456,16 @@ importShard(const std::string &manifest_path, std::string *why)
             "'%s' references missing profile file '%s'",
             manifest_path.c_str(), m->profile_file.c_str()));
 
-    // One read serves header validation, checksum verification and
-    // parsing — imports are the aggregation hot path.
+    // One read serves header validation, checksum verification,
+    // parsing and the caller's deposit — imports are the aggregation
+    // hot path.
     std::string load_why;
+    std::string bytes = readFileBytes(profile_path, &load_why);
+    if (!load_why.empty())
+        return fail(load_why);
     uint64_t checksum = 0;
     std::optional<ProfileData> profile =
-        ProfileData::tryLoad(profile_path, &load_why, &checksum);
+        ProfileData::parse(bytes, profile_path, &load_why, &checksum);
     if (!profile)
         return fail(load_why);
     if (checksum != m->checksum)
@@ -477,6 +481,7 @@ importShard(const std::string &manifest_path, std::string *why)
     ImportedShard shard;
     shard.manifest = std::move(*m);
     shard.profile = std::move(*profile);
+    shard.bytes = std::move(bytes);
     return shard;
 }
 

@@ -211,6 +211,9 @@ struct ImportedShard
 {
     ShardManifest manifest;
     ProfileData profile;
+    /** The profile file as read and verified: what a node deposits
+     * and journals, so the file is never read twice. */
+    std::string bytes;
 };
 
 /**

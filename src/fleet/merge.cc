@@ -1,6 +1,7 @@
 #include "fleet/merge.hh"
 
 #include <atomic>
+#include <iterator>
 
 #include "support/logging.hh"
 #include "support/vectorops.hh"
@@ -25,6 +26,55 @@ rangesOverlap(uint64_t a, uint64_t an, uint64_t b, uint64_t bn)
     uint64_t a_end = a + an < a ? UINT64_MAX : a + an;
     uint64_t b_end = b + bn < b ? UINT64_MAX : b + bn;
     return a < b_end && b < a_end;
+}
+
+/**
+ * Everything mergeInto() does but append the samples: the
+ * compatibility and module-map checks, and the feature-lane fold.
+ */
+void
+mergeHeader(ProfileData &into, const ProfileData &shard)
+{
+    std::string why;
+    if (!mergeCompatible(into, shard, &why))
+        fatal("cannot merge profiles: %s", why.c_str());
+
+    if (!reconcileMmaps(into.mmaps, shard.mmaps, &why))
+        fatal("cannot merge profiles: %s", why.c_str());
+
+    // Fold the u64 feature lanes through the saturating accumulate:
+    // lanes that would wrap past UINT64_MAX clamp there (the old
+    // unchecked += wrapped silently and corrupted fleet-scale
+    // cycle/instruction totals).
+    uint64_t dst[6] = {
+        into.features.cycles,        into.features.instructions,
+        into.features.block_entries, into.features.taken_branches,
+        into.features.simd_instructions, into.pmi_count,
+    };
+    const uint64_t src[6] = {
+        shard.features.cycles,        shard.features.instructions,
+        shard.features.block_entries, shard.features.taken_branches,
+        shard.features.simd_instructions, shard.pmi_count,
+    };
+    size_t saturated = vecops::accumulateSatU64(dst, src, 6);
+    into.features.cycles = dst[0];
+    into.features.instructions = dst[1];
+    into.features.block_entries = dst[2];
+    into.features.taken_branches = dst[3];
+    into.features.simd_instructions = dst[4];
+    into.pmi_count = dst[5];
+    if (saturated > 0) {
+        g_saturated_lanes.fetch_add(saturated,
+                                    std::memory_order_relaxed);
+        if (!g_saturation_warned.exchange(true,
+                                          std::memory_order_relaxed))
+            warn("feature counter saturation: %zu lane(s) clamped at "
+                 "UINT64_MAX during a profile merge; aggregate "
+                 "cycle/instruction totals are lower bounds from here "
+                 "on (reported once; see saturated= in the aggregate "
+                 "stats line)",
+                 saturated);
+    }
 }
 
 } // namespace
@@ -124,49 +174,19 @@ saturatedFoldLanes()
 void
 mergeInto(ProfileData &into, const ProfileData &shard)
 {
-    std::string why;
-    if (!mergeCompatible(into, shard, &why))
-        fatal("cannot merge profiles: %s", why.c_str());
-
-    if (!reconcileMmaps(into.mmaps, shard.mmaps, &why))
-        fatal("cannot merge profiles: %s", why.c_str());
-
+    mergeHeader(into, shard);
     into.ebs.insert(into.ebs.end(), shard.ebs.begin(), shard.ebs.end());
     into.lbr.insert(into.lbr.end(), shard.lbr.begin(), shard.lbr.end());
+}
 
-    // Fold the u64 feature lanes through the saturating accumulate:
-    // lanes that would wrap past UINT64_MAX clamp there (the old
-    // unchecked += wrapped silently and corrupted fleet-scale
-    // cycle/instruction totals).
-    uint64_t dst[6] = {
-        into.features.cycles,        into.features.instructions,
-        into.features.block_entries, into.features.taken_branches,
-        into.features.simd_instructions, into.pmi_count,
-    };
-    const uint64_t src[6] = {
-        shard.features.cycles,        shard.features.instructions,
-        shard.features.block_entries, shard.features.taken_branches,
-        shard.features.simd_instructions, shard.pmi_count,
-    };
-    size_t saturated = vecops::accumulateSatU64(dst, src, 6);
-    into.features.cycles = dst[0];
-    into.features.instructions = dst[1];
-    into.features.block_entries = dst[2];
-    into.features.taken_branches = dst[3];
-    into.features.simd_instructions = dst[4];
-    into.pmi_count = dst[5];
-    if (saturated > 0) {
-        g_saturated_lanes.fetch_add(saturated,
-                                    std::memory_order_relaxed);
-        if (!g_saturation_warned.exchange(true,
-                                          std::memory_order_relaxed))
-            warn("feature counter saturation: %zu lane(s) clamped at "
-                 "UINT64_MAX during a profile merge; aggregate "
-                 "cycle/instruction totals are lower bounds from here "
-                 "on (reported once; see saturated= in the aggregate "
-                 "stats line)",
-                 saturated);
-    }
+void
+mergeInto(ProfileData &into, ProfileData &&shard)
+{
+    mergeHeader(into, shard);
+    into.ebs.insert(into.ebs.end(), shard.ebs.begin(), shard.ebs.end());
+    into.lbr.insert(into.lbr.end(),
+                    std::make_move_iterator(shard.lbr.begin()),
+                    std::make_move_iterator(shard.lbr.end()));
 }
 
 void
@@ -176,6 +196,15 @@ accumulateInto(std::optional<ProfileData> &into, const ProfileData &shard)
         into = shard;
     else
         mergeInto(*into, shard);
+}
+
+void
+accumulateInto(std::optional<ProfileData> &into, ProfileData &&shard)
+{
+    if (!into)
+        into = std::move(shard);
+    else
+        mergeInto(*into, std::move(shard));
 }
 
 ProfileData

@@ -79,6 +79,13 @@ ProfileData mergeProfiles(const std::vector<ProfileData> &shards);
 void mergeInto(ProfileData &into, const ProfileData &shard);
 
 /**
+ * mergeInto() that moves @p shard's samples instead of copying them:
+ * the same bytes, without an allocation per LBR stack. For a shard
+ * the caller is done with (an arrival, a drained pending shard).
+ */
+void mergeInto(ProfileData &into, ProfileData &&shard);
+
+/**
  * Fold @p shard into the running aggregate @p into, initializing it
  * from the first shard. The incremental-fold primitive: a stream of
  * compatible shards accumulated this way equals mergeProfiles() over
@@ -86,6 +93,9 @@ void mergeInto(ProfileData &into, const ProfileData &shard);
  */
 void accumulateInto(std::optional<ProfileData> &into,
                     const ProfileData &shard);
+
+/** accumulateInto() that moves @p shard in (see the moving mergeInto). */
+void accumulateInto(std::optional<ProfileData> &into, ProfileData &&shard);
 
 } // namespace hbbp
 

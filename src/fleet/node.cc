@@ -1,15 +1,11 @@
 #include "fleet/node.hh"
 
-#include <filesystem>
 #include <utility>
 
 #include "fleet/metrics.hh"
-#include "support/bytes.hh"
 #include "support/events.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
-
-namespace fs = std::filesystem;
 
 namespace hbbp {
 
@@ -32,14 +28,10 @@ IngestNode::IngestNode(IngestOptions options)
 size_t
 IngestNode::restore()
 {
-    if (journal_) {
-        // A state that cannot be used is a cold start that re-imports
-        // the shards: warn, never die.
-        std::string why;
-        if (!journal_->restore(agg_, &why) &&
-            fs::exists(options_.state_file))
-            warn("ignoring aggregator state: %s", why.c_str());
-    }
+    // A state that cannot be used is a cold start that re-imports the
+    // shards: the journal warns, never dies.
+    if (journal_)
+        journal_->restore(agg_);
     // A crashed predecessor's pins guarded arrivals that are either in
     // the restored state (durable) or were never acknowledged (their
     // senders retry, pinning again): safe to release either way, and
@@ -72,29 +64,10 @@ IngestNode::accept(const ShardManifest &m, const ProfileData *profile,
         store_->depositBytesByChecksum(m.checksum, chunks[0]);
     else if (store_ && profile)
         store_->insertByChecksum(m.checksum, *profile);
-    if (journal_ && !chunks.empty())
+    if (journal_)
         journal_->record(agg_, m, chunks);
-    else if (journal_)
-        journal_->compact(agg_);
     if (pin_)
         pin_->unpin(m.checksum);
-}
-
-void
-IngestNode::acceptFile(const ShardManifest &m, const std::string &path)
-{
-    std::vector<std::string> chunks;
-    if (store_ || journal_) {
-        std::string why;
-        std::string bytes = readFileBytes(path, &why);
-        if (why.empty())
-            chunks.push_back(std::move(bytes));
-        else
-            warn("cannot read shard '%s' (%s); not depositing or "
-                 "journaling it%s", path.c_str(), why.c_str(),
-                 journal_ ? ", writing a full checkpoint instead" : "");
-    }
-    accept(m, nullptr, chunks);
 }
 
 void

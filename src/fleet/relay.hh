@@ -18,7 +18,7 @@
  * more on exit. An unreachable upstream is buffered, never fatal: the
  * relay keeps folding, retries on the next flush trigger, and only the
  * final flush's failure is reported as an error — with `--state`
- * (checkpoint + journal) the folded shards survive even that, and a
+ * (the arrival log) the folded shards survive even that, and a
  * restarted relay resumes and re-pushes. Out-of-order leaf shards
  * stranded behind a sequence gap cannot ride inside an aggregate
  * (coverage is a gap-free prefix), so they are forwarded upstream
@@ -66,7 +66,7 @@ struct RelayOptions
     size_t expect = 0;
     /** Downstream idle timeout (matches ListenOptions semantics). */
     int idle_timeout_ms = 10'000;
-    /** Checkpoint+journal base path; empty disables persistence. */
+    /** The state log (StateJournal); empty disables persistence. */
     std::string state_file;
     /** Upstream connection attempts per flush (bounded retry). */
     int upstream_retries = 5;

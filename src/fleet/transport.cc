@@ -111,7 +111,7 @@ tryMergeChunks(std::vector<ProfileData> chunks, std::string *why)
             return std::nullopt;
     ProfileData merged = std::move(chunks[0]);
     for (size_t i = 1; i < chunks.size(); i++)
-        mergeInto(merged, chunks[i]);
+        mergeInto(merged, std::move(chunks[i]));
     return merged;
 }
 
@@ -731,7 +731,7 @@ ShardListener::serve(IncrementalAggregator &agg,
         last_progress = steadyNowMs();
         telemetry::beat(telemetry::Stage::Accept);
         // Callback before the ack: a sender that saw success may rely
-        // on the checkpoint/deposit having happened.
+        // on the state log append and the deposit having happened.
         if (options.on_accept)
             options.on_accept(*m, *accept_ref, accept_bytes);
         return sendAck(conn.fd, AckCode::ShardAccepted);

@@ -145,8 +145,8 @@ class SocketTransport : public ShardTransport
 struct ListenOptions
 {
     /**
-     * Stop once this many leaf shards are covered, counting any
-     * restoreState() carry-in (equal to the accepted count when every
+     * Stop once this many leaf shards are covered, counting what a
+     * state-log replay carried in (equal to the accepted count when every
      * arrival is a leaf shard; an aggregate arrival covers all of its
      * hosts' leaves at once); 0 means serve until the idle timeout.
      */
@@ -161,7 +161,7 @@ struct ListenOptions
     /**
      * Called after each accepted shard — after the aggregator folded
      * it but *before* the ack goes out, so a sender's success implies
-     * the callback (state checkpoint, store deposit) completed. The
+     * the callback (state log append, store deposit) completed. The
      * third argument is the shard in transportable form — the
      * assembled serialized shard for a leaf, the per-host partial
      * chunks (aligned with manifest.covered) for an aggregate — so a

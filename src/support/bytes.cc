@@ -25,6 +25,17 @@ ByteReader::raw(void *data, size_t size)
     pos_ += size;
 }
 
+std::string_view
+ByteReader::view(size_t size)
+{
+    if (size > buf_.size() - pos_)
+        throw ByteParseError(format("short read from '%s' (corrupt "
+                                    "%s?)", context_.c_str(), what_));
+    std::string_view v(buf_.data() + pos_, size);
+    pos_ += size;
+    return v;
+}
+
 uint64_t
 ByteReader::varintSlow()
 {

@@ -120,6 +120,9 @@ class ByteReader
 
     void raw(void *data, size_t size);
 
+    /** raw() without the copy: the next @p size bytes, as a view. */
+    std::string_view view(size_t size);
+
     uint8_t u8() { uint8_t v; raw(&v, sizeof(v)); return v; }
     uint32_t u32() { uint32_t v; raw(&v, sizeof(v)); return v; }
     uint64_t u64() { uint64_t v; raw(&v, sizeof(v)); return v; }

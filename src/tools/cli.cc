@@ -550,8 +550,9 @@ cmdAggregate(const AggregateOptions &opts)
         WatchOptions wo;
         wo.expect = d.expect;
         wo.timeout_ms = idleTimeoutMs(d);
-        wo.on_accept = [&](const ShardManifest &m) {
-            node.acceptFile(m, opts.watch_dir + "/" + m.profile_file);
+        wo.on_accept = [&](const ShardManifest &m,
+                           const std::string &bytes) {
+            node.accept(m, nullptr, {bytes});
         };
         watchAndAggregate(agg, opts.watch_dir, wo);
     }

@@ -17,8 +17,13 @@
 #   --flush-every 1 and is SIGKILLed after accepting (and flushing)
 #   hostA. The restarted relay1 resumes from its journaled state
 #   (restored=1), takes hostB, and its final flush supersedes the
-#   earlier partial one at the root — which ends byte-identical to the
-#   flat merge again.
+#   earlier partial one at the root. The root runs with --state too:
+#   it is SIGKILLed after that superseding flush and restarted
+#   (restored=2: both flushes replay), relay2 feeds the restarted root,
+#   and it ends byte-identical to the flat merge again. A third start
+#   on the same --state restores only the two live flushes (the
+#   restart dropped the superseded one from its log) and saves the
+#   same bytes.
 #
 #   Phase 3: the health plane over the same depth-2 tree. Relays run
 #   --flush-every 1 so their metrics endpoints ride the first flushed
@@ -184,12 +189,14 @@ if(differs)
     message(FATAL_ERROR "tree aggregate is not byte-identical to the flat merge")
 endif()
 
-# --- phase 2: SIGKILL relay1 mid-run, resume from --state -----------------
+# --- phase 2: SIGKILL relay1 and then the root, resume both from --state --
 # relay1 flushes per accept, so once `push hostA` returns, the root
-# holds a coverage-{hostA} aggregate and relay1's journal holds the
-# shard — SIGKILL loses nothing. The restarted relay1 reports
-# restored=1, takes hostB, and its final flush supersedes the partial
-# one upstream.
+# holds (and has logged) a coverage-{hostA} aggregate and relay1's
+# journal holds the shard — SIGKILL loses nothing. The restarted
+# relay1 reports restored=1, takes hostB, and its final flush
+# supersedes the partial one upstream. Once it has exited, that flush
+# is in the root's log, so SIGKILLing the root loses nothing either:
+# the restarted root replays both flushes, and relay2 then feeds it.
 set(phase2_script "
 dir='${WORK_DIR}'
 tool='${HBBP_TOOL}'
@@ -201,7 +208,8 @@ waitport() {
     done
 }
 \"$tool\" aggregate --listen 0 --port-file \"$dir/root2.port\" --expect 4 \\
-    --timeout-ms 120000 -o \"$dir/root2.profile\" > \"$dir/root2.log\" 2>&1 &
+    --state \"$dir/root2.state\" --timeout-ms 120000 \\
+    -o \"$dir/root2a.profile\" > \"$dir/root2a.log\" 2>&1 &
 rootpid=$!
 waitport \"$dir/root2.port\"
 rp=$(cat \"$dir/root2.port\")
@@ -209,13 +217,8 @@ rp=$(cat \"$dir/root2.port\")
     --relay-id relay1 --flush-every 1 --state \"$dir/relay1.state\" \\
     --expect 99 --timeout-ms 120000 > \"$dir/r1a.log\" 2>&1 &
 r1pid=$!
-\"$tool\" relay --listen 0 --port-file \"$dir/r2b.port\" --to 127.0.0.1:$rp \\
-    --relay-id relay2 --expect 2 --timeout-ms 120000 > \"$dir/r2b.log\" 2>&1 &
-r2pid=$!
 waitport \"$dir/r1a.port\"
-waitport \"$dir/r2b.port\"
 p1=$(cat \"$dir/r1a.port\")
-p2=$(cat \"$dir/r2b.port\")
 # hostA lands, is journaled, and is flushed upstream before the push
 # returns; then the relay dies the hard way.
 \"$tool\" push test40 --host hostA --to 127.0.0.1:$p1 --retries 20 \\
@@ -228,17 +231,34 @@ wait $r1pid 2>/dev/null
 r1bpid=$!
 waitport \"$dir/r1b.port\"
 p1b=$(cat \"$dir/r1b.port\")
-rc=0
 \"$tool\" push test40 --host hostB --to 127.0.0.1:$p1b --retries 20 \\
-    > \"$dir/push2B.log\" 2>&1 || rc=1
+    > \"$dir/push2B.log\" 2>&1 || exit 1
+wait $r1bpid || exit 1
+# relay1's superseding flush is acknowledged, so it is in the log.
+kill -9 $rootpid 2>/dev/null
+wait $rootpid 2>/dev/null
+\"$tool\" aggregate --listen 0 --port-file \"$dir/root2b.port\" --expect 4 \\
+    --state \"$dir/root2.state\" --timeout-ms 120000 \\
+    -o \"$dir/root2.profile\" > \"$dir/root2b.log\" 2>&1 &
+rootpid=$!
+waitport \"$dir/root2b.port\"
+rp=$(cat \"$dir/root2b.port\")
+\"$tool\" relay --listen 0 --port-file \"$dir/r2b.port\" --to 127.0.0.1:$rp \\
+    --relay-id relay2 --expect 2 --timeout-ms 120000 > \"$dir/r2b.log\" 2>&1 &
+r2pid=$!
+waitport \"$dir/r2b.port\"
+p2=$(cat \"$dir/r2b.port\")
+rc=0
 \"$tool\" push test40 --host hostC --to 127.0.0.1:$p2 --retries 20 \\
     > \"$dir/push2C.log\" 2>&1 || rc=1
 \"$tool\" push test40 --host hostD --to 127.0.0.1:$p2 --retries 20 \\
     > \"$dir/push2D.log\" 2>&1 || rc=1
-wait $r1bpid || rc=1
 wait $r2pid || rc=1
 wait $rootpid || rc=1
-exit $rc
+[ $rc -eq 0 ] || exit $rc
+# A third start on the same log: the fleet is already covered.
+\"$tool\" aggregate --listen 0 --expect 4 --state \"$dir/root2.state\" \\
+    --timeout-ms 120000 -o \"$dir/root2c.profile\" > \"$dir/root2c.log\" 2>&1
 ")
 execute_process(COMMAND sh -c "${phase2_script}" RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
@@ -250,18 +270,27 @@ file(READ "${WORK_DIR}/r1b.log" r1b_log)
 if(NOT r1b_log MATCHES "restored=1")
     message(FATAL_ERROR "restarted relay did not restore its journaled shard: ${r1b_log}")
 endif()
-file(READ "${WORK_DIR}/root2.log" root2_log)
-if(NOT root2_log MATCHES "covered=4")
-    message(FATAL_ERROR "resumed tree did not cover the fleet: ${root2_log}")
+file(READ "${WORK_DIR}/root2b.log" root2_log)
+# relay1's partial flush and the flush that superseded it.
+if(NOT root2_log MATCHES "restored=2 hosts=4 covered=4")
+    message(FATAL_ERROR "restarted root did not replay both flushes and cover the fleet: ${root2_log}")
+endif()
+# The log holds no superseded record: only relay1's last flush and
+# relay2's one replay on the third start.
+file(READ "${WORK_DIR}/root2c.log" root2c_log)
+if(NOT root2c_log MATCHES "restored=2 hosts=4 covered=4")
+    message(FATAL_ERROR "root log still holds a superseded record: ${root2c_log}")
 endif()
 
-# Killing and resuming a relay must not change a byte of the result.
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-    "${WORK_DIR}/root2.profile" "${WORK_DIR}/flat.profile"
-    RESULT_VARIABLE differs2)
-if(differs2)
-    message(FATAL_ERROR "resumed tree aggregate is not byte-identical to the flat merge")
-endif()
+# Killing and resuming a relay and the root must not change a byte.
+foreach(profile root2 root2c)
+    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+        "${WORK_DIR}/${profile}.profile" "${WORK_DIR}/flat.profile"
+        RESULT_VARIABLE differs2)
+    if(differs2)
+        message(FATAL_ERROR "${profile}: resumed tree aggregate is not byte-identical to the flat merge")
+    endif()
+endforeach()
 
 # --- phase 3: metrics federation + healthz over the depth-2 tree ----------
 # --flush-every 1 makes each relay's first accepted shard flush
@@ -448,4 +477,4 @@ if(differs3)
     message(FATAL_ERROR "health-plane tree aggregate is not byte-identical to the flat merge")
 endif()
 
-message(STATUS "relay smoke OK: 4 collectors -> 2 relays -> 1 root byte-identical to flat; SIGKILL + --state resume -> same bytes; federated root scrape + healthz live/degraded/recovered under SIGSTOP -> same bytes")
+message(STATUS "relay smoke OK: 4 collectors -> 2 relays -> 1 root byte-identical to flat; SIGKILL + --state resume of a relay and the root -> same bytes; federated root scrape + healthz live/degraded/recovered under SIGSTOP -> same bytes")

@@ -689,8 +689,10 @@ TEST(Watch, AcceptCallbackSeesEveryAcceptedManifest)
     std::vector<std::string> hosts;
     IncrementalAggregator agg;
     WatchOptions wo;
-    wo.on_accept = [&](const ShardManifest &m) {
+    wo.on_accept = [&](const ShardManifest &m, const std::string &bytes) {
         hosts.push_back(m.host);
+        EXPECT_EQ(bytes,
+                  testutil::readFile(dir + "/" + m.profile_file));
     };
     EXPECT_EQ(watchAndAggregate(agg, dir, wo), 2u);
     // Scan order is sorted, so acceptance order is deterministic.

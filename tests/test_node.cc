@@ -2,8 +2,8 @@
  * @file
  * Tests for the IngestNode accept path that `aggregate` (socket and
  * drop directory) and RelayNode share: what each kind of arrival
- * deposits into the store and journals into --state, the fallback
- * when a watched file vanishes, and the pin rule.
+ * deposits into the store and appends to the --state log, a watched
+ * file that vanishes after its import, and the pin rule.
  * Every case ends by restoring a fresh node from the same --state,
  * which must hold the same aggregate bytes.
  */
@@ -152,7 +152,7 @@ size_t
 journalBytes(const IngestOptions &io)
 {
     std::error_code ec;
-    uintmax_t n = fs::file_size(io.state_file + ".journal", ec);
+    uintmax_t n = fs::file_size(io.state_file, ec);
     return ec ? 0 : static_cast<size_t>(n);
 }
 
@@ -248,8 +248,8 @@ TEST(IngestNode, WatchDirArrivalDepositsAndJournalsTheFileBytes)
     IngestNode node(io);
     std::vector<ShardManifest> accepted;
     WatchOptions wo;
-    wo.on_accept = [&](const ShardManifest &m) {
-        node.acceptFile(m, drop + "/" + m.profile_file);
+    wo.on_accept = [&](const ShardManifest &m, const std::string &bytes) {
+        node.accept(m, nullptr, {bytes});
         accepted.push_back(m);
     };
     EXPECT_EQ(watchAndAggregate(node.aggregator(), drop, wo), 2u);
@@ -262,42 +262,38 @@ TEST(IngestNode, WatchDirArrivalDepositsAndJournalsTheFileBytes)
         EXPECT_EQ(storedBytes(io, m.checksum), file);
     }
     EXPECT_GT(journalBytes(io), 0u);
-    EXPECT_FALSE(fs::exists(io.state_file)); // No compaction yet.
     EXPECT_EQ(restoredBytes(io),
               node.aggregator().aggregate().serialize());
 }
 
-TEST(IngestNode, VanishedWatchFileFallsBackToAFullCheckpoint)
+TEST(IngestNode, VanishedWatchFileIsStillDepositedAndLogged)
 {
+    // The drop directory loses each file right after its import: the
+    // node needs no second read, it has the bytes the import verified.
     std::string dir = freshDir("vanished");
     std::string drop = dir + "/drop";
     fs::create_directories(drop);
+    exportShard(leafProfile(7), "hostA", "test40", 0, 0x1234, drop);
+    exportShard(leafProfile(8), "hostB", "test40", 0, 0x1234, drop);
+
     IngestOptions io = statefulOptions(dir);
     IngestNode node(io);
-    auto import = [&](uint64_t tag, const char *host) {
-        std::string why;
-        std::optional<ShardManifest> m = node.aggregator().importFile(
-            exportShard(leafProfile(tag), host, "test40", 0, 0x1234, drop),
-            &why);
-        EXPECT_TRUE(m.has_value()) << why;
-        return *m;
+    std::vector<ShardManifest> accepted;
+    WatchOptions wo;
+    wo.on_accept = [&](const ShardManifest &m, const std::string &bytes) {
+        ASSERT_TRUE(fs::remove(drop + "/" + m.profile_file));
+        node.accept(m, nullptr, {bytes});
+        accepted.push_back(m);
     };
+    EXPECT_EQ(watchAndAggregate(node.aggregator(), drop, wo), 2u);
 
-    ShardManifest a = import(7, "hostA");
-    node.acceptFile(a, drop + "/" + a.profile_file);
-    ASSERT_GT(journalBytes(io), 0u);
-    // The drop directory loses hostB's file between import and journal.
-    ShardManifest b = import(8, "hostB");
-    fs::remove(drop + "/" + b.profile_file);
-    node.acceptFile(b, drop + "/" + b.profile_file);
-
-    // A checkpoint holding both shards replaced the journal.
-    EXPECT_TRUE(fs::exists(io.state_file));
-    EXPECT_EQ(journalBytes(io), 0u);
+    ASSERT_EQ(accepted.size(), 2u);
     ProfileStore store(io.store_dir);
-    EXPECT_TRUE(store.containsChecksum(a.checksum));
-    EXPECT_FALSE(store.containsChecksum(b.checksum));
-    EXPECT_EQ(restoredBytes(io),
+    for (const ShardManifest &m : accepted)
+        EXPECT_TRUE(store.containsChecksum(m.checksum)) << m.host;
+    IngestNode fresh(io);
+    EXPECT_EQ(fresh.restore(), 2u);
+    EXPECT_EQ(fresh.aggregator().aggregate().serialize(),
               node.aggregator().aggregate().serialize());
 }
 

@@ -4,13 +4,15 @@
  * manifest (level + covered hosts), the per-host supersede fold that
  * keeps any fan-in tree byte-identical to flat aggregation, the
  * RelayNode itself (flush cadence, upstream buffering and retry,
- * crash/restart resume, orphan forwarding), and the incremental state
- * journal that replaces the O(aggregate) per-accept checkpoint.
+ * crash/restart resume, orphan forwarding), and the state log: the
+ * arrivals as received, compacted by the lineage of relay flushes.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <string>
 #include <thread>
@@ -597,16 +599,17 @@ TEST(AggregateFold, StateRoundTripCarriesRelayFields)
     AggregateShard shard = relayFold(
         {makeLeaf("hostA", 0, 1), makeLeaf("hostB", 0, 2)}, "relay1");
     IncrementalAggregator agg;
+    StateJournal journal(dir + "/agg.state");
     std::string why;
-    ASSERT_TRUE(agg.addAggregateShard(shard.manifest,
-                                      std::move(shard.partials),
+    std::vector<ProfileData> partials = shard.partials;
+    ASSERT_TRUE(agg.addAggregateShard(shard.manifest, std::move(partials),
                                       &why));
+    journal.record(agg, shard.manifest, shard.bytes);
     std::string before = agg.aggregate().serialize();
-    agg.saveState(dir + "/agg.state");
 
     IncrementalAggregator restored;
-    ASSERT_TRUE(restored.restoreState(dir + "/agg.state", &why))
-        << why;
+    StateJournal reopened(dir + "/agg.state");
+    ASSERT_TRUE(reopened.restore(restored, &why)) << why;
     EXPECT_EQ(restored.maxLevelSeen(), 1u);
     EXPECT_EQ(restored.stats().aggregates, 1u);
     EXPECT_EQ(restored.coveredShards(), 2u);
@@ -900,64 +903,97 @@ TEST(RelayNode, StatelessRelayDepositsWithoutPinning)
 // The incremental state journal.
 // ---------------------------------------------------------------------------
 
+/** A fresh aggregator restored from the log at @p state. */
+std::string
+restoredBytes(const std::string &state, size_t *replayed = nullptr)
+{
+    IncrementalAggregator agg;
+    StateJournal journal(state);
+    std::string why;
+    EXPECT_TRUE(journal.restore(agg, &why)) << why;
+    if (replayed)
+        *replayed = journal.replayedRecords();
+    return agg.restoredShards() ? agg.aggregate().serialize() : "";
+}
+
+/** Fold @p shard into @p root and log it, as a root node would. */
+void
+acceptFlush(IncrementalAggregator &root, StateJournal &journal,
+            const AggregateShard &shard)
+{
+    std::vector<ProfileData> partials = shard.partials;
+    std::string why;
+    ASSERT_TRUE(root.addAggregateShard(shard.manifest, std::move(partials),
+                                       &why))
+        << why;
+    journal.record(root, shard.manifest, shard.bytes);
+}
+
+size_t
+fileSize(const std::string &path)
+{
+    std::error_code ec;
+    uintmax_t n = fs::file_size(path, ec);
+    return ec ? 0 : static_cast<size_t>(n);
+}
+
 TEST(StateJournalTest, ReplayMatchesFullRewriteByteForByte)
 {
-    // The satellite's contract: an aggregator persisted via journal
-    // appends restores to the exact bytes one persisted via full
-    // rewrites does — and both match the never-crashed aggregate.
+    // A log rewritten as soon as a check finds enough superseded and
+    // a log never checked restore to the same bytes as the aggregator
+    // that never stopped, and both keep folding identically.
     std::string dir = freshDir("journal_identity");
     std::vector<LeafShard> leaves = {makeLeaf("hostA", 0, 1),
                                      makeLeaf("hostA", 1, 2),
                                      makeLeaf("hostB", 0, 3)};
     std::string flat = flatAggregateBytes(leaves);
-
-    std::string journal_state = dir + "/journaled.state";
-    std::string rewrite_state = dir + "/rewritten.state";
+    std::string rewritten = dir + "/rewritten.state";
+    std::string appended = dir + "/appended.state";
     {
-        IncrementalAggregator journaled, rewritten;
-        StateJournal journal(journal_state, /*compact_every=*/100);
+        // A relay flushes after each shard: {A:1}, {A:2}, {A:2, B:1}.
+        IncrementalAggregator live, twin, relay;
+        StateJournal eager(rewritten, /*compact_every=*/1);
+        StateJournal lazy(appended, /*compact_every=*/1000);
         std::string why;
-        for (const LeafShard &leaf : leaves) {
-            ASSERT_TRUE(journaled.addShard(leaf.manifest, leaf.profile,
-                                           &why))
-                << why;
-            journal.record(journaled, leaf.manifest, {leaf.bytes});
-            ASSERT_TRUE(rewritten.addShard(leaf.manifest, leaf.profile,
-                                           &why))
-                << why;
-            rewritten.saveState(rewrite_state);
+        for (size_t i = 0; i < leaves.size(); i++) {
+            ASSERT_TRUE(relay.addShard(leaves[i].manifest,
+                                       leaves[i].profile, &why));
+            AggregateShard flush = snapshotAggregate(
+                relay, "relay1", static_cast<uint32_t>(i));
+            acceptFlush(live, eager, flush);
+            acceptFlush(twin, lazy, flush);
         }
-        // No compaction happened: everything lives in the journal.
-        EXPECT_EQ(journal.pendingRecords(), 3u);
-        EXPECT_FALSE(fs::exists(journal_state));
+        EXPECT_EQ(live.aggregate().serialize(), flat);
+        // Only the eager log dropped the first two flushes.
+        EXPECT_EQ(eager.pendingRecords(), 0u);
+        EXPECT_EQ(lazy.pendingRecords(), 3u);
+        EXPECT_LT(fileSize(rewritten), fileSize(appended));
     } // Both "processes" die here.
 
-    IncrementalAggregator from_journal, from_rewrite;
-    StateJournal journal(journal_state, 100);
+    for (const std::string &state : {rewritten, appended}) {
+        SCOPED_TRACE(state);
+        IncrementalAggregator restored;
+        StateJournal journal(state);
+        std::string why;
+        ASSERT_TRUE(journal.restore(restored, &why)) << why;
+        EXPECT_EQ(restored.aggregate().serialize(), flat);
+        LeafShard next = makeLeaf("hostC", 0, 9);
+        ASSERT_TRUE(restored.addShard(next.manifest, next.profile, &why));
+        EXPECT_EQ(restored.aggregate().serialize(),
+                  flatAggregateBytes({leaves[0], leaves[1], leaves[2],
+                                      next}));
+    }
+    // The restore rewrote the lazy log into the eager one, byte for
+    // byte: the same dropped list and the same live record.
     std::string why;
-    ASSERT_TRUE(journal.restore(from_journal, &why)) << why;
-    EXPECT_EQ(journal.replayedRecords(), 3u);
-    ASSERT_TRUE(from_rewrite.restoreState(rewrite_state, &why)) << why;
-
-    EXPECT_EQ(from_journal.restoredShards(), 3u);
-    EXPECT_EQ(from_journal.aggregate().serialize(), flat);
-    EXPECT_EQ(from_journal.aggregate().serialize(),
-              from_rewrite.aggregate().serialize());
-    // And both keep accepting: the next shard folds identically.
-    LeafShard next = makeLeaf("hostC", 0, 9);
-    ASSERT_TRUE(from_journal.addShard(next.manifest, next.profile,
-                                      &why));
-    ASSERT_TRUE(from_rewrite.addShard(next.manifest, next.profile,
-                                      &why));
-    EXPECT_EQ(from_journal.aggregate().serialize(),
-              from_rewrite.aggregate().serialize());
+    EXPECT_EQ(readFileBytes(appended, &why), readFileBytes(rewritten, &why));
 }
 
 TEST(StateJournalTest, Version3RecordsFromAnOlderBuildReplay)
 {
-    // A journal written before profile v4 holds version-3 chunk bytes
-    // under version-3 manifest checksums. It replays to the same
-    // aggregate, and the next compaction checkpoints in version 4.
+    // An older collector build sends version-3 profile bytes under
+    // version-3 manifest checksums; the log keeps them as received,
+    // and they replay to the same aggregate.
     std::string dir = freshDir("journal_v3");
     std::vector<LeafShard> leaves = {makeLeaf("hostA", 0, 1),
                                      makeLeaf("hostB", 0, 2)};
@@ -965,7 +1001,7 @@ TEST(StateJournalTest, Version3RecordsFromAnOlderBuildReplay)
     std::string state = dir + "/agg.state";
     {
         IncrementalAggregator agg;
-        StateJournal journal(state, /*compact_every=*/100);
+        StateJournal journal(state, /*compact_every=*/1);
         std::string why;
         for (LeafShard leaf : leaves) {
             std::string v3 = testutil::encodeProfileV3(
@@ -986,44 +1022,163 @@ TEST(StateJournalTest, Version3RecordsFromAnOlderBuildReplay)
     LeafShard next = makeLeaf("hostC", 0, 3);
     ASSERT_TRUE(restored.addShard(next.manifest, next.profile, &why));
     journal.record(restored, next.manifest, {next.bytes});
-    EXPECT_EQ(journal.pendingRecords(), 0u); // Compacted.
-    IncrementalAggregator again;
-    StateJournal reopened(state, 1);
-    ASSERT_TRUE(reopened.restore(again, &why)) << why;
-    EXPECT_EQ(again.aggregate().serialize(),
-              restored.aggregate().serialize());
+    EXPECT_EQ(restoredBytes(state), restored.aggregate().serialize());
 }
 
 TEST(StateJournalTest, CompactsAtThresholdAndStaysRestorable)
 {
+    // A relay flushing hostA after each of its shards: every flush
+    // supersedes the one before it. At compact_every=2 the check after
+    // the second flush finds less superseded than live; the one after
+    // the fourth finds more and rewrites the log.
     std::string dir = freshDir("journal_compact");
-    std::vector<LeafShard> leaves = {makeLeaf("hostA", 0, 1),
-                                     makeLeaf("hostB", 0, 2),
-                                     makeLeaf("hostC", 0, 3)};
     std::string state = dir + "/agg.state";
     std::string expected;
     {
-        IncrementalAggregator agg;
+        IncrementalAggregator root, relay;
         StateJournal journal(state, /*compact_every=*/2);
         std::string why;
-        for (const LeafShard &leaf : leaves) {
-            ASSERT_TRUE(agg.addShard(leaf.manifest, leaf.profile,
-                                     &why));
-            journal.record(agg, leaf.manifest, {leaf.bytes});
+        size_t grown = 0;
+        for (uint32_t seq = 0; seq < 5; seq++) {
+            LeafShard leaf = makeLeaf("hostA", seq, 10 + seq);
+            ASSERT_TRUE(relay.addShard(leaf.manifest, leaf.profile, &why));
+            size_t before = fileSize(state);
+            acceptFlush(root, journal, snapshotAggregate(relay, "r1", seq));
+            if (seq == 3) {
+                // Rewritten: the dropped list and the live flush only.
+                EXPECT_EQ(journal.pendingRecords(), 0u);
+                EXPECT_LT(fileSize(state), before);
+                EXPECT_EQ(fileSize(state), journal.liveBytes());
+            } else {
+                EXPECT_EQ(journal.pendingRecords(), seq < 3 ? seq + 1 : 1);
+                grown += fileSize(state) - before;
+            }
         }
-        // Two records triggered a compaction (checkpoint + truncated
-        // journal); the third sits in the journal tail.
-        EXPECT_TRUE(fs::exists(state));
-        EXPECT_EQ(journal.pendingRecords(), 1u);
-        expected = agg.aggregate().serialize();
+        EXPECT_GT(grown, 0u);
+        expected = root.aggregate().serialize();
     }
 
-    IncrementalAggregator restored;
-    StateJournal journal(state, 2);
+    size_t replayed = 0;
+    EXPECT_EQ(restoredBytes(state, &replayed), expected);
+    EXPECT_EQ(replayed, 2u); // The fourth flush and the fifth.
+    // That restore dropped the fourth flush: one live record is left.
+    EXPECT_EQ(restoredBytes(state, &replayed), expected);
+    EXPECT_EQ(replayed, 1u);
+}
+
+TEST(StateJournalTest, LeafOnlyLogIsNeverRewritten)
+{
+    // Nothing supersedes a leaf but a relay flush: 100 leaves at
+    // compact_every=2 leave exactly the bytes a log that is never
+    // checked holds — the sum of its records.
+    std::string dir = freshDir("journal_leaves");
+    std::string checked = dir + "/checked.state";
+    std::string unchecked = dir + "/unchecked.state";
+    IncrementalAggregator a, b;
+    StateJournal every2(checked, /*compact_every=*/2);
+    StateJournal never(unchecked, /*compact_every=*/1'000'000);
     std::string why;
-    ASSERT_TRUE(journal.restore(restored, &why)) << why;
-    EXPECT_EQ(journal.replayedRecords(), 1u);
-    EXPECT_EQ(restored.restoredShards(), 3u);
+    for (uint32_t i = 0; i < 100; i++) {
+        LeafShard leaf = makeLeaf(i % 2 ? "hostA" : "hostB", i / 2, i);
+        ASSERT_TRUE(a.addShard(leaf.manifest, leaf.profile, &why));
+        ASSERT_TRUE(b.addShard(leaf.manifest, leaf.profile, &why));
+        every2.record(a, leaf.manifest, {leaf.bytes});
+        never.record(b, leaf.manifest, {leaf.bytes});
+    }
+    every2.compact(a); // Nothing to drop: a no-op.
+    EXPECT_EQ(every2.pendingRecords(), 100u);
+    EXPECT_EQ(readFileBytes(checked, &why),
+              readFileBytes(unchecked, &why));
+    EXPECT_EQ(fileSize(checked), every2.liveBytes());
+    size_t replayed = 0;
+    EXPECT_EQ(restoredBytes(checked, &replayed), a.aggregate().serialize());
+    EXPECT_EQ(replayed, 100u);
+}
+
+TEST(StateJournalTest, GrowingFlushesFromTwoRelaysStayCompact)
+{
+    // A root fed by two relays, each flushing its growing fold after
+    // every shard — 50 flushes — plus one of relay1's shards arriving
+    // early as a gap-stranded orphan. Checked after every record, the
+    // log never holds as many superseded bytes as live ones.
+    std::string dir = freshDir("journal_two_relays");
+    std::string state = dir + "/root.state";
+    const char *hosts[2][2] = {{"hostA", "hostB"}, {"hostC", "hostD"}};
+    auto leafFor = [](const char *host, uint32_t seq) {
+        return makeLeaf(host, seq, std::hash<std::string>()(host) % 997 +
+                                       100 * seq);
+    };
+    LeafShard orphan = leafFor("hostA", 6);
+    std::vector<LeafShard> leaves;
+    std::vector<AggregateShard> first_flushes, latest(2);
+    IncrementalAggregator root, relays[2];
+    StateJournal journal(state, /*compact_every=*/1);
+    std::string why;
+    for (uint32_t round = 0; round < 25; round++) {
+        if (round == 9) {
+            // hostA seq 6 overtakes seq 5 and reaches the root first.
+            ASSERT_TRUE(root.addShard(orphan.manifest, orphan.profile,
+                                      &why))
+                << why;
+            journal.record(root, orphan.manifest, {orphan.bytes});
+        }
+        for (int r = 0; r < 2; r++) {
+            LeafShard leaf = leafFor(hosts[r][round % 2], round / 2);
+            leaves.push_back(leaf);
+            ASSERT_TRUE(relays[r].addShard(leaf.manifest, leaf.profile,
+                                           &why));
+            AggregateShard flush = snapshotAggregate(
+                relays[r], r ? "relay2" : "relay1", round);
+            if (round == 0)
+                first_flushes.push_back(flush);
+            std::vector<ProfileData> partials = flush.partials;
+            if (!root.addAggregateShard(flush.manifest,
+                                        std::move(partials), &why)) {
+                // The orphan already took this flush's one new shard:
+                // confirmed upstream, never logged.
+                EXPECT_TRUE(root.hasChecksum(flush.manifest.checksum));
+                continue;
+            }
+            journal.record(root, flush.manifest, flush.bytes);
+            latest[r] = std::move(flush);
+        }
+        // Each relay's latest flush supersedes all of its earlier
+        // ones; beside them live only the orphan while no flush covers
+        // it, the framing and the dropped list.
+        size_t live_payload = 0;
+        for (const AggregateShard &flush : latest) {
+            live_payload += flush.manifest.render().size();
+            for (const std::string &chunk : flush.bytes)
+                live_payload += chunk.size();
+        }
+        EXPECT_GE(journal.liveBytes(), live_payload);
+        EXPECT_LT(journal.liveBytes(), live_payload + 2048);
+        EXPECT_LT(fileSize(state), 2 * journal.liveBytes())
+            << "round " << round;
+    }
+    std::string expected = root.aggregate().serialize();
+    EXPECT_EQ(expected, flatAggregateBytes(leaves));
+
+    EXPECT_EQ(restoredBytes(state), expected);
+    // The restore dropped whatever the last check had left: the second
+    // restore replays exactly the two live flushes.
+    IncrementalAggregator restored;
+    StateJournal reopened(state);
+    ASSERT_TRUE(reopened.restore(restored, &why)) << why;
+    EXPECT_EQ(reopened.replayedRecords(), 2u);
+    EXPECT_EQ(restored.aggregate().serialize(), expected);
+
+    // Re-deliveries of what the log dropped confirm as duplicates: a
+    // superseded flush and the retired orphan.
+    for (const AggregateShard &flush : first_flushes) {
+        std::vector<ProfileData> partials = flush.partials;
+        EXPECT_FALSE(restored.addAggregateShard(flush.manifest,
+                                                std::move(partials), &why));
+        EXPECT_TRUE(restored.hasChecksum(flush.manifest.checksum)) << why;
+    }
+    EXPECT_FALSE(restored.addShard(orphan.manifest, orphan.profile, &why));
+    EXPECT_NE(why.find("duplicate shard"), std::string::npos) << why;
+    EXPECT_TRUE(restored.hasChecksum(orphan.manifest.checksum));
     EXPECT_EQ(restored.aggregate().serialize(), expected);
 }
 
@@ -1044,13 +1199,12 @@ TEST(StateJournalTest, TornTailRecordIsDroppedNotTrusted)
         }
     }
     // Simulate a crash mid-append: half a record's worth of garbage.
-    std::string journal_path = state + ".journal";
     std::string why;
-    std::string bytes = readFileBytes(journal_path, &why);
+    std::string bytes = readFileBytes(state, &why);
     ASSERT_TRUE(why.empty()) << why;
     size_t intact = bytes.size();
     bytes += bytes.substr(0, 40); // A torn copy of a record header.
-    writeFileAtomically(journal_path, bytes);
+    writeFileAtomically(state, bytes);
 
     IncrementalAggregator restored;
     StateJournal journal(state, 100);
@@ -1059,7 +1213,7 @@ TEST(StateJournalTest, TornTailRecordIsDroppedNotTrusted)
     EXPECT_EQ(restored.restoredShards(), 2u);
     // Dropping the tail also rewrote the file: new appends must land
     // where the next restore can reach them, not behind the damage.
-    std::string healed = readFileBytes(journal_path, &why);
+    std::string healed = readFileBytes(state, &why);
     ASSERT_TRUE(why.empty()) << why;
     EXPECT_EQ(healed.size(), intact);
     LeafShard next = makeLeaf("hostC", 0, 5);
@@ -1076,7 +1230,7 @@ TEST(StateJournalTest, TornTailRecordIsDroppedNotTrusted)
     // the first record and drops the damaged tail.
     bytes = bytes.substr(0, intact);
     bytes[intact - 3] ^= 0x5a;
-    writeFileAtomically(journal_path, bytes);
+    writeFileAtomically(state, bytes);
     IncrementalAggregator partial;
     StateJournal journal2(state, 100);
     EXPECT_TRUE(journal2.restore(partial, &why));
@@ -1084,38 +1238,38 @@ TEST(StateJournalTest, TornTailRecordIsDroppedNotTrusted)
     EXPECT_EQ(partial.restoredShards(), 1u);
 }
 
-TEST(StateJournalTest, CrashBetweenCheckpointAndTruncateIsIdempotent)
+TEST(StateJournalTest, StateFromAnOlderBuildIsAColdStart)
 {
-    // compact() writes the checkpoint, then truncates the journal. A
-    // crash between the two restores checkpoint + stale journal; the
-    // checksum dedup turns every replayed record into a no-op.
-    std::string dir = freshDir("journal_overlap");
-    std::vector<LeafShard> leaves = {makeLeaf("hostA", 0, 1),
-                                     makeLeaf("hostB", 0, 2)};
+    // An older build kept a whole-aggregate checkpoint at <state> and
+    // a journal tail beside it. Either half alone would restore short;
+    // neither is read, both go, and the log starts over at <state>.
+    std::string dir = freshDir("journal_older_build");
     std::string state = dir + "/agg.state";
-    std::string expected;
-    {
-        IncrementalAggregator agg;
-        StateJournal journal(state, 100);
-        std::string why;
-        for (const LeafShard &leaf : leaves) {
-            ASSERT_TRUE(agg.addShard(leaf.manifest, leaf.profile,
-                                     &why));
-            journal.record(agg, leaf.manifest, {leaf.bytes});
-        }
-        // The "crash window": checkpoint written, journal not yet
-        // truncated.
-        agg.saveState(state);
-        expected = agg.aggregate().serialize();
-    }
+    LeafShard leaf = makeLeaf("hostA", 0, 1);
+    for (bool with_checkpoint : {true, false}) {
+        SCOPED_TRACE(with_checkpoint);
+        uint64_t old_magic = 0x48424250'41474753ULL; // "HBBPAGGS"
+        std::string checkpoint(64, '\0');
+        std::memcpy(checkpoint.data(), &old_magic, sizeof(old_magic));
+        fs::remove(state);
+        if (with_checkpoint)
+            writeFileAtomically(state, checkpoint);
+        writeFileAtomically(state + ".journal", leaf.bytes);
 
-    IncrementalAggregator restored;
-    StateJournal journal(state, 100);
-    std::string why;
-    ASSERT_TRUE(journal.restore(restored, &why)) << why;
-    EXPECT_EQ(restored.restoredShards(), 2u);
-    EXPECT_EQ(restored.stats().duplicates, 2u); // The replays.
-    EXPECT_EQ(restored.aggregate().serialize(), expected);
+        IncrementalAggregator agg;
+        StateJournal journal(state);
+        std::string why;
+        EXPECT_FALSE(journal.restore(agg, &why));
+        EXPECT_NE(why.find("older build"), std::string::npos) << why;
+        EXPECT_EQ(agg.restoredShards(), 0u);
+        EXPECT_FALSE(fs::exists(state + ".journal"));
+        EXPECT_EQ(fileSize(state), 0u);
+
+        // The next arrival is the log's first record, and restores.
+        ASSERT_TRUE(agg.addShard(leaf.manifest, leaf.profile, &why));
+        journal.record(agg, leaf.manifest, {leaf.bytes});
+        EXPECT_EQ(restoredBytes(state), agg.aggregate().serialize());
+    }
 }
 
 TEST(StateJournalTest, JournalsAggregateArrivalsWithTheirSplit)
@@ -1132,11 +1286,7 @@ TEST(StateJournalTest, JournalsAggregateArrivalsWithTheirSplit)
     {
         IncrementalAggregator root;
         StateJournal journal(state, 100);
-        std::string why;
-        std::vector<ProfileData> partials = shard.partials;
-        ASSERT_TRUE(root.addAggregateShard(shard.manifest,
-                                           std::move(partials), &why));
-        journal.record(root, shard.manifest, shard.bytes);
+        acceptFlush(root, journal, shard);
     }
 
     IncrementalAggregator restored;
@@ -1147,41 +1297,6 @@ TEST(StateJournalTest, JournalsAggregateArrivalsWithTheirSplit)
     EXPECT_EQ(restored.coveredShards(), 2u);
     EXPECT_EQ(restored.stats().aggregates, 1u);
     EXPECT_EQ(restored.aggregate().serialize(), flat);
-}
-
-TEST(StateJournalTest, DamagedCheckpointRestoresJournalTailOnly)
-{
-    // A corrupt checkpoint under an intact journal is a *partial*
-    // resume: only post-compaction records come back (with a loud
-    // warning in the logs) — never garbage, never a crash.
-    std::string dir = freshDir("journal_bad_checkpoint");
-    std::string state = dir + "/agg.state";
-    {
-        IncrementalAggregator agg;
-        StateJournal journal(state, /*compact_every=*/2);
-        std::string why;
-        std::vector<LeafShard> leaves = {makeLeaf("hostA", 0, 1),
-                                         makeLeaf("hostB", 0, 2),
-                                         makeLeaf("hostC", 0, 3)};
-        for (const LeafShard &leaf : leaves) {
-            ASSERT_TRUE(agg.addShard(leaf.manifest, leaf.profile,
-                                     &why));
-            journal.record(agg, leaf.manifest, {leaf.bytes});
-        }
-    }
-    // Flip a byte inside the compacted checkpoint's payload.
-    std::string why;
-    std::string bytes = readFileBytes(state, &why);
-    ASSERT_TRUE(why.empty()) << why;
-    bytes[bytes.size() / 2] ^= 0x5a;
-    writeFileAtomically(state, bytes);
-
-    IncrementalAggregator restored;
-    StateJournal journal(state, 2);
-    EXPECT_TRUE(journal.restore(restored, &why));
-    EXPECT_EQ(journal.replayedRecords(), 1u);
-    EXPECT_EQ(restored.restoredShards(), 1u); // hostC's record only.
-    EXPECT_EQ(restored.hostCount(), 1u);
 }
 
 TEST(StateJournalTest, ColdStartIsCleanWhenNothingExists)

@@ -3,8 +3,8 @@
  * Tests for the shard transport layer: the pluggable ShardTransport
  * interface (drop-directory and socket push), partial-chunk streaming
  * with out-of-order and duplicate frame delivery, sender retry/resume
- * and exhaustion, and aggregator state persistence (save/restore with
- * the resume-vs-fresh byte-identity guarantee).
+ * and exhaustion, and aggregator state persistence (the StateJournal
+ * arrival log, with the resume-vs-fresh byte-identity guarantee).
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "fleet/aggregate.hh"
+#include "fleet/journal.hh"
 #include "fleet/manifest.hh"
 #include "fleet/merge.hh"
 #include "fleet/transport.hh"
@@ -927,8 +928,30 @@ TEST(ShardListenerTest, ExpectCountsShardsAlreadyAggregated)
 }
 
 // ---------------------------------------------------------------------------
-// Aggregator state persistence.
+// Aggregator state persistence: the StateJournal arrival log.
 // ---------------------------------------------------------------------------
+
+/** Fold the single-chunk shard @p s in and log it, as a node would. */
+void
+acceptLogged(IncrementalAggregator &agg, StateJournal &journal,
+             const PreparedShard &s)
+{
+    ASSERT_TRUE(agg.addShard(s.manifest, s.merged));
+    // Every arrival names its profile file (a socket frame synthesizes
+    // one), which the manifest format requires.
+    ShardManifest m = s.manifest;
+    m.profile_file = m.host + ".hbbp";
+    journal.record(agg, m, s.bytes);
+}
+
+/** A fresh aggregator restored from the log at @p state. */
+void
+restoreFrom(const std::string &state, IncrementalAggregator &agg)
+{
+    StateJournal journal(state);
+    std::string why;
+    ASSERT_TRUE(journal.restore(agg, &why)) << why;
+}
 
 TEST(AggregatorState, ResumeIsByteIdenticalToAFreshRun)
 {
@@ -941,16 +964,17 @@ TEST(AggregatorState, ResumeIsByteIdenticalToAFreshRun)
     PreparedShard sb = prepareShard({b}, "hostB");
     PreparedShard sc = prepareShard({c}, "hostC");
 
-    // The interrupted run: two shards land, state is checkpointed.
-    IncrementalAggregator before;
-    ASSERT_TRUE(before.addShard(sa.manifest, a));
-    ASSERT_TRUE(before.addShard(sb.manifest, b));
-    before.saveState(state);
+    // The interrupted run: two shards land in the log.
+    {
+        IncrementalAggregator before;
+        StateJournal journal(state);
+        acceptLogged(before, journal, sa);
+        acceptLogged(before, journal, sb);
+    }
 
     // The restarted run folds the rest.
     IncrementalAggregator resumed;
-    std::string why;
-    ASSERT_TRUE(resumed.restoreState(state, &why)) << why;
+    restoreFrom(state, resumed);
     EXPECT_EQ(resumed.restoredShards(), 2u);
     EXPECT_EQ(resumed.hostCount(), 2u);
     ASSERT_TRUE(resumed.addShard(sc.manifest, c));
@@ -978,13 +1002,16 @@ TEST(AggregatorState, PendingOutOfOrderShardsSurviveRestarts)
     PreparedShard m2 = prepareShard({s2}, "hostA", 2);
 
     // Seq 0 and 2 arrive (2 parks in the pending map), then a restart.
-    IncrementalAggregator before;
-    ASSERT_TRUE(before.addShard(m0.manifest, s0));
-    ASSERT_TRUE(before.addShard(m2.manifest, s2));
-    before.saveState(state);
+    {
+        IncrementalAggregator before;
+        StateJournal journal(state);
+        acceptLogged(before, journal, m0);
+        acceptLogged(before, journal, m2);
+    }
 
     IncrementalAggregator resumed;
-    ASSERT_TRUE(resumed.restoreState(state));
+    restoreFrom(state, resumed);
+    EXPECT_EQ(resumed.hostProgress()[0].pending, 1u);
     ASSERT_TRUE(resumed.addShard(m1.manifest, s1));
     EXPECT_EQ(resumed.aggregate(), mergeProfiles({s0, s1, s2}));
 }
@@ -994,19 +1021,21 @@ TEST(AggregatorState, RestoredDuplicateDetectionStillRejects)
     std::string dir = freshDir("state_dedup");
     std::string state = dir + "/agg.state";
 
-    ProfileData a = chunkProfile(20);
-    PreparedShard sa = prepareShard({a}, "hostA");
-    IncrementalAggregator before;
-    ASSERT_TRUE(before.addShard(sa.manifest, a));
-    before.saveState(state);
+    PreparedShard sa = prepareShard({chunkProfile(20)}, "hostA");
+    {
+        IncrementalAggregator before;
+        StateJournal journal(state);
+        acceptLogged(before, journal, sa);
+    }
 
     IncrementalAggregator resumed;
-    ASSERT_TRUE(resumed.restoreState(state));
+    restoreFrom(state, resumed);
     std::string why;
     PreparedShard dup = sa;
     dup.manifest.host = "hostZ";
-    EXPECT_FALSE(resumed.addShard(dup.manifest, a, &why));
+    EXPECT_FALSE(resumed.addShard(dup.manifest, sa.merged, &why));
     EXPECT_NE(why.find("duplicate shard"), std::string::npos) << why;
+    // Rejections count per process: the replay itself rejected none.
     EXPECT_EQ(resumed.stats().duplicates, 1u);
 }
 
@@ -1015,14 +1044,15 @@ TEST(AggregatorState, RestoredCompatibilityGateStillRejects)
     std::string dir = freshDir("state_compat");
     std::string state = dir + "/agg.state";
 
-    ProfileData a = chunkProfile(30);
-    PreparedShard sa = prepareShard({a}, "hostA");
-    IncrementalAggregator before;
-    ASSERT_TRUE(before.addShard(sa.manifest, a));
-    before.saveState(state);
+    PreparedShard sa = prepareShard({chunkProfile(30)}, "hostA");
+    {
+        IncrementalAggregator before;
+        StateJournal journal(state);
+        acceptLogged(before, journal, sa);
+    }
 
     IncrementalAggregator resumed;
-    ASSERT_TRUE(resumed.restoreState(state));
+    restoreFrom(state, resumed);
     ProfileData bad = chunkProfile(31);
     bad.sim_periods.ebs = 997;
     PreparedShard sb = prepareShard({bad}, "hostB");
@@ -1041,14 +1071,16 @@ TEST(AggregatorState, MissingFileIsAColdStart)
 {
     IncrementalAggregator agg;
     std::string why;
-    EXPECT_FALSE(agg.restoreState("/nonexistent/agg.state", &why));
+    StateJournal missing("/nonexistent/agg.state");
+    EXPECT_FALSE(missing.restore(agg, &why));
     EXPECT_NE(why.find("cannot open"), std::string::npos) << why;
     EXPECT_EQ(agg.restoredShards(), 0u);
 
     // A directory where the state file should be is no state either
     // (it opens, and then claims a size no read can satisfy).
     std::string dir = freshDir("state_is_a_dir");
-    EXPECT_FALSE(agg.restoreState(dir, &why));
+    StateJournal directory(dir);
+    EXPECT_FALSE(directory.restore(agg, &why));
     EXPECT_NE(why.find("not a regular file"), std::string::npos) << why;
     EXPECT_EQ(agg.restoredShards(), 0u);
 }
@@ -1059,52 +1091,70 @@ TEST(AggregatorState, CorruptOrForeignFilesAreRefused)
     std::string state = dir + "/agg.state";
     ProfileData a = chunkProfile(40);
     PreparedShard sa = prepareShard({a}, "hostA");
-    IncrementalAggregator before;
-    ASSERT_TRUE(before.addShard(sa.manifest, a));
-    before.saveState(state);
+    std::string intact;
+    {
+        IncrementalAggregator before;
+        StateJournal journal(state);
+        acceptLogged(before, journal, sa);
+        intact = testutil::readFile(state);
+    }
+    // Every refusal is a cold start that cuts the file back to its
+    // intact prefix (here: nothing), never a crash.
+    auto refused = [&](const std::string &bytes, const char *needle) {
+        testutil::writeFile(state, bytes);
+        IncrementalAggregator agg;
+        StateJournal journal(state);
+        std::string why;
+        EXPECT_FALSE(journal.restore(agg, &why));
+        EXPECT_NE(why.find(needle), std::string::npos) << why;
+        EXPECT_EQ(agg.restoredShards(), 0u);
+        EXPECT_EQ(testutil::readFile(state), "");
+    };
 
-    // Flip a payload byte: the header checksum must catch it.
-    std::string bytes = testutil::readFile(state);
+    // Flip a manifest byte: the record checksum must catch it. A byte
+    // of the logged profile's payload: that profile's own checksum.
+    std::string bytes = intact;
+    bytes[40] ^= 0x40;
+    refused(bytes, "checksum failure");
+    bytes = intact;
     bytes[bytes.size() - 3] ^= 0x40;
-    testutil::writeFile(state, bytes);
-    IncrementalAggregator corrupt;
-    std::string why;
-    EXPECT_FALSE(corrupt.restoreState(state, &why));
-    EXPECT_NE(why.find("checksum mismatch"), std::string::npos) << why;
-
-    // Truncation mid-payload.
-    testutil::writeFile(state,
-                        testutil::readFile(state).substr(0, 40));
-    IncrementalAggregator truncated;
-    EXPECT_FALSE(truncated.restoreState(state, &why));
-    EXPECT_NE(why.find("truncated"), std::string::npos) << why;
-
-    // A profile is not an aggregator state file.
-    a.save(state);
-    IncrementalAggregator foreign;
-    EXPECT_FALSE(foreign.restoreState(state, &why));
-    EXPECT_NE(why.find("not an aggregator state file"),
-              std::string::npos)
-        << why;
+    refused(bytes, "payload checksum mismatch");
+    // Truncation mid-record.
+    refused(intact.substr(0, 40), "torn record");
+    // A profile is not a state log.
+    refused(sa.bytes[0], "bad record magic");
+    // A whole-aggregate checkpoint from an older build is not read.
+    bytes = intact;
+    uint64_t old_magic = 0x48424250'41474753ULL; // "HBBPAGGS"
+    std::memcpy(bytes.data(), &old_magic, sizeof(old_magic));
+    refused(bytes, "older build");
 
     // Structural garbage behind a self-consistent checksum (a crafted
-    // file): still a cold start, never a crash.
-    before.saveState(state);
-    bytes = testutil::readFile(state);
-    for (size_t i = 28; i < bytes.size(); i++)
-        bytes[i] = static_cast<char>(0xFF);
-    uint64_t checksum = fnv1a(bytes.substr(28));
-    std::memcpy(bytes.data() + 20, &checksum, sizeof(checksum));
-    testutil::writeFile(state, bytes);
-    IncrementalAggregator crafted;
-    EXPECT_FALSE(crafted.restoreState(state, &why));
-    EXPECT_EQ(crafted.restoredShards(), 0u);
+    // file): still a cold start, never a crash. The record checksum
+    // covers the manifest, the chunk count and each chunk's length and
+    // 28-byte profile header.
+    std::string garbage(40, '\xff');
+    ByteWriter body, covered;
+    body.str(garbage);
+    covered.str(garbage);
+    body.u32(1);
+    covered.u32(1);
+    body.u64(sa.bytes[0].size());
+    body.raw(sa.bytes[0].data(), sa.bytes[0].size());
+    covered.u64(sa.bytes[0].size());
+    covered.raw(sa.bytes[0].data(), 28);
+    ByteWriter frame;
+    frame.raw(intact.data(), 8); // The arrival record magic.
+    frame.u64(0);
+    frame.u64(body.bytes().size());
+    frame.u64(fnv1a(covered.bytes()));
+    refused(frame.bytes() + body.bytes(), "does not replay");
 }
 
 TEST(AggregatorState, StatePersistsThroughTheListener)
 {
-    // The end-to-end restart story in-process: serve, checkpoint per
-    // accept, "crash", restore, serve the rest, byte-identical result.
+    // The end-to-end restart story in-process: serve, log per accept,
+    // "crash", restore, serve the rest, byte-identical result.
     std::string dir = freshDir("state_listener");
     std::string state = dir + "/agg.state";
     PreparedShard sa = prepareShard(makeChunks(50, 2), "hostA");
@@ -1112,11 +1162,12 @@ TEST(AggregatorState, StatePersistsThroughTheListener)
 
     {
         ListenerHarness h;
+        StateJournal journal(state);
         ListenOptions lo;
         lo.expect = 1;
-        lo.on_accept = [&](const ShardManifest &, const ProfileData &,
-                           const std::vector<std::string> &) {
-            h.agg.saveState(state);
+        lo.on_accept = [&](const ShardManifest &m, const ProfileData &,
+                           const std::vector<std::string> &chunks) {
+            journal.record(h.agg, m, chunks);
         };
         h.start(lo);
         SocketTransport t(fastOptions(h.listener.port()));
@@ -1125,7 +1176,7 @@ TEST(AggregatorState, StatePersistsThroughTheListener)
     } // The first aggregator process "dies" here.
 
     ListenerHarness h2;
-    ASSERT_TRUE(h2.agg.restoreState(state));
+    restoreFrom(state, h2.agg);
     EXPECT_EQ(h2.agg.restoredShards(), 1u);
     ListenOptions lo2;
     lo2.expect = 2; // Counts the restored shard.
