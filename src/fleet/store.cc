@@ -552,7 +552,9 @@ StorePin::persist() const
         format("hbbp-pins v1 owner=%s\n", owner_.c_str());
     for (uint64_t c : pins_)
         bytes += format("%016llx\n", static_cast<unsigned long long>(c));
-    writeFileAtomically(path_, bytes);
+    // An ingest node pins and unpins once per shard: swap the file
+    // rather than rename a fresh one over it (see writeFileBySwap).
+    writeFileBySwap(path_, sparePath(), bytes);
 }
 
 void
@@ -600,6 +602,7 @@ StorePin::release()
     noteLockWait(guard);
     std::error_code ec;
     fs::remove(path_, ec);
+    fs::remove(sparePath(), ec);
 }
 
 } // namespace hbbp

@@ -227,7 +227,10 @@ class ProfileStore
  * restarted owner constructing a StorePin with the same owner string
  * inherits its previous pins (restored()). Destruction does NOT
  * release — persistence across crashes is the point; call release()
- * on clean completion.
+ * on clean completion. Each pin or unpin rewrites the file through a
+ * spare, `<owner>.pins.spare`, swapped in with writeFileBySwap(), so
+ * the per-shard pin traffic of an ingest node creates no files; gc
+ * and stats() read only the `.pins` name.
  */
 class StorePin
 {
@@ -255,6 +258,7 @@ class StorePin
 
   private:
     void persist() const;
+    std::string sparePath() const { return path_ + ".spare"; }
 
     const ProfileStore &store_;
     std::string owner_;

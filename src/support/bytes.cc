@@ -146,6 +146,40 @@ writeFileAtomically(const std::string &path, const std::string &bytes)
               path.c_str());
 }
 
+void
+writeFileBySwap(const std::string &path, const std::string &spare,
+                const std::string &bytes)
+{
+    int fd = ::open(spare.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0666);
+    if (fd < 0)
+        fatal("cannot open '%s' for writing", spare.c_str());
+    // Overwrite, then cut the tail: no O_TRUNC, because ext4 flushes a
+    // file truncated to zero when it is closed (auto_da_alloc).
+    size_t done = 0;
+    while (done < bytes.size()) {
+        ssize_t n = ::pwrite(fd, bytes.data() + done, bytes.size() - done,
+                             static_cast<off_t>(done));
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        done += static_cast<size_t>(n);
+    }
+    bool ok = done == bytes.size() &&
+              ::ftruncate(fd, static_cast<off_t>(bytes.size())) == 0;
+    if (::close(fd) != 0 || !ok)
+        fatal("cannot write '%s'", spare.c_str());
+    if (::renameat2(AT_FDCWD, spare.c_str(), AT_FDCWD, path.c_str(),
+                    RENAME_EXCHANGE) == 0)
+        return;
+    // No file at path yet (ENOENT), or a file system without the
+    // exchange (EINVAL): a plain rename is just as atomic for readers,
+    // it only frees the old file's inode.
+    if (std::rename(spare.c_str(), path.c_str()) != 0)
+        fatal("cannot move '%s' into place at '%s'", spare.c_str(),
+              path.c_str());
+}
+
 FileLock::~FileLock()
 {
     if (fd_ >= 0)

@@ -12,7 +12,9 @@
  * a rejection (untrusted input). The file helpers implement the
  * repository-wide file discipline: every whole-file read goes through
  * readFileBytes(), and every write through a unique temp file +
- * rename, so a crashed writer never publishes a truncated artifact.
+ * rename (or, for a small file rewritten per shard, a spare swapped in
+ * by writeFileBySwap()), so a crashed writer never publishes a
+ * truncated artifact.
  * FileLock is the flock(2)-based lock that makes concurrent
  * depositors and gc on one profile store safe across processes.
  */
@@ -180,6 +182,23 @@ std::string readFileBytes(const std::string &path, std::string *why);
  */
 void writeFileAtomically(const std::string &path,
                          const std::string &bytes);
+
+/**
+ * Replace @p path's contents with @p bytes, atomically for readers,
+ * without creating or freeing an inode: the bytes are written into
+ * @p spare in place and renameat2(RENAME_EXCHANGE) swaps the two
+ * names, so @p spare holds the old contents for the next call. For a
+ * small file rewritten at a high rate: on ext4 without a journal every
+ * inode allocation scans past the inodes freed in the last minutes,
+ * so a temp file renamed over the old one per write costs more the
+ * more files churn, and that cost swings from run to run. Falls back
+ * to a plain rename when @p path does not exist yet or the filesystem
+ * has no exchange. One writer at a time (callers hold a lock), and a
+ * reader must not hold the file open across two calls. fatal() on I/O
+ * errors, like writeFileAtomically().
+ */
+void writeFileBySwap(const std::string &path, const std::string &spare,
+                     const std::string &bytes);
 
 /**
  * An flock(2)-based advisory file lock — the cross-process mutex

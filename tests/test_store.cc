@@ -4,11 +4,14 @@
  * reopen, entries written or removed behind an open store seen at
  * once, the cross-process flock discipline (multi-process depositor +
  * gc stress), the StorePin refcount GC (including survival across a
- * SIGKILL'd owner), and the lookup-heal grace window.
+ * SIGKILL'd owner, and a pin file rewritten by swapping it with its
+ * spare), and the lookup-heal grace window.
  */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -17,6 +20,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -227,6 +231,74 @@ TEST(StorePinGc, PinSurvivesSigkillOfOwner)
     res = store.gc({/*max_age_s=*/10, -1});
     EXPECT_EQ(res.evicted, 1u);
     EXPECT_FALSE(store.containsChecksum(checksum));
+}
+
+TEST(StorePinGc, PinTrafficSwapsTwoFilesInPlace)
+{
+    std::string dir = freshStoreDir("pin_swap");
+    ProfileStore store(dir);
+    ProfileData pd = taggedProfile(11);
+    uint64_t checksum = pd.payloadChecksum();
+    store.insertByChecksum(checksum, pd);
+    ageFile(store.pathForChecksum(checksum), 1000);
+    std::string pins = dir + "/pins/swapper.pins";
+    std::string spare = pins + ".spare";
+    auto inode = [](const std::string &path) {
+        struct stat st{};
+        return ::stat(path.c_str(), &st) == 0 ? st.st_ino : ino_t(0);
+    };
+    auto contents = [](const std::string &path) {
+        std::string why;
+        return readFileBytes(path, &why);
+    };
+    std::string unpinned = "hbbp-pins v1 owner=swapper\n";
+    char line[32];
+    std::snprintf(line, sizeof(line), "%016llx\n",
+                  static_cast<unsigned long long>(checksum));
+    std::string pinned = unpinned + line;
+
+    // Where names cannot be exchanged, each write renames a fresh file
+    // over the old one instead: the same bytes, one file per write.
+    std::ofstream(dir + "/probe-a") << "a";
+    std::ofstream(dir + "/probe-b") << "b";
+    if (::renameat2(AT_FDCWD, (dir + "/probe-a").c_str(), AT_FDCWD,
+                    (dir + "/probe-b").c_str(), RENAME_EXCHANGE) != 0)
+        GTEST_SKIP() << "no renameat2(RENAME_EXCHANGE) on this filesystem";
+
+    StorePin pin(store, "swapper");
+    pin.pin(checksum);
+    pin.unpin(checksum);
+    ASSERT_EQ(contents(pins), unpinned);
+    std::set<ino_t> both = {inode(pins), inode(spare)};
+    ASSERT_EQ(both.size(), 2u);
+    ASSERT_EQ(both.count(0), 0u);
+    for (int i = 0; i < 5; i++) {
+        pin.pin(checksum);
+        EXPECT_EQ(contents(pins), pinned);
+        EXPECT_EQ(store.gc({/*max_age_s=*/10, -1}).pinned_skipped, 1u);
+        pin.unpin(checksum);
+        EXPECT_EQ(contents(pins), unpinned);
+        EXPECT_EQ(store.stats().pinned, 0u);
+        // The two names trade the same two files: no pin or unpin
+        // creates one.
+        EXPECT_EQ((std::set<ino_t>{inode(pins), inode(spare)}), both);
+    }
+
+    // A torn spare (a crash mid-write) is never read, and the next
+    // write replaces all of it.
+    std::ofstream(spare, std::ios::binary | std::ios::trunc)
+        << std::string(4096, '#');
+    EXPECT_EQ(store.stats().pin_owners, 1u);
+    EXPECT_EQ(store.stats().pinned, 0u);
+    pin.pin(checksum);
+    EXPECT_EQ(contents(pins), pinned);
+    StorePin restarted(store, "swapper");
+    EXPECT_EQ(restarted.restored(), 1u);
+
+    pin.release();
+    EXPECT_FALSE(fs::exists(pins));
+    EXPECT_FALSE(fs::exists(spare));
+    EXPECT_EQ(store.stats().pin_owners, 0u);
 }
 
 // ---------------------------------------------------------------------------
