@@ -1,6 +1,5 @@
 #include "fleet/journal.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -20,63 +19,19 @@ namespace hbbp {
 namespace {
 
 // One frame: magic, position in the log, body length, body checksum,
-// then the body. An arrival's body is its manifest text and its
-// length-prefixed chunks; the dropped-checksums body is a count and
-// the checksums. The checksum makes a torn append — the only
-// non-atomic write in the fleet layer — and a flipped byte detectable,
-// and the position makes a record out of place (duplicated, swapped)
-// detectable, so replay stops at the damage instead of trusting it.
+// then the body. An arrival's body is its envelope (encodeArrival() in
+// fleet/manifest: the manifest text and the length-prefixed payloads,
+// the same bytes a socket frame carries); the dropped-checksums body
+// is a count and the checksums. The checksum makes a torn append — the
+// only non-atomic write in the fleet layer — and a flipped byte
+// detectable, and the position makes a record out of place
+// (duplicated, swapped) detectable, so replay stops at the damage
+// instead of trusting it.
 constexpr uint64_t kArrivalMagic = 0x48424250'4c4f4741ULL; // "HBBPLOGA"
 constexpr uint64_t kDroppedMagic = 0x48424250'4c4f4744ULL; // "HBBPLOGD"
 constexpr size_t kFrameHeaderBytes = 32;
-// A serialized profile's header: magic, version, payload length, and
-// the checksum of the payload behind it.
-constexpr size_t kProfileHeaderBytes = 28;
 // What an older build left at `<state>`: a whole-aggregate checkpoint.
 constexpr uint64_t kOldCheckpointMagic = 0x48424250'41474753ULL;
-
-/** An arrival body's parts, the chunks as views into the body. */
-struct ArrivalParts
-{
-    std::string manifest;
-    std::vector<std::string_view> chunks;
-};
-
-/** Split an arrival body; throws ByteParseError on a broken layout. */
-ArrivalParts
-splitArrival(std::string_view body, const std::string &context)
-{
-    ByteReader r(body, context, "state log");
-    ArrivalParts parts;
-    parts.manifest = r.str();
-    uint64_t n = r.count(r.u32(), 9, "log chunk");
-    for (uint64_t i = 0; i < n; i++)
-        parts.chunks.push_back(
-            r.view(r.count(r.u64(), 1, "log chunk byte")));
-    r.expectEof();
-    return parts;
-}
-
-/**
- * An arrival frame's checksum: over its manifest, its chunk count and
- * each chunk's length and profile header, not the chunk payloads. The
- * header holds the payload's own checksum, which parsing the chunk
- * verifies, so the frame checksum still vouches for every byte while
- * hashing a few hundred of them.
- */
-uint64_t
-arrivalChecksum(const ArrivalParts &parts)
-{
-    ByteWriter covered;
-    covered.str(parts.manifest);
-    covered.u32(static_cast<uint32_t>(parts.chunks.size()));
-    for (std::string_view chunk : parts.chunks) {
-        covered.u64(chunk.size());
-        covered.raw(chunk.data(),
-                    std::min(chunk.size(), kProfileHeaderBytes));
-    }
-    return fnv1a(covered.bytes());
-}
 
 /** Start a frame in @p w; finishFrame() patches in length and checksum. */
 void
@@ -99,23 +54,12 @@ finishFrame(ByteWriter &w, uint64_t checksum)
 }
 
 std::string
-arrivalFrame(uint64_t index, const ShardManifest &manifest,
-             const std::vector<std::string> &chunks)
+arrivalFrame(uint64_t index, const ArrivalParts &parts)
 {
-    ArrivalParts parts{manifest.render(), {chunks.begin(), chunks.end()}};
-    size_t total = kFrameHeaderBytes + 8 + parts.manifest.size();
-    for (std::string_view chunk : parts.chunks)
-        total += 8 + chunk.size();
     ByteWriter w;
-    w.reserve(total);
     startFrame(w, kArrivalMagic, index);
-    w.str(parts.manifest);
-    w.u32(static_cast<uint32_t>(parts.chunks.size()));
-    for (std::string_view chunk : parts.chunks) {
-        w.u64(chunk.size());
-        w.raw(chunk.data(), chunk.size());
-    }
-    return finishFrame(w, arrivalChecksum(parts));
+    uint64_t checksum = encodeArrival(w, parts);
+    return finishFrame(w, checksum);
 }
 
 std::string
@@ -131,18 +75,18 @@ droppedFrame(const std::vector<uint64_t> &checksums)
 }
 
 /**
- * Walk the frames in @p bytes, calling @p fn(magic, offset, body) on
- * each one that sits at its position and passes its checksum; @p fn
- * returning false stops the scan (its frame is not counted as
- * consumed). Returns the offset one past the last consumed frame. When
- * that is short of bytes.size(), *@p why describes the damage — a torn
- * append, a checksum failure, a foreign magic, a frame out of place —
- * unless @p fn already did.
+ * Walk the frames in @p bytes, calling @p fn(magic, offset, body,
+ * checksum) on each one that sits at its position and passes its
+ * checksum; @p fn returning false stops the scan (its frame is not
+ * counted as consumed). Returns the offset one past the last consumed
+ * frame. When that is short of bytes.size(), *@p why describes the
+ * damage — a torn append, a checksum failure, a foreign magic, a frame
+ * out of place — unless @p fn already did.
  */
 size_t
 scanRecords(std::string_view bytes,
-            const std::function<bool(uint64_t, size_t, std::string_view)>
-                &fn,
+            const std::function<bool(uint64_t, size_t, std::string_view,
+                                     uint64_t)> &fn,
             std::string *why)
 {
     why->clear();
@@ -174,19 +118,19 @@ scanRecords(std::string_view bytes,
         }
         std::string_view body = bytes.substr(
             off + kFrameHeaderBytes, static_cast<size_t>(body_len));
-        bool intact = false;
-        try {
-            intact = stored == (magic == kDroppedMagic
-                                    ? fnv1a(body)
-                                    : arrivalChecksum(splitArrival(
-                                          body, "state log record")));
-        } catch (const ByteParseError &) {
+        bool intact = magic == kDroppedMagic && stored == fnv1a(body);
+        if (magic == kArrivalMagic) {
+            try {
+                splitArrival(body, stored, "state log record", "state log");
+                intact = true;
+            } catch (const ByteParseError &) {
+            }
         }
         if (!intact) {
             *why = format("record checksum failure at offset %zu", off);
             return off;
         }
-        if (!fn(magic, off, body))
+        if (!fn(magic, off, body, stored))
             return off;
         off += kFrameHeaderBytes + static_cast<size_t>(body_len);
     }
@@ -207,41 +151,36 @@ parseDropped(std::string_view body, const std::string &path)
 }
 
 /**
- * Replay one arrival body into @p agg. Returns its manifest, or
- * std::nullopt (with *@p why) on structural damage — nothing is folded
- * then. A fold rejection is not damage: it leaves @p agg exactly as it
- * was, and the record stays in the log.
+ * Replay one arrival body (whose envelope checksum is @p checksum) into
+ * @p agg. Returns its manifest, or std::nullopt (with *@p why) on
+ * structural damage — nothing is folded then. A fold rejection is not
+ * damage: it leaves @p agg exactly as it was, and the record stays in
+ * the log.
  */
 std::optional<ShardManifest>
 replayBody(IncrementalAggregator &agg, std::string_view body,
-           const std::string &path, std::string *why)
+           uint64_t checksum, const std::string &path, std::string *why)
 {
     try {
-        ArrivalParts parts = splitArrival(body, path);
-        std::optional<ShardManifest> m =
-            ShardManifest::parse(parts.manifest, why);
+        ArrivalParts parts =
+            splitArrival(body, checksum, path, "state log");
+        std::optional<ShardManifest> m = parseArrival(parts, why);
         if (!m)
             return std::nullopt;
-        if (parts.chunks.empty() ||
-            (m->level == 0 && parts.chunks.size() != 1)) {
-            *why = format("a level-%u record carries %zu chunks",
-                          m->level, parts.chunks.size());
-            return std::nullopt;
-        }
-        std::vector<ProfileData> chunks;
-        chunks.reserve(parts.chunks.size());
-        for (std::string_view bytes : parts.chunks) {
+        std::vector<ProfileData> profiles;
+        profiles.reserve(parts.payloads.size());
+        for (std::string_view bytes : parts.payloads) {
             std::optional<ProfileData> pd =
                 ProfileData::parse(bytes, path, why);
             if (!pd)
                 return std::nullopt;
-            chunks.push_back(std::move(*pd));
+            profiles.push_back(std::move(*pd));
         }
         std::string fold_why;
         if (m->level > 0)
-            agg.addAggregateShard(*m, std::move(chunks), &fold_why);
+            agg.addAggregateShard(*m, std::move(profiles), &fold_why);
         else
-            agg.addShard(*m, std::move(chunks[0]), &fold_why);
+            agg.addShard(*m, std::move(profiles[0]), &fold_why);
         return m;
     } catch (const ByteParseError &e) {
         *why = e.what();
@@ -291,7 +230,8 @@ StateJournal::restore(IncrementalAggregator &agg, std::string *why)
     std::string damage;
     size_t off = scanRecords(
         bytes,
-        [&](uint64_t kind, size_t at, std::string_view body) {
+        [&](uint64_t kind, size_t at, std::string_view body,
+            uint64_t checksum) {
             std::string replay_why;
             uint64_t size = kFrameHeaderBytes + body.size();
             if (kind == kDroppedMagic) {
@@ -312,7 +252,7 @@ StateJournal::restore(IncrementalAggregator &agg, std::string *why)
                 return true;
             }
             std::optional<ShardManifest> m =
-                replayBody(agg, body, path_, &replay_why);
+                replayBody(agg, body, checksum, path_, &replay_why);
             if (!m) {
                 damage = format("record at offset %zu does not replay "
                                 "(%s)", at, replay_why.c_str());
@@ -355,14 +295,22 @@ StateJournal::restore(IncrementalAggregator &agg, std::string *why)
 void
 StateJournal::record(IncrementalAggregator &agg,
                      const ShardManifest &manifest,
-                     const std::vector<std::string> &chunks)
+                     const std::vector<std::string> &payloads)
 {
-    // What replay accepts: a leaf is its one serialized shard.
-    if (chunks.empty() || (manifest.level == 0 && chunks.size() != 1))
-        fatal("state log '%s': a level-%u arrival cannot be recorded as "
-              "%zu chunks", path_.c_str(), manifest.level, chunks.size());
+    // What replay accepts: a manifest that parses back, carrying one
+    // payload per covered host. A record replay refuses would stop
+    // every later restore there and drop the acknowledged arrivals
+    // behind it. The listener and the watcher only hand over arrivals
+    // they parsed, so a failure here is an in-process caller's bug.
+    ArrivalParts parts{manifest.render(),
+                       {payloads.begin(), payloads.end()}};
+    std::string why;
+    if (!parseArrival(parts, &why))
+        fatal("state log '%s': arrival %s/%u cannot be recorded: %s",
+              path_.c_str(), manifest.host.c_str(), manifest.seq,
+              why.c_str());
     uint64_t index = entries_.size() + (dropped_bytes_ > 0 ? 1 : 0);
-    std::string bytes = arrivalFrame(index, manifest, chunks);
+    std::string bytes = arrivalFrame(index, parts);
     // Plain append, deliberately not the temp-file-and-rename
     // discipline: appends are the whole point (O(record) I/O), and
     // the per-record checksum turns the one failure a torn append can

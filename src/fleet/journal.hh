@@ -4,11 +4,14 @@
  *
  * The file `--state` names is a log of framed records. Each record is
  * one accepted arrival exactly as it was received — the manifest plus
- * its chunks: the serialized shard of a leaf, the per-host partials of
- * a relay flush — appended before the arrival is acknowledged, at
- * O(shard) I/O. Restore replays the log through the aggregator's own
- * fold, so a restarted aggregator lands on the same bytes as one that
- * never stopped. Nothing is ever re-encoded: the state is the arrivals.
+ * its payloads: the serialized shard of a leaf, the per-host partials
+ * of a relay flush — appended before the arrival is acknowledged, at
+ * O(shard) I/O. A record's body is the arrival's envelope, the same
+ * bytes as the body of the socket frame it came in (ArrivalParts,
+ * fleet/manifest.hh). Restore replays the log through the
+ * aggregator's own fold, so a restarted aggregator lands on the same
+ * bytes as one that never stopped. No profile is ever re-encoded: the
+ * state is the arrivals.
  *
  * Relay flushes make older records redundant: the leaf shards a flush
  * covers, and earlier flushes of the same hosts (the aggregator's
@@ -64,14 +67,16 @@ class StateJournal
     bool restore(IncrementalAggregator &agg, std::string *why = nullptr);
 
     /**
-     * Append one accepted arrival: @p chunks is the arrival in
+     * Append one accepted arrival: @p payloads is the arrival in
      * transportable form (the serialized shard of a leaf manifest, the
-     * per-host partials aligned with manifest.covered of an aggregate)
-     * and must not be empty. Call after the fold and before the
-     * arrival is acknowledged.
+     * per-host partials aligned with manifest.covered of an
+     * aggregate). Call after the fold and before the arrival is
+     * acknowledged. fatal() when replay could not read the record
+     * back: a manifest that does not parse (an empty workload, say),
+     * or a payload count that does not match it.
      */
     void record(IncrementalAggregator &agg, const ShardManifest &manifest,
-                const std::vector<std::string> &chunks);
+                const std::vector<std::string> &payloads);
 
     /**
      * Rewrite the log without the records @p agg no longer needs; a

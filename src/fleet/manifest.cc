@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -24,19 +25,15 @@ validHostId(const std::string &host)
            host.find_first_of(" \t\n/,:") == std::string::npos;
 }
 
-const char *
-name(ShardStatus status)
-{
-    switch (status) {
-    case ShardStatus::Complete: return "complete";
-    case ShardStatus::Partial: return "partial";
-    }
-    panic("invalid ShardStatus %d", static_cast<int>(status));
-}
-
 namespace {
 
 constexpr const char *kManifestTag = "hbbp-shard-manifest";
+// The one shard status: a manifest is only ever written for a whole
+// shard. Readers from before relays require the line.
+constexpr const char *kStatusComplete = "complete";
+// A serialized profile's header: magic, version, payload length, and
+// the checksum of the payload behind it.
+constexpr size_t kProfileHeaderBytes = 28;
 
 /** Parse an unsigned decimal field value; false on malformed input. */
 bool
@@ -115,6 +112,14 @@ parseCoverage(const std::string &value,
     return true;
 }
 
+/** `<host>-<seq>-<checksum>`: a shard's file names in a drop dir. */
+std::string
+exportBaseName(const ShardManifest &m)
+{
+    return format("%s-%u-%016llx", m.host.c_str(), m.seq,
+                  static_cast<unsigned long long>(m.checksum));
+}
+
 } // namespace
 
 size_t
@@ -137,6 +142,12 @@ ShardManifest::render() const
     uint32_t written = level > 0 || !covered.empty()
                            ? kManifestVersionAggregate
                            : kManifestVersion;
+    // parse() requires a profile file name. A shard that has no file
+    // (a socket frame's, one logged straight from memory) renders the
+    // name a drop-dir export gives it.
+    std::string profile =
+        profile_file.empty() ? exportBaseName(*this) + ".hbbp"
+                             : profile_file;
     std::string text =
         format("%s %u\n"
                "host=%s\n"
@@ -149,7 +160,7 @@ ShardManifest::render() const
                kManifestTag, written, host.c_str(), workload.c_str(),
                seq, static_cast<unsigned long long>(options_hash),
                static_cast<unsigned long long>(checksum),
-               profile_file.c_str(), name(status));
+               profile.c_str(), kStatusComplete);
     if (written >= kManifestVersionAggregate) {
         text += format("level=%u\n", level);
         text += "hosts=";
@@ -255,12 +266,9 @@ ShardManifest::parse(const std::string &text, std::string *why)
             m.profile_file = value;
             have_profile = !value.empty();
         } else if (key == "status") {
-            if (value == name(ShardStatus::Complete))
-                m.status = ShardStatus::Complete;
-            else if (value == name(ShardStatus::Partial))
-                m.status = ShardStatus::Partial;
-            else
-                return fail(format("unknown shard status '%s'",
+            if (value != kStatusComplete)
+                return fail(format("unknown shard status '%s' (only "
+                                   "complete shards are exported)",
                                    value.c_str()));
             have_status = true;
         } else if (key == "level" &&
@@ -384,11 +392,8 @@ writeShardFiles(ShardManifest m, const std::string &bytes,
     // rename): an aggregator that sees the manifest is guaranteed a
     // complete profile beside it, and the watcher only globs
     // *.manifest, so temp names are never picked up.
-    std::string base = format(
-        "%s-%u-%016llx", m.host.c_str(), m.seq,
-        static_cast<unsigned long long>(m.checksum));
+    std::string base = exportBaseName(m);
     m.profile_file = base + ".hbbp";
-    m.status = ShardStatus::Complete;
     writeFileAtomically(dir + "/" + m.profile_file, bytes);
 
     std::string manifest_path = dir + "/" + base + ".manifest";
@@ -430,17 +435,9 @@ importShard(const std::string &manifest_path, std::string *why)
         return std::nullopt;
     };
 
-    if (m->status != ShardStatus::Complete)
-        return fail(format(
-            "'%s' is marked status=%s: the exporter is still streaming "
-            "this shard; aggregating it now would bake truncated data "
-            "into the fleet mix",
-            manifest_path.c_str(), name(m->status)));
-
-    // An aggregate shard's payload is one chunk *per covered host* —
-    // a single profile file cannot carry the per-host split the
-    // supersede fold needs, so aggregates travel over the socket
-    // transport only.
+    // An aggregate shard is one payload *per covered host* — a single
+    // profile file cannot carry the per-host split the supersede fold
+    // needs, so aggregates travel over the socket transport only.
     if (m->level > 0 || !m->covered.empty())
         return fail(format(
             "'%s' is a level-%u aggregate shard: aggregates travel "
@@ -483,6 +480,83 @@ importShard(const std::string &manifest_path, std::string *why)
     shard.profile = std::move(*profile);
     shard.bytes = std::move(bytes);
     return shard;
+}
+
+namespace {
+
+/** encodeArrival()'s checksum of @p parts (see there). */
+uint64_t
+arrivalChecksum(const ArrivalParts &parts)
+{
+    ByteWriter covered;
+    covered.str(parts.manifest);
+    covered.u32(static_cast<uint32_t>(parts.payloads.size()));
+    for (std::string_view payload : parts.payloads) {
+        covered.u64(payload.size());
+        covered.raw(payload.data(),
+                    std::min(payload.size(), kProfileHeaderBytes));
+    }
+    return fnv1a(covered.bytes());
+}
+
+} // namespace
+
+uint64_t
+encodeArrival(ByteWriter &w, const ArrivalParts &parts)
+{
+    size_t total = 8 + parts.manifest.size();
+    for (std::string_view payload : parts.payloads)
+        total += 8 + payload.size();
+    w.reserve(w.bytes().size() + total);
+    w.str(parts.manifest);
+    w.u32(static_cast<uint32_t>(parts.payloads.size()));
+    for (std::string_view payload : parts.payloads) {
+        w.u64(payload.size());
+        w.raw(payload.data(), payload.size());
+    }
+    return arrivalChecksum(parts);
+}
+
+ArrivalParts
+splitArrival(std::string_view body, uint64_t checksum,
+             const std::string &context, const char *what)
+{
+    ByteReader r(body, context, what);
+    ArrivalParts parts;
+    parts.manifest = r.str();
+    uint64_t n = r.count(r.u32(), 9, "payload");
+    for (uint64_t i = 0; i < n; i++)
+        parts.payloads.push_back(
+            r.view(r.count(r.u64(), 1, "payload byte")));
+    r.expectEof();
+    if (arrivalChecksum(parts) != checksum)
+        throw ByteParseError(format("envelope checksum mismatch in '%s' "
+                                    "(corrupt %s?)", context.c_str(),
+                                    what));
+    return parts;
+}
+
+std::optional<ShardManifest>
+parseArrival(const ArrivalParts &parts, std::string *why)
+{
+    std::optional<ShardManifest> m = ShardManifest::parse(parts.manifest,
+                                                          why);
+    if (!m) {
+        *why = "malformed manifest: " + *why;
+        return std::nullopt;
+    }
+    size_t got = parts.payloads.size();
+    if (m->covered.empty() && got != 1) {
+        *why = format("a leaf shard carries %zu payloads, not 1", got);
+        return std::nullopt;
+    }
+    if (!m->covered.empty() && got != m->covered.size()) {
+        *why = format("a level-%u shard covering %zu hosts carries %zu "
+                      "payload%s, one per host", m->level,
+                      m->covered.size(), got, got == 1 ? "" : "s");
+        return std::nullopt;
+    }
+    return m;
 }
 
 } // namespace hbbp

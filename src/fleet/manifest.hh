@@ -19,6 +19,11 @@
  * how many of each host's leaf shards the fold contains. Leaf shards
  * keep rendering in the version-1 text, so aggregation points built
  * before relays existed still read every collector's output.
+ *
+ * An arrival — a manifest and its payloads — travels in one envelope
+ * (ArrivalParts): the body of a socket frame and of a state-log
+ * record alike, encoded and split by the functions at the end of this
+ * header.
  */
 
 #ifndef HBBP_FLEET_MANIFEST_HH
@@ -27,11 +32,14 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "collect/profile.hh"
 
 namespace hbbp {
+
+class ByteWriter;
 
 /** Manifest text version written for leaf (level-0) shards. */
 constexpr uint32_t kManifestVersion = 1;
@@ -50,14 +58,6 @@ struct HostCoverage
 
     bool operator==(const HostCoverage &other) const = default;
 };
-
-/** Lifecycle of an exported shard. */
-enum class ShardStatus : uint8_t {
-    Complete, ///< The profile beside the manifest is whole.
-    Partial,  ///< Reserved: an exporter streaming an open collection.
-};
-
-const char *name(ShardStatus status);
 
 /**
  * A usable host id: non-empty, no whitespace or '/' (ids become file
@@ -87,9 +87,12 @@ struct ShardManifest
     uint64_t options_hash = 0;
     /** ProfileData::payloadChecksum() of the exported profile. */
     uint64_t checksum = 0;
-    /** Profile file name, relative to the manifest's directory. */
+    /**
+     * Profile file name, relative to the manifest's directory. Empty
+     * for a shard that is not a file; render() then writes the name a
+     * drop-dir export gives it.
+     */
     std::string profile_file;
-    ShardStatus status = ShardStatus::Complete;
     /**
      * Aggregation level: 0 for a leaf collector shard, N >= 1 for a
      * partial aggregate pushed by a relay whose deepest input was
@@ -99,8 +102,8 @@ struct ShardManifest
     uint32_t level = 0;
     /**
      * For level >= 1: the hosts this aggregate covers, sorted by host
-     * id with no duplicates, each count >= 1. The payload travels as
-     * one chunk per entry, in this order — each chunk is that host's
+     * id with no duplicates, each count >= 1. The arrival carries one
+     * payload per entry, in this order — each payload is that host's
      * folded partial — so a receiver can splice per-host partials into
      * its own per-host state and stay byte-identical to flat
      * aggregation no matter how the tree was shaped. Empty for leaf
@@ -139,7 +142,9 @@ struct ShardManifest
      * The manifest text (the exact bytes save() writes). Leaf shards
      * render as version 1 — byte-identical to what pre-relay builds
      * wrote — and aggregate shards as version 2 with the `level` and
-     * `hosts` lines appended.
+     * `hosts` lines appended. Every manifest says `status=complete`:
+     * no shard is exported before it is whole, and readers from before
+     * relays need the line.
      */
     std::string render() const;
 
@@ -149,7 +154,8 @@ struct ShardManifest
     /**
      * Parse a manifest out of @p text. Returns std::nullopt with
      * *@p why describing the failure on truncated input, unknown
-     * versions, missing fields or malformed values.
+     * versions, missing fields, malformed values or a status other
+     * than `complete`.
      */
     static std::optional<ShardManifest> parse(const std::string &text,
                                               std::string *why);
@@ -226,6 +232,51 @@ struct ImportedShard
  */
 std::optional<ImportedShard> importShard(const std::string &manifest_path,
                                          std::string *why);
+
+/**
+ * One arrival in its envelope: the manifest text and the payloads —
+ * the serialized shard of a leaf, one folded partial per covered host
+ * (in coverage order) of an aggregate. The envelope is the body of a
+ * socket frame (fleet/transport) and of a state-log record
+ * (fleet/journal):
+ *
+ *   u32 manifest_len, the manifest text
+ *   u32 payload_count
+ *   per payload: u64 payload_len, the payload (a serialized profile)
+ *
+ * The payloads are views into the bytes the envelope was split from.
+ */
+struct ArrivalParts
+{
+    std::string manifest;
+    std::vector<std::string_view> payloads;
+};
+
+/**
+ * Append the envelope of @p parts to @p w. Returns its checksum: FNV-1a
+ * over the manifest, the payload count and each payload's length and
+ * 28-byte profile header, not the payloads themselves. The header
+ * holds the payload's own checksum, which parsing the payload
+ * verifies, so the envelope checksum still vouches for every byte
+ * while hashing a few hundred of them.
+ */
+uint64_t encodeArrival(ByteWriter &w, const ArrivalParts &parts);
+
+/**
+ * Split an envelope and check it against the @p checksum
+ * encodeArrival() returned for it; throws ByteParseError naming
+ * @p context and @p what on a broken layout or a checksum mismatch.
+ */
+ArrivalParts splitArrival(std::string_view body, uint64_t checksum,
+                          const std::string &context, const char *what);
+
+/**
+ * The manifest of a split envelope, checked against its payloads: a
+ * leaf carries one payload, an aggregate one per covered host.
+ * std::nullopt with *@p why set otherwise.
+ */
+std::optional<ShardManifest> parseArrival(const ArrivalParts &parts,
+                                          std::string *why);
 
 } // namespace hbbp
 

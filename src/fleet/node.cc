@@ -46,7 +46,7 @@ IngestNode::restore()
 
 void
 IngestNode::accept(const ShardManifest &m, const ProfileData *profile,
-                   const std::vector<std::string> &chunks)
+                   const std::vector<std::string> &payloads)
 {
     for (const std::string &id : m.trace_ids)
         events::emit(events::Level::Info, options_.accept_span,
@@ -59,13 +59,13 @@ IngestNode::accept(const ShardManifest &m, const ProfileData *profile,
     // concurrent `store gc` must not evict what a restart would need.
     if (pin_)
         pin_->pin(m.checksum);
-    if (store_ && chunks.size() == 1)
+    if (store_ && payloads.size() == 1)
         // Exact profile-file bytes: no re-parse or re-serialize.
-        store_->depositBytesByChecksum(m.checksum, chunks[0]);
+        store_->depositBytesByChecksum(m.checksum, payloads[0]);
     else if (store_ && profile)
         store_->insertByChecksum(m.checksum, *profile);
     if (journal_)
-        journal_->record(agg_, m, chunks);
+        journal_->record(agg_, m, payloads);
     if (pin_)
         pin_->unpin(m.checksum);
 }

@@ -8,8 +8,8 @@
  * deposit the shard's bytes into the shared ProfileStore, and append
  * the arrival as received to the `--state` log — all before the
  * arrival is acknowledged. Every arrival reaches the node with its
- * bytes: the listener's frames, or the profile file a drop-directory
- * import already read and verified. IngestNode owns that path and
+ * bytes: the payloads of the listener's frame, or the profile file a
+ * drop-directory import already read and verified. IngestNode owns that path and
  * everything it touches: the IncrementalAggregator, the optional
  * StateJournal, the ProfileStore and its StorePin, and a borrowed
  * MetricsFederator. Spans go to the process-wide event log
@@ -72,14 +72,14 @@ class IngestNode
 
     /**
      * The accept path, for an arrival the aggregator already folded:
-     * @p chunks is the arrival in transportable form (ListenOptions::
+     * @p payloads is the arrival in transportable form (ListenOptions::
      * on_accept's third argument, or the one profile file a
-     * WatchOptions::on_accept hands over) and @p profile its assembly,
+     * WatchOptions::on_accept hands over) and @p profile its profile,
      * which an aggregate of several hosts deposits (may be null
      * otherwise). Call before the arrival is acknowledged.
      */
     void accept(const ShardManifest &m, const ProfileData *profile,
-                const std::vector<std::string> &chunks);
+                const std::vector<std::string> &payloads);
 
     /** Clean exit: every arrival is durable, drop this node's pins. */
     void release();

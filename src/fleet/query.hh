@@ -6,7 +6,7 @@
  * Query connections share the ShardListener's port — a query client
  * dials the same HOST:PORT the collectors push shards to — and are
  * told apart by their opening magic: shard frames start with
- * kFrameMagic ("HBPSFRM1"), query frames with kQueryFrameMagic
+ * kFrameMagic ("HBPSFRM2"), query frames with kQueryFrameMagic
  * ("HBPQRY01"). Keeping both on one port keeps ALL aggregator access
  * on the listener's single poll thread: query handlers run between
  * shard frames, never concurrently with a fold, so the daemon needs

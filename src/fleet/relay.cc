@@ -75,11 +75,11 @@ RelayNode::flushUpstream(std::string *why, int max_attempts)
         // Advertise this relay's scrape address: federation endpoint
         // discovery rides the shard tree.
         m.metrics_endpoint = options_.metrics_endpoint;
-        std::vector<std::string> chunks;
-        chunks.reserve(ex.partials.size());
+        std::vector<std::string> payloads;
+        payloads.reserve(ex.partials.size());
         for (HostPartial &hp : ex.partials) {
             m.covered.push_back({hp.host, hp.covered});
-            chunks.push_back(std::move(hp.bytes));
+            payloads.push_back(std::move(hp.bytes));
         }
         // Span the flush as it *starts*: the upstream's own accept
         // span (root_fold or a parent's relay_accept) lands between
@@ -93,7 +93,7 @@ RelayNode::flushUpstream(std::string *why, int max_attempts)
                 events::emit(events::Level::Info, "relay_flush",
                              {{"trace", id}, {"aggregate", agg_id}});
         }
-        SendResult res = transport.sendShard(m, chunks);
+        SendResult res = transport.sendShard(m, payloads);
         if (!res.ok) {
             stats_.flush_failures++;
             m_flush_failures.add();
@@ -142,10 +142,10 @@ RelayNode::run()
     lo.expect = options_.expect;
     lo.idle_timeout_ms = options_.idle_timeout_ms;
     lo.on_accept = [&](const ShardManifest &m, const ProfileData &pd,
-                       const std::vector<std::string> &chunks) {
+                       const std::vector<std::string> &payloads) {
         // Durable before the downstream ack: the sender's success must
         // imply the arrival survives this relay, exactly as at a root.
-        node_.accept(m, &pd, chunks);
+        node_.accept(m, &pd, payloads);
         seen_trace_ids_.insert(m.trace_ids.begin(), m.trace_ids.end());
         accepted_since_flush_++;
         if (options_.flush_every > 0 &&

@@ -9,7 +9,7 @@
  * shards (leaf or aggregate — relays stack) with an
  * IncrementalAggregator, and pushes its own partial aggregate
  * *upstream* as a first-class shard over the existing ShardTransport —
- * a level-N+1 manifest whose chunks are the per-host partials, so the
+ * a level-N+1 manifest whose payloads are the per-host partials, so the
  * parent splices them into its per-host state and the root aggregate
  * stays byte-identical to flat single-aggregator ingestion of the same
  * leaf shards, whatever the tree shape or arrival order.

@@ -124,7 +124,7 @@ class ProfileStore
 
     /**
      * insertByChecksum() from already-serialized bytes in memory —
-     * the zero-copy deposit for transport chunks that arrived as
+     * the zero-copy deposit for transport payloads that arrived as
      * exact profile-file bytes.
      */
     bool depositBytesByChecksum(uint64_t checksum,

@@ -12,7 +12,8 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <map>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -28,104 +29,76 @@ namespace hbbp {
 
 namespace {
 
-// One frame on the wire: a fixed header, the manifest text, then the
-// chunk payload (a self-validating serialized profile). Everything is
-// length-prefixed so the receiver never scans for delimiters in
-// binary data.
+// One shard on the wire is one frame: a fixed header, then the
+// arrival's envelope (encodeArrival() in fleet/manifest: the manifest
+// text, a payload count and the length-prefixed payloads — the body of
+// a state-log record too). Everything is length-prefixed so the
+// receiver never scans for delimiters in binary data.
 //
-//   u64 magic          kFrameMagic
-//   u32 manifest_len   bytes of manifest text following the header
-//   u32 chunk_index    0-based position of this chunk in the shard
-//   u32 chunk_count    total chunks in the shard (>= 1)
-//   u64 payload_len    bytes of chunk payload after the manifest
-constexpr uint64_t kFrameMagic = 0x48425053'46524d31ULL; // "HBPSFRM1"
-constexpr size_t kFrameHeaderBytes = 28;
-constexpr uint32_t kMaxManifestBytes = 1u << 20;
-constexpr uint64_t kMaxPayloadBytes = 1ull << 30;
+//   u64 magic      kFrameMagic
+//   u64 body_len   bytes of envelope after the header
+//   u64 checksum   the envelope's checksum, as encodeArrival() returns
+constexpr uint64_t kFrameMagic = 0x48425053'46524d32ULL; // "HBPSFRM2"
+constexpr size_t kFrameHeaderBytes = 24;
+constexpr uint64_t kMaxFrameBodyBytes = 1ull << 30;
+// What older builds sent instead: a shard streamed as chunk frames.
+// The listener tells them apart by this magic alone.
+constexpr uint64_t kChunkedFrameMagic = 0x48425053'46524d31ULL; // "HBPSFRM1"
 
-/** The receiver's one-byte answer to each frame. */
+/**
+ * The receiver's one answer to each frame. The codes are those the
+ * chunked protocol used for the same answers, so a sender of chunked
+ * frames reads the rejection it gets.
+ */
 enum class AckCode : uint8_t {
-    ChunkAccepted = 0, ///< Partial chunk verified and staged.
-    ShardAccepted = 1, ///< Final chunk folded; the shard is aggregated.
+    ShardAccepted = 1, ///< Folded; the shard is aggregated.
     Duplicate = 2,     ///< Payload already aggregated (retried send).
     Rejected = 3,      ///< Permanent: retrying cannot succeed.
-    Incomplete = 4,    ///< Final chunk, but staged chunks are missing
-                       ///< (receiver restarted): resend from chunk 0.
 };
 
 /** Ack wire format: u8 code, u32 reason_len, reason bytes. */
 constexpr size_t kAckHeaderBytes = 5;
+constexpr uint32_t kMaxAckReasonBytes = 1u << 20;
 
 // The byte-moving primitives (deadline connect, progress-bounded
 // writes, exact reads, IO timeouts) live in fleet/socket_client.hh —
 // one copy shared with the metrics fetcher and the query client.
 
 std::string
-renderFrame(const ShardManifest &manifest, uint32_t chunk_index,
-            uint32_t chunk_count, const std::string &payload)
+encodeFrame(const ShardManifest &manifest,
+            const std::vector<std::string> &payloads)
 {
-    // The manifest rides in every frame with the status the *frame*
-    // represents: partial while the stream is open, complete on the
-    // final chunk — the same state machine a drop directory would see
-    // as manifest rewrites.
-    ShardManifest framed = manifest;
-    framed.status = chunk_index + 1 < chunk_count
-                        ? ShardStatus::Partial
-                        : ShardStatus::Complete;
-    // No file travels with a socket frame, but the manifest format
-    // requires the field: synthesize the name a drop-dir export would
-    // have used (a receiver-side deposit may reuse it).
-    if (framed.profile_file.empty())
-        framed.profile_file = format(
-            "%s-%u-%016llx.hbbp", framed.host.c_str(), framed.seq,
-            static_cast<unsigned long long>(framed.checksum));
-    std::string text = framed.render();
     ByteWriter w;
     w.u64(kFrameMagic);
-    w.u32(static_cast<uint32_t>(text.size()));
-    w.u32(chunk_index);
-    w.u32(chunk_count);
-    w.u64(payload.size());
-    std::string frame = w.bytes();
-    frame += text;
-    frame += payload;
+    w.u64(0);
+    w.u64(0);
+    uint64_t checksum = encodeArrival(
+        w, {manifest.render(), {payloads.begin(), payloads.end()}});
+    std::string frame = w.take();
+    uint64_t body_len = frame.size() - kFrameHeaderBytes;
+    std::memcpy(frame.data() + 8, &body_len, sizeof(body_len));
+    std::memcpy(frame.data() + 16, &checksum, sizeof(checksum));
     return frame;
 }
 
 /**
- * Merge parsed chunks in index order into one shard profile, checking
- * compatibility first: a buggy sender streaming incompatible chunks
- * must earn a rejection ack, not fatal() the listener via mergeInto().
+ * A relay flush's partials merged in coverage order — the profile its
+ * manifest checksum names — after checking each against the first and
+ * against every module record before it: a flush of partials that
+ * cannot merge earns a rejection, not mergeInto()'s fatal().
  */
 std::optional<ProfileData>
-tryMergeChunks(std::vector<ProfileData> chunks, std::string *why)
+mergePartials(const std::vector<ProfileData> &partials, std::string *why)
 {
-    // Module maps accumulate across the stream, so every chunk is
-    // reconciled against every record seen so far — not just chunk 0
-    // — with mergeInto()'s own walk, or a conflict between two later
-    // chunks would slip through to its fatal().
     std::vector<MmapRecord> seen;
-    for (const ProfileData &chunk : chunks)
-        if (!mergeCompatible(chunks[0], chunk, why) ||
-            !reconcileMmaps(seen, chunk.mmaps, why))
+    for (const ProfileData &partial : partials)
+        if (!mergeCompatible(partials[0], partial, why) ||
+            !reconcileMmaps(seen, partial.mmaps, why))
             return std::nullopt;
-    ProfileData merged = std::move(chunks[0]);
-    for (size_t i = 1; i < chunks.size(); i++)
-        mergeInto(merged, std::move(chunks[i]));
+    std::optional<ProfileData> merged;
+    for (const ProfileData &partial : partials)
+        accumulateInto(merged, partial);
     return merged;
-}
-
-/**
- * tryMergeChunks() without consuming @p chunks — for the aggregate
- * path, where the per-host partials are still needed after their fold
- * was checksum-verified.
- */
-std::optional<ProfileData>
-mergeChunksPreserving(const std::vector<ProfileData> &chunks,
-                      std::string *why)
-{
-    std::vector<ProfileData> copies = chunks;
-    return tryMergeChunks(std::move(copies), why);
 }
 
 } // namespace
@@ -136,60 +109,33 @@ mergeChunksPreserving(const std::vector<ProfileData> &chunks,
 
 SendResult
 DropDirTransport::sendShard(const ShardManifest &manifest,
-                            const std::vector<std::string> &chunks)
+                            const std::vector<std::string> &payloads)
 {
     SendResult res;
     res.attempts = 1;
-    if (chunks.empty()) {
-        res.error = "no chunks to send";
-        return res;
-    }
     if (manifest.level > 0 || !manifest.covered.empty()) {
         res.error = format(
             "aggregate shards (level %u) travel over the socket "
-            "transport: a drop-directory file cannot carry the "
-            "per-host chunk split their fold needs", manifest.level);
+            "transport: a drop-directory file holds one profile, and "
+            "their fold needs one payload per covered host",
+            manifest.level);
         return res;
     }
-
-    // A directory has no streaming: reassemble locally and publish one
-    // complete shard, exactly like exportShard() always did.
-    std::string bytes;
+    if (payloads.size() != 1) {
+        res.error = format("a leaf shard is one payload, not %zu",
+                           payloads.size());
+        return res;
+    }
+    std::string why;
     uint64_t checksum = 0;
-    if (chunks.size() == 1) {
-        std::string why;
-        std::optional<ProfileData> pd =
-            ProfileData::parse(chunks[0], "push chunk 0", &why,
-                               &checksum);
-        if (!pd) {
-            res.error = why;
-            return res;
-        }
-        bytes = chunks[0];
-    } else {
-        std::vector<ProfileData> parsed;
-        for (size_t i = 0; i < chunks.size(); i++) {
-            std::string why;
-            std::optional<ProfileData> pd = ProfileData::parse(
-                chunks[i], format("push chunk %zu", i), &why);
-            if (!pd) {
-                res.error = why;
-                return res;
-            }
-            parsed.push_back(std::move(*pd));
-        }
-        std::string why;
-        std::optional<ProfileData> merged =
-            tryMergeChunks(std::move(parsed), &why);
-        if (!merged) {
-            res.error = why;
-            return res;
-        }
-        bytes = merged->serialize(&checksum);
+    if (!ProfileData::parse(payloads[0], "push payload", &why,
+                            &checksum)) {
+        res.error = why;
+        return res;
     }
     if (checksum != manifest.checksum) {
         res.error = format(
-            "chunk payload hashes to %016llx but the manifest promises "
+            "payload hashes to %016llx but the manifest promises "
             "%016llx", static_cast<unsigned long long>(checksum),
             static_cast<unsigned long long>(manifest.checksum));
         return res;
@@ -201,7 +147,7 @@ DropDirTransport::sendShard(const ShardManifest &manifest,
     std::error_code ec;
     res.duplicate =
         std::filesystem::exists(dir_ + "/" + base + ".manifest", ec);
-    writeShardFiles(manifest, bytes, dir_);
+    writeShardFiles(manifest, payloads[0], dir_);
     res.ok = true;
     return res;
 }
@@ -223,8 +169,9 @@ readAck(int fd, AckCode *code, std::string *reason)
         return false;
     std::memcpy(&raw_code, header, 1);
     std::memcpy(&reason_len, header + 1, 4);
-    if (raw_code > static_cast<uint8_t>(AckCode::Incomplete) ||
-        reason_len > kMaxManifestBytes)
+    if (raw_code < static_cast<uint8_t>(AckCode::ShardAccepted) ||
+        raw_code > static_cast<uint8_t>(AckCode::Rejected) ||
+        reason_len > kMaxAckReasonBytes)
         return false;
     reason->assign(reason_len, '\0');
     if (reason_len > 0 && !netReadFull(fd, reason->data(), reason_len))
@@ -237,15 +184,14 @@ readAck(int fd, AckCode *code, std::string *reason)
 
 SendResult
 SocketTransport::sendShard(const ShardManifest &manifest,
-                           const std::vector<std::string> &chunks)
+                           const std::vector<std::string> &payloads)
 {
     SendResult res;
-    if (chunks.empty()) {
-        res.error = "no chunks to send";
+    if (payloads.empty()) {
+        res.error = "no payload to send";
         return res;
     }
-    uint32_t chunk_count = static_cast<uint32_t>(chunks.size());
-    uint32_t acked = 0; // Chunks the receiver has confirmed staged.
+    std::string frame = encodeFrame(manifest, payloads);
     int backoff_ms = options_.backoff_ms;
 
     static telemetry::Counter &m_frames_sent =
@@ -286,87 +232,40 @@ SocketTransport::sendShard(const ShardManifest &manifest,
             res.error = why;
             continue;
         }
+        int64_t frame_start = steadyNowMs();
         m_connect_ms.observe(
-            static_cast<uint64_t>(steadyNowMs() - connect_start));
-
-        bool rewound = false; // Only honor one Incomplete per attempt.
-        bool conn_dead = false;
-        for (uint32_t i = acked; i < chunk_count && !conn_dead;) {
-            std::string frame =
-                renderFrame(manifest, i, chunk_count, chunks[i]);
-            int64_t frame_start = steadyNowMs();
-            m_frames_sent.add();
-            m_bytes_sent.add(frame.size());
-            if (!netWriteAll(fd, frame.data(), frame.size(),
-                          options_.io_timeout_ms)) {
-                res.error = format("connection to %s:%u lost "
-                                   "mid-frame (chunk %u/%u)",
-                                   options_.host.c_str(),
-                                   options_.port, i, chunk_count);
-                conn_dead = true;
-                break;
-            }
-            AckCode code;
-            std::string reason;
-            if (!readAck(fd, &code, &reason)) {
-                res.error = format(
-                    "no acknowledgement from %s:%u for chunk %u/%u",
-                    options_.host.c_str(), options_.port, i,
-                    chunk_count);
-                conn_dead = true;
-                break;
-            }
-            m_frames_acked.add();
-            m_ack_ms.observe(
-                static_cast<uint64_t>(steadyNowMs() - frame_start));
-            if (code == AckCode::Rejected)
-                m_rejects.add();
-            switch (code) {
-            case AckCode::ChunkAccepted:
-                acked = ++i;
-                if (fail_after_chunks >= 0 &&
-                    acked >= static_cast<uint32_t>(fail_after_chunks)) {
-                    // Test hook: die the way a crashing collector
-                    // does — mid-stream, without cleanup.
-                    ::close(fd);
-                    ::_exit(3);
-                }
-                break;
-            case AckCode::ShardAccepted:
-                ::close(fd);
-                res.ok = true;
-                return res;
-            case AckCode::Duplicate:
-                ::close(fd);
-                res.ok = true;
-                res.duplicate = true;
-                return res;
-            case AckCode::Incomplete:
-                // The receiver restarted and lost our staged chunks;
-                // resend the stream from the top (duplicates of
-                // anything it still has are acked idempotently).
-                if (rewound) {
-                    res.error = format(
-                        "receiver at %s:%u reports an incomplete "
-                        "stream even after a full resend",
-                        options_.host.c_str(), options_.port);
-                    conn_dead = true;
-                    break;
-                }
-                rewound = true;
-                acked = 0;
-                i = 0;
-                break;
-            case AckCode::Rejected:
-                // Permanent: the same bytes would be rejected again.
-                ::close(fd);
-                res.error = format("shard rejected by %s:%u: %s",
-                                   options_.host.c_str(),
-                                   options_.port, reason.c_str());
-                return res;
-            }
-        }
+            static_cast<uint64_t>(frame_start - connect_start));
+        m_frames_sent.add();
+        m_bytes_sent.add(frame.size());
+        // Whatever went wrong before the ack, the whole frame goes
+        // again: the listener folds a frame only once it is whole,
+        // and confirms one it already folded as a duplicate.
+        AckCode code;
+        std::string reason;
+        bool sent = netWriteAll(fd, frame.data(), frame.size(),
+                                options_.io_timeout_ms);
+        bool acked = sent && readAck(fd, &code, &reason);
         ::close(fd);
+        if (!acked) {
+            res.error = format(sent ? "no acknowledgement from %s:%u"
+                                    : "connection to %s:%u lost mid-frame",
+                               options_.host.c_str(), options_.port);
+            continue;
+        }
+        m_frames_acked.add();
+        m_ack_ms.observe(
+            static_cast<uint64_t>(steadyNowMs() - frame_start));
+        if (code == AckCode::Rejected) {
+            // Permanent: the same bytes would be rejected again.
+            m_rejects.add();
+            res.error = format("shard rejected by %s:%u: %s",
+                               options_.host.c_str(), options_.port,
+                               reason.c_str());
+            return res;
+        }
+        res.ok = true;
+        res.duplicate = code == AckCode::Duplicate;
+        return res;
     }
     res.error = format("giving up after %d attempt%s: %s",
                        res.attempts, res.attempts == 1 ? "" : "s",
@@ -420,22 +319,6 @@ ShardListener::~ShardListener()
 
 namespace {
 
-/** Chunks staged for one (host, seq) slot awaiting its final frame. */
-struct StagedShard
-{
-    uint32_t chunk_count = 0;
-    std::map<uint32_t, ProfileData> chunks;
-    /** Per-chunk payload checksums, for idempotent re-delivery. */
-    std::map<uint32_t, uint64_t> checksums;
-    /**
-     * Raw chunk payloads, kept only for aggregate shards: their
-     * per-host split must reach the accept callback (journaling)
-     * verbatim, and re-serializing each partial would pay the cost
-     * twice.
-     */
-    std::map<uint32_t, std::string> bytes;
-};
-
 /** One sender connection's receive state. */
 struct Conn
 {
@@ -449,53 +332,29 @@ struct Conn
      */
     bool is_query = false;
     bool kind_known = false;
+    /**
+     * Rejected as a sender of chunked frames: what else it sends is
+     * discarded until it hangs up. Closing first would leave its
+     * unread bytes behind, and the reset they cause can destroy the
+     * rejection before the sender reads it.
+     */
+    bool draining = false;
 };
-
-/** A decoded frame header. */
-struct FrameHeader
-{
-    uint32_t manifest_len = 0;
-    uint32_t chunk_index = 0;
-    uint32_t chunk_count = 0;
-    uint64_t payload_len = 0;
-};
-
-/** Decode and sanity-check a header at @p off; false = violation. */
-bool
-decodeHeader(const std::string &buf, size_t off, FrameHeader *h)
-{
-    uint64_t magic;
-    std::memcpy(&magic, buf.data() + off, 8);
-    std::memcpy(&h->manifest_len, buf.data() + off + 8, 4);
-    std::memcpy(&h->chunk_index, buf.data() + off + 12, 4);
-    std::memcpy(&h->chunk_count, buf.data() + off + 16, 4);
-    std::memcpy(&h->payload_len, buf.data() + off + 20, 8);
-    return magic == kFrameMagic && h->manifest_len > 0 &&
-           h->manifest_len <= kMaxManifestBytes &&
-           h->payload_len <= kMaxPayloadBytes && h->chunk_count >= 1 &&
-           h->chunk_index < h->chunk_count;
-}
 
 /** Per-outcome receive counters, bumped at the single ack chokepoint. */
 telemetry::Counter &
 ackCounter(AckCode code)
 {
-    static telemetry::Counter &chunk =
-        telemetry::counter("hbbp_listener_ack_chunk_total");
     static telemetry::Counter &shard =
         telemetry::counter("hbbp_listener_ack_shard_total");
     static telemetry::Counter &dup =
         telemetry::counter("hbbp_listener_ack_duplicate_total");
     static telemetry::Counter &rejected =
         telemetry::counter("hbbp_listener_ack_rejected_total");
-    static telemetry::Counter &incomplete =
-        telemetry::counter("hbbp_listener_ack_incomplete_total");
     switch (code) {
-    case AckCode::ChunkAccepted: return chunk;
     case AckCode::ShardAccepted: return shard;
     case AckCode::Duplicate: return dup;
     case AckCode::Rejected: return rejected;
-    case AckCode::Incomplete: return incomplete;
     }
     panic("invalid AckCode %d", static_cast<int>(code));
 }
@@ -517,6 +376,21 @@ sendAck(int fd, AckCode code, const std::string &reason = {})
     return netWriteAll(fd, bytes.data(), bytes.size());
 }
 
+/**
+ * Warn that a shard connection goes without an ack: its bytes cannot
+ * be a frame, or its sender hung up mid-frame. Warnings are
+ * rate-limited; the counter beside them is not.
+ */
+void
+noteDroppedConnection(const Conn &conn, const std::string &why)
+{
+    static telemetry::Counter &dropped =
+        telemetry::counter("hbbp_listener_dropped_connections_total");
+    dropped.add();
+    warn("closing shard sender connection (fd %d): %s", conn.fd,
+         why.c_str());
+}
+
 } // namespace
 
 size_t
@@ -524,7 +398,6 @@ ShardListener::serve(IncrementalAggregator &agg,
                      const ListenOptions &options)
 {
     std::vector<Conn> conns;
-    std::map<std::pair<std::string, uint32_t>, StagedShard> staging;
     size_t accepted = 0;
     int64_t last_progress = steadyNowMs();
     // The poll loop is the daemon's pulse: a Listener beat per round
@@ -534,8 +407,6 @@ ShardListener::serve(IncrementalAggregator &agg,
     telemetry::beatEnable(telemetry::Stage::Accept);
     static telemetry::Gauge &m_active_streams =
         telemetry::gauge("hbbp_listener_active_streams");
-    static telemetry::Gauge &m_staged_chunks =
-        telemetry::gauge("hbbp_listener_staged_chunks");
     static telemetry::Counter &m_bytes_recv =
         telemetry::counter("hbbp_listener_bytes_received_total");
     static telemetry::Counter &m_idle_aborts =
@@ -543,179 +414,70 @@ ShardListener::serve(IncrementalAggregator &agg,
     bool done = options.expect > 0 &&
                 agg.coveredShards() >= options.expect;
 
-    // Process one complete frame at @p off in conn.buf. Returns the
-    // ack outcome; a Rejected ack also counts the shard into the
-    // aggregator's malformed/incompatible stats.
-    auto processFrame = [&](Conn &conn, size_t off,
-                            const FrameHeader &h) -> bool {
-        std::string manifest_text =
-            conn.buf.substr(off + kFrameHeaderBytes, h.manifest_len);
-        std::string payload = conn.buf.substr(
-            off + kFrameHeaderBytes + h.manifest_len,
-            static_cast<size_t>(h.payload_len));
+    // Verify, fold and answer one frame, whose envelope is @p body.
+    // Returns false when the ack could not be sent. A Rejected ack
+    // also counts the shard into the aggregator's malformed or
+    // incompatible stats.
+    auto processFrame = [&](Conn &conn, std::string_view body,
+                            uint64_t checksum) -> bool {
         std::string peer = format("frame from fd %d", conn.fd);
-
+        auto reject = [&](const std::string &reason) {
+            agg.noteMalformed();
+            return sendAck(conn.fd, AckCode::Rejected, reason);
+        };
+        ArrivalParts parts;
+        try {
+            parts = splitArrival(body, checksum, peer, "shard frame");
+        } catch (const ByteParseError &e) {
+            return reject(format("malformed frame: %s", e.what()));
+        }
         std::string why;
-        std::optional<ShardManifest> m =
-            ShardManifest::parse(manifest_text, &why);
-        if (!m) {
-            agg.noteMalformed();
-            return sendAck(conn.fd, AckCode::Rejected,
-                           format("malformed manifest: %s",
-                                  why.c_str()));
+        std::optional<ShardManifest> m = parseArrival(parts, &why);
+        if (!m)
+            return reject(why);
+
+        // Every payload is verified on receipt: its own header proves
+        // its checksum, and a corrupt one is rejected, never folded.
+        std::vector<ProfileData> profiles;
+        profiles.reserve(parts.payloads.size());
+        uint64_t shard_checksum = 0;
+        for (std::string_view payload : parts.payloads) {
+            std::optional<ProfileData> pd =
+                ProfileData::parse(payload, peer, &why, &shard_checksum);
+            if (!pd)
+                return reject(
+                    format("payload invalid: %s", why.c_str()));
+            profiles.push_back(std::move(*pd));
         }
-        auto key = std::make_pair(m->host, m->seq);
-        bool final_chunk = h.chunk_index + 1 == h.chunk_count;
+        // One hash per accepted shard. A leaf's payload is the shard,
+        // whose checksum parse() just verified — this is also what
+        // accepts a push from a version-3 sender, whose manifest
+        // carries the version-3 checksum. A relay flush is checked
+        // against its partials' merge, which is version 4: flushes
+        // need version 4 on both ends.
         bool is_aggregate = m->level > 0;
-        // An aggregate's chunks ARE its covered hosts' partials, one
-        // each in coverage order — any other count cannot be spliced.
-        if (is_aggregate && h.chunk_count != m->covered.size()) {
-            staging.erase(key);
-            agg.noteMalformed();
-            return sendAck(
-                conn.fd, AckCode::Rejected,
-                format("aggregate covers %zu hosts but streams %u "
-                       "chunks", m->covered.size(), h.chunk_count));
-        }
-        if ((m->status == ShardStatus::Complete) != final_chunk) {
-            // A stream this confused is dead; drop anything it staged
-            // so a clean retry starts fresh instead of leaking here.
-            staging.erase(key);
-            agg.noteMalformed();
-            return sendAck(
-                conn.fd, AckCode::Rejected,
-                format("chunk %u/%u carries status=%s", h.chunk_index,
-                       h.chunk_count, name(m->status)));
-        }
-
-        // Every chunk is verified on receipt: a corrupted transfer is
-        // caught here, per frame, not after the whole stream landed.
-        uint64_t chunk_checksum = 0;
-        std::optional<ProfileData> chunk = ProfileData::parse(
-            payload, peer, &why, &chunk_checksum);
-        if (!chunk) {
-            staging.erase(key);
-            agg.noteMalformed();
-            return sendAck(conn.fd, AckCode::Rejected,
-                           format("chunk payload invalid: %s",
-                                  why.c_str()));
-        }
-
-        StagedShard &staged = staging[key];
-        if (staged.chunk_count == 0)
-            staged.chunk_count = h.chunk_count;
-        if (staged.chunk_count != h.chunk_count) {
-            staging.erase(key);
-            agg.noteMalformed();
-            return sendAck(
-                conn.fd, AckCode::Rejected,
-                format("chunk count changed mid-stream (%u then %u)",
-                       staged.chunk_count, h.chunk_count));
-        }
-        auto seen = staged.checksums.find(h.chunk_index);
-        if (seen != staged.checksums.end() &&
-            seen->second != chunk_checksum) {
-            // A *different* payload under an index we already hold:
-            // the staged stream is from an abandoned earlier push
-            // (the host re-collected and started over). The old
-            // stream can never finalize — its sender is gone — so
-            // restart the slot with the new stream rather than
-            // permanently rejecting every retry of the live one.
-            staged.chunks.clear();
-            staged.checksums.clear();
-            staged.bytes.clear();
-            staged.chunk_count = h.chunk_count;
-            seen = staged.checksums.end();
-        }
-        if (seen != staged.checksums.end()) {
-            // Idempotent re-delivery (a sender retrying from chunk 0
-            // after a crash): confirm and move on.
-            if (!final_chunk) {
-                last_progress = steadyNowMs();
-                return sendAck(conn.fd, AckCode::ChunkAccepted);
-            }
-        } else {
-            staged.checksums[h.chunk_index] = chunk_checksum;
-            staged.chunks.emplace(h.chunk_index, std::move(*chunk));
-            if (is_aggregate)
-                staged.bytes.emplace(h.chunk_index, payload);
-        }
-        if (!final_chunk) {
-            last_progress = steadyNowMs();
-            return sendAck(conn.fd, AckCode::ChunkAccepted);
-        }
-
-        // Final chunk: the stream must be gap-free before assembly.
-        if (staged.chunks.size() != staged.chunk_count) {
-            // Likely our restart, not the sender's fault: tell it to
-            // resend from the top rather than rejecting outright.
-            return sendAck(
-                conn.fd, AckCode::Incomplete,
-                format("%zu of %u chunks staged",
-                       staged.chunks.size(), staged.chunk_count));
-        }
-        std::vector<ProfileData> parts;
-        parts.reserve(staged.chunks.size());
-        for (auto &[idx, pd] : staged.chunks)
-            parts.push_back(std::move(pd));
-        std::vector<std::string> raw_chunks;
-        raw_chunks.reserve(staged.bytes.size());
-        for (auto &[idx, bytes] : staged.bytes)
-            raw_chunks.push_back(std::move(bytes));
-        uint32_t chunk_count = staged.chunk_count;
-        staging.erase(key);
-        // The aggregate path still needs the per-host partials after
-        // the fold is verified, so its merge works on copies.
-        std::optional<ProfileData> merged =
-            is_aggregate ? mergeChunksPreserving(parts, &why)
-                         : tryMergeChunks(std::move(parts), &why);
-        if (!merged) {
-            agg.noteMalformed();
-            return sendAck(conn.fd, AckCode::Rejected,
-                           format("chunks do not assemble: %s",
-                                  why.c_str()));
-        }
-        // One hash per accepted shard. A single-chunk leaf's payload is
-        // the shard itself, whose checksum parse() already verified —
-        // this is also what accepts a single chunk from a version-3
-        // sender, whose manifest carries the version-3 checksum. A
-        // multi-chunk leaf serializes its assembly once: those bytes
-        // prove the manifest and are what on_accept deposits.
-        uint64_t merged_checksum = 0;
-        std::string leaf_bytes;
+        std::optional<ProfileData> shard;
         if (is_aggregate) {
-            merged_checksum = merged->payloadChecksum();
-        } else if (chunk_count == 1) {
-            merged_checksum = chunk_checksum;
-            leaf_bytes = std::move(payload);
-        } else {
-            leaf_bytes = merged->serialize(&merged_checksum);
+            shard = mergePartials(profiles, &why);
+            if (!shard)
+                return reject(
+                    format("partials do not merge: %s", why.c_str()));
+            shard_checksum = shard->payloadChecksum();
         }
-        if (merged_checksum != m->checksum) {
-            agg.noteMalformed();
-            return sendAck(
-                conn.fd, AckCode::Rejected,
-                format("assembled payload hashes to %016llx but the "
-                       "manifest promises %016llx",
-                       static_cast<unsigned long long>(merged_checksum),
-                       static_cast<unsigned long long>(m->checksum)));
-        }
+        if (shard_checksum != m->checksum)
+            return reject(format(
+                "payload hashes to %016llx but the manifest promises "
+                "%016llx", static_cast<unsigned long long>(shard_checksum),
+                static_cast<unsigned long long>(m->checksum)));
 
-        ProfileData for_accept;
-        const ProfileData *accept_ref = nullptr;
-        std::vector<std::string> accept_bytes;
-        if (options.on_accept) {
-            for_accept = *merged; // The fold consumes the profile.
-            accept_ref = &for_accept;
-            if (is_aggregate)
-                accept_bytes = std::move(raw_chunks);
-            else
-                accept_bytes.push_back(std::move(leaf_bytes));
-        }
+        // The fold consumes a leaf's profile, so on_accept sees a copy;
+        // an aggregate's is the merge above.
+        if (options.on_accept && !is_aggregate)
+            shard = profiles[0];
         bool folded =
             is_aggregate
-                ? agg.addAggregateShard(*m, std::move(parts), &why)
-                : agg.addShard(*m, std::move(*merged), &why);
+                ? agg.addAggregateShard(*m, std::move(profiles), &why)
+                : agg.addShard(*m, std::move(profiles[0]), &why);
         if (!folded) {
             // Only a payload already accounted for is confirmed back
             // as a duplicate (the retried sender genuinely succeeded;
@@ -733,7 +495,9 @@ ShardListener::serve(IncrementalAggregator &agg,
         // Callback before the ack: a sender that saw success may rely
         // on the state log append and the deposit having happened.
         if (options.on_accept)
-            options.on_accept(*m, *accept_ref, accept_bytes);
+            options.on_accept(*m, *shard,
+                              {parts.payloads.begin(),
+                               parts.payloads.end()});
         return sendAck(conn.fd, AckCode::ShardAccepted);
     };
 
@@ -768,10 +532,6 @@ ShardListener::serve(IncrementalAggregator &agg,
         if (options.should_stop && options.should_stop())
             break;
         m_active_streams.set(static_cast<int64_t>(conns.size()));
-        size_t staged_chunks = 0;
-        for (const auto &[key, s] : staging)
-            staged_chunks += s.chunks.size();
-        m_staged_chunks.set(static_cast<int64_t>(staged_chunks));
 
         std::vector<struct pollfd> pfds;
         pfds.push_back({listen_fd_, POLLIN, 0});
@@ -814,10 +574,9 @@ ShardListener::serve(IncrementalAggregator &agg,
                     continue;
                 // EOF or error. Complete frames already buffered are
                 // still processed below — a sender that transmitted
-                // its final frame and died before reading the ack
-                // delivered real data; only a half-received frame
-                // dies with the connection. Staged chunks survive
-                // for the retry either way.
+                // its frame and died before reading the ack delivered
+                // real data; only a half-received frame dies with the
+                // connection, and its sender retries the whole frame.
                 peer_gone = true;
                 break;
             }
@@ -826,22 +585,20 @@ ShardListener::serve(IncrementalAggregator &agg,
             // buffer once per poll round: erasing the front per frame
             // would re-copy everything still queued behind it.
             size_t consumed = 0;
-            while (!close_conn) {
+            while (!close_conn && !conn.draining) {
                 size_t have = conn.buf.size() - consumed;
+                if (have < 8)
+                    break;
+                uint64_t magic;
+                std::memcpy(&magic, conn.buf.data() + consumed, 8);
                 if (!conn.kind_known) {
-                    if (have < 8)
-                        break;
-                    uint64_t magic;
-                    std::memcpy(&magic, conn.buf.data() + consumed, 8);
                     conn.is_query = magic == kQueryFrameMagic;
                     conn.kind_known = true;
                 }
                 if (conn.is_query) {
                     if (have < kQueryFrameHeaderBytes)
                         break;
-                    uint64_t magic;
                     uint32_t body_len;
-                    std::memcpy(&magic, conn.buf.data() + consumed, 8);
                     std::memcpy(&body_len,
                                 conn.buf.data() + consumed + 8, 4);
                     if (magic != kQueryFrameMagic || body_len == 0 ||
@@ -862,32 +619,63 @@ ShardListener::serve(IncrementalAggregator &agg,
                     consumed += kQueryFrameHeaderBytes + body_len;
                     continue;
                 }
+                if (magic == kChunkedFrameMagic) {
+                    // An older build's sender: one rejection it can
+                    // read and report, then nothing more from it.
+                    agg.noteMalformed();
+                    conn.draining = true;
+                    close_conn = !sendAck(
+                        conn.fd, AckCode::Rejected,
+                        "this listener reads one HBPSFRM2 frame per "
+                        "shard, not chunked HBPSFRM1 frames: upgrade "
+                        "the sender to this build");
+                    break;
+                }
+                if (magic != kFrameMagic) {
+                    noteDroppedConnection(conn, "not a shard frame");
+                    close_conn = true;
+                    break;
+                }
                 if (have < kFrameHeaderBytes)
                     break;
-                FrameHeader h;
-                if (!decodeHeader(conn.buf, consumed, &h)) {
-                    warn("closing shard sender connection: malformed "
-                         "frame header");
+                uint64_t body_len, checksum;
+                std::memcpy(&body_len, conn.buf.data() + consumed + 8, 8);
+                std::memcpy(&checksum, conn.buf.data() + consumed + 16,
+                            8);
+                if (body_len > kMaxFrameBodyBytes) {
+                    noteDroppedConnection(
+                        conn, format("frame claims %llu body bytes",
+                                     static_cast<unsigned long long>(
+                                         body_len)));
                     close_conn = true;
                     break;
                 }
-                size_t frame_len = kFrameHeaderBytes + h.manifest_len +
-                                   static_cast<size_t>(h.payload_len);
-                if (conn.buf.size() - consumed < frame_len)
+                if (have - kFrameHeaderBytes < body_len)
                     break;
-                if (!processFrame(conn, consumed, h)) {
+                std::string_view body(
+                    conn.buf.data() + consumed + kFrameHeaderBytes,
+                    static_cast<size_t>(body_len));
+                if (!processFrame(conn, body, checksum)) {
                     close_conn = true;
                     break;
                 }
-                consumed += frame_len;
+                consumed += kFrameHeaderBytes +
+                            static_cast<size_t>(body_len);
                 if (options.expect > 0 &&
                     agg.coveredShards() >= options.expect) {
                     done = true;
                     break;
                 }
             }
+            if (conn.draining)
+                consumed = conn.buf.size();
             if (consumed > 0)
                 conn.buf.erase(0, consumed);
+            if (peer_gone && !close_conn && !conn.is_query &&
+                !conn.buf.empty())
+                noteDroppedConnection(
+                    conn, format("sender hung up mid-frame, %zu bytes "
+                                 "in", conn.buf.size()));
 
             if (close_conn || peer_gone) {
                 ::close(conn.fd);
@@ -909,7 +697,6 @@ ShardListener::serve(IncrementalAggregator &agg,
     }
 
     m_active_streams.set(0);
-    m_staged_chunks.set(0);
     for (const Conn &c : conns)
         ::close(c.fd);
     return accepted;

@@ -4,28 +4,29 @@
  * to the aggregation point.
  *
  * ShardTransport is the sender-side seam: a shard is a manifest plus
- * one or more *chunks* (each a self-validating serialized profile
- * whose in-order merge is the shard), and a transport delivers them
- * somewhere an aggregator can fold them in. Two implementations ship:
+ * its *payloads* (self-validating serialized profiles: the one shard
+ * of a leaf, one folded partial per covered host of a relay's
+ * aggregate), and a transport delivers them somewhere an aggregator
+ * can fold them in. Two implementations ship:
  *
  *  - DropDirTransport writes profile-then-manifest into a drop
- *    directory (the PR-3 stand-in, now behind the interface): a shared
- *    filesystem or object store is the medium, watchAndAggregate() the
- *    receiving end.
- *  - SocketTransport pushes length-prefixed frames over TCP to a
- *    ShardListener, with bounded retry/backoff and mid-stream resume:
- *    every frame is acknowledged, so a reconnecting sender continues
- *    from its first unacknowledged chunk instead of starting over.
- *    Multi-chunk sends frame each chunk `status=partial` and finalize
- *    with a `status=complete` frame: a chunk bounds one frame's size,
- *    and a resumed send skips the chunks already acknowledged. The
- *    sender holds every chunk before the first frame goes out.
+ *    directory: a shared filesystem or object store is the medium,
+ *    watchAndAggregate() the receiving end.
+ *  - SocketTransport pushes a shard to a ShardListener as one frame
+ *    over TCP and retries the whole frame, with bounded backoff, until
+ *    the listener acknowledges it. The frame's body is the arrival's
+ *    envelope (ArrivalParts, fleet/manifest.hh) — the bytes a state-log
+ *    record holds:
  *
- * The receiving end verifies every chunk's payload checksum on
- * receipt, stages partial chunks per (host, seq), and only hands the
- * aggregator a shard once the complete frame's merged payload matches
- * the checksum the manifest promises — a truncated or corrupt transfer
- * can be retried, never folded in.
+ *      u64 magic      "HBPSFRM2"
+ *      u64 body_len   bytes of envelope after the header
+ *      u64 checksum   encodeArrival()'s checksum of the envelope
+ *      envelope       manifest text, payload count, payloads
+ *
+ * The listener splits and verifies each frame, parses every payload,
+ * checks the shard against the checksum its manifest promises, folds
+ * it and answers once: accepted, duplicate or rejected. A truncated or
+ * corrupt transfer can be retried, never folded in.
  */
 
 #ifndef HBBP_FLEET_TRANSPORT_HH
@@ -54,21 +55,21 @@ struct SendResult
     std::string error;
 };
 
-/** Delivers shards (manifest + chunked payload) to an aggregator. */
+/** Delivers shards (manifest + payloads) to an aggregator. */
 class ShardTransport
 {
   public:
     virtual ~ShardTransport() = default;
 
     /**
-     * Deliver one shard. @p chunks are serialized profiles (the bytes
-     * ProfileData::serialize() emits) whose in-order merge is the
-     * shard; @p manifest.checksum must be the merged payload's
-     * checksum. A single chunk is the common complete-in-one-frame
-     * case.
+     * Deliver one shard. @p payloads are serialized profiles (the
+     * bytes ProfileData::serialize() emits): the shard itself for a
+     * leaf manifest, one partial per manifest.covered entry (in that
+     * order) for an aggregate. @p manifest.checksum must be the
+     * checksum of the shard, or of the partials' merge.
      */
     virtual SendResult sendShard(const ShardManifest &manifest,
-                                 const std::vector<std::string> &chunks)
+                                 const std::vector<std::string> &payloads)
         = 0;
 };
 
@@ -81,13 +82,12 @@ class DropDirTransport : public ShardTransport
     /**
      * Writes `<host>-<seq>-<checksum>.hbbp` then the `.manifest`
      * beside it (both atomic, manifest last — see exportShard()).
-     * Multi-chunk shards are merged locally first: a directory has no
-     * streaming, so the "transport" degenerates to one complete file.
-     * Aggregate shards (manifest level >= 1) are refused: a single
-     * file cannot carry the per-host chunk split their fold needs.
+     * Aggregate shards (manifest level >= 1) are refused: a drop-dir
+     * file holds one profile, and their fold needs one payload per
+     * covered host.
      */
     SendResult sendShard(const ShardManifest &manifest,
-                         const std::vector<std::string> &chunks) override;
+                         const std::vector<std::string> &payloads) override;
 
     const std::string &dir() const { return dir_; }
 
@@ -110,7 +110,7 @@ struct SocketTransportOptions
     int io_timeout_ms = 30'000;
 };
 
-/** The socket push transport: stream frames to a ShardListener. */
+/** The socket push transport: one frame per shard to a ShardListener. */
 class SocketTransport : public ShardTransport
 {
   public:
@@ -120,22 +120,16 @@ class SocketTransport : public ShardTransport
     }
 
     /**
-     * Push the shard chunk by chunk, waiting for the per-frame ack.
-     * Connection failures retry with exponential backoff up to
-     * max_attempts, resuming from the first unacknowledged chunk; a
-     * receiver that lost its staged chunks (it restarted) answers
-     * "incomplete" and the send resumes from chunk 0. A *rejection*
-     * (incompatible shard, checksum mismatch) is permanent — retrying
-     * would produce the same answer — and fails immediately.
-     *
-     * Test hook: @p fail_after_chunks >= 0 makes the sender exit the
-     * process (code 3) after that many chunk frames are acknowledged,
-     * simulating a collector crash mid-stream.
+     * Push the shard as one frame and wait for its ack. A connection
+     * failure, or a connection lost before the ack, resends the whole
+     * frame after an exponential backoff, up to max_attempts; a
+     * listener that already folded it answers "duplicate", which is
+     * success. A *rejection* (incompatible shard, checksum mismatch)
+     * is permanent — retrying would produce the same answer — and
+     * fails immediately.
      */
     SendResult sendShard(const ShardManifest &manifest,
-                         const std::vector<std::string> &chunks) override;
-
-    int fail_after_chunks = -1;
+                         const std::vector<std::string> &payloads) override;
 
   private:
     SocketTransportOptions options_;
@@ -152,8 +146,8 @@ struct ListenOptions
      */
     size_t expect = 0;
     /**
-     * Give up after this long with no successfully processed frame —
-     * an idle timeout (any accepted chunk resets it), matching the
+     * Give up after this long with no progress — an idle timeout (any
+     * received byte or answered frame resets it), matching the
      * watcher's slow-trickle-friendly semantics. Negative never gives
      * up.
      */
@@ -162,11 +156,12 @@ struct ListenOptions
      * Called after each accepted shard — after the aggregator folded
      * it but *before* the ack goes out, so a sender's success implies
      * the callback (state log append, store deposit) completed. The
-     * third argument is the shard in transportable form — the
-     * assembled serialized shard for a leaf, the per-host partial
-     * chunks (aligned with manifest.covered) for an aggregate — so a
-     * journaling callback can record the arrival verbatim without
-     * re-deriving it.
+     * second argument is the shard's profile (a leaf's own, a relay
+     * flush's merged partials); the third is the frame's payloads —
+     * the serialized shard of a leaf, the per-host partials (aligned
+     * with manifest.covered) of an aggregate — so a journaling
+     * callback can record the arrival verbatim without re-deriving
+     * it.
      */
     std::function<void(const ShardManifest &, const ProfileData &,
                        const std::vector<std::string> &)>
@@ -190,8 +185,12 @@ struct ListenOptions
 
 /**
  * The receiving end of SocketTransport: accepts any number of
- * concurrent sender connections, verifies and stages their frames, and
- * folds completed shards into an IncrementalAggregator.
+ * concurrent sender connections, verifies each frame and folds its
+ * shard into an IncrementalAggregator. A malformed frame header, or a
+ * sender that hangs up mid-frame, costs its connection and a warning;
+ * every frame that arrives whole gets exactly one ack. A sender of the
+ * chunked `HBPSFRM1` frames of older builds gets a rejection naming
+ * the upgrade.
  */
 class ShardListener
 {
@@ -217,9 +216,7 @@ class ShardListener
     /**
      * Serve until @p options.expect shards are aggregated or the idle
      * timeout passes. Returns the number of shards accepted by this
-     * call (agg.stats() has the cumulative picture). Chunks staged for
-     * an unfinished shard do not survive serve() returning — an
-     * interrupted sender simply retries from scratch.
+     * call (agg.stats() has the cumulative picture).
      */
     size_t serve(IncrementalAggregator &agg,
                  const ListenOptions &options = {});

@@ -13,7 +13,7 @@
  *   hbbp-tool export  <workload> --host ID --export-dir DIR [--seq N]
  *                     [--jobs N] [--shards N] [--store DIR]
  *   hbbp-tool push    <workload> --host ID (--to HOST:PORT |
- *                     --export-dir DIR) [--seq N] [--chunks N]
+ *                     --export-dir DIR) [--seq N] [--shards N]
  *                     [--retries N] [--jobs N] [-o <profile>]
  *                     [--event-log FILE]
  *   hbbp-tool aggregate (--watch-dir DIR | --listen PORT)
@@ -108,7 +108,7 @@ usage()
                  "                 [--jobs N] [--shards N] [--store DIR]\n"
                  "       hbbp-tool push <workload> --host ID "
                  "(--to HOST:PORT | --export-dir DIR)\n"
-                 "                 [--seq N] [--chunks N] [--retries N] "
+                 "                 [--seq N] [--shards N] [--retries N] "
                  "[--jobs N] [-o <profile>]\n"
                  "                 [--event-log FILE]\n"
                  "       hbbp-tool aggregate (--watch-dir DIR | "
@@ -372,9 +372,9 @@ cmdExport(const ExportOptions &opts)
 
 /**
  * Export's sibling over the pluggable transport layer: collect
- * host-seeded, then *push* the shard — to an `aggregate --listen`
- * socket (optionally streamed as N partial chunks) or through the
- * drop-directory transport.
+ * host-seeded (optionally as N parts, merged locally), then *push* the
+ * shard — as one frame to an `aggregate --listen` socket, or through
+ * the drop-directory transport.
  */
 int
 cmdPush(const PushOptions &opts)
@@ -388,43 +388,30 @@ cmdPush(const PushOptions &opts)
     if (opts.to.empty() == opts.export_dir.empty())
         fatal("push requires exactly one of --to <host:port> or "
               "--export-dir <dir>");
-    if (opts.chunks == 0)
-        fatal("--chunks must be >= 1");
+    if (opts.shards == 0)
+        fatal("--shards must be >= 1");
     Workload w = requireWorkloadByName(opts.workload);
     CollectorConfig cc = collectorConfigFor(w);
     cc.seed = hostStreamSeed(cc.seed, opts.host, opts.seq);
     cc.pmu.seed = hostStreamSeed(cc.pmu.seed ^ 0x5851f42d4c957f2dULL,
                                  opts.host, opts.seq);
 
-    // Collect --chunks shards whose in-order merge is the shard
-    // profile. All of them are collected before the first frame goes
-    // out: a chunk bounds one frame's size, and a resumed send skips
-    // the chunks the receiver already acknowledged.
+    // Collect --shards parts (--jobs at a time) whose in-order merge
+    // is the shard profile: the one payload of the push.
     ShardPlan plan;
-    plan.shards = opts.chunks;
+    plan.shards = opts.shards;
     plan.jobs = opts.jobs;
     ProfileKey key{w.name, cc, plan.shards, MachineConfig{}};
-    std::vector<ProfileData> parts =
-        collectShards(*w.program, MachineConfig{}, cc, plan);
-    ProfileData merged = mergeProfiles(parts);
+    ProfileData merged = mergeProfiles(
+        collectShards(*w.program, MachineConfig{}, cc, plan));
 
     ShardManifest manifest;
     manifest.host = opts.host;
     manifest.workload = w.name;
     manifest.seq = opts.seq;
     manifest.options_hash = key.hash();
-
-    std::vector<std::string> chunks;
-    if (opts.chunks == 1) {
-        chunks.push_back(merged.serialize(&manifest.checksum));
-    } else {
-        // Chunked mode sends the parts; the merged profile only
-        // contributes its checksum, so skip serializing its bytes.
-        manifest.checksum = merged.payloadChecksum();
-        chunks.reserve(parts.size());
-        for (const ProfileData &part : parts)
-            chunks.push_back(part.serialize());
-    }
+    std::vector<std::string> payloads{
+        merged.serialize(&manifest.checksum)};
     if (!opts.profile_out.empty())
         merged.save(opts.profile_out);
 
@@ -441,19 +428,15 @@ cmdPush(const PushOptions &opts)
 
     SendResult res;
     events::emit(events::Level::Info, "push_start",
-                 {{"trace", trace_id},
-                  {"seq", format("%u", opts.seq)},
-                  {"chunks", format("%zu", chunks.size())}});
+                 {{"trace", trace_id}, {"seq", format("%u", opts.seq)}});
     if (!opts.to.empty()) {
         SocketTransportOptions so;
         parseHostPort(opts.to, "--to", &so.host, &so.port);
         so.max_attempts = std::max(opts.retries, 1);
-        SocketTransport transport(so);
-        transport.fail_after_chunks = opts.fail_after;
-        res = transport.sendShard(manifest, chunks);
+        res = SocketTransport(so).sendShard(manifest, payloads);
     } else {
-        DropDirTransport transport(opts.export_dir);
-        res = transport.sendShard(manifest, chunks);
+        res = DropDirTransport(opts.export_dir)
+                  .sendShard(manifest, payloads);
     }
     if (!res.ok)
         fatal("push failed: %s", res.error.c_str());
@@ -463,11 +446,9 @@ cmdPush(const PushOptions &opts)
                   {"duplicate", res.duplicate ? "1" : "0"}});
 
     std::printf("pushed shard host=%s seq=%u workload=%s "
-                "checksum=%016llx (%zu chunk%s, %d attempt%s%s) "
-                "-> %s\n",
+                "checksum=%016llx (%d attempt%s%s) -> %s\n",
                 opts.host.c_str(), opts.seq, w.name.c_str(),
                 static_cast<unsigned long long>(manifest.checksum),
-                chunks.size(), chunks.size() == 1 ? "" : "s",
                 res.attempts, res.attempts == 1 ? "" : "s",
                 res.duplicate ? ", duplicate" : "",
                 opts.to.empty() ? opts.export_dir.c_str()
@@ -538,8 +519,8 @@ cmdAggregate(const AggregateOptions &opts)
         lo.idle_timeout_ms = idleTimeoutMs(d);
         lo.on_accept = [&](const ShardManifest &m,
                            const ProfileData &pd,
-                           const std::vector<std::string> &chunks) {
-            node.accept(m, &pd, chunks);
+                           const std::vector<std::string> &payloads) {
+            node.accept(m, &pd, payloads);
         };
         lo.on_query = [&](const std::string &body) {
             return endpoint.handle(body);
@@ -623,9 +604,9 @@ cmdRelay(const RelayCliOptions &opts)
     if (!opts.relay_id.empty() && !validHostId(opts.relay_id))
         fatal("invalid --relay-id '%s' (must be without whitespace, "
               "'/', ',' or ':')", opts.relay_id.c_str());
-    // Unique by default: two sibling relays sharing one id would also
-    // share the upstream's per-(host, seq) staging slot, and their
-    // interleaved multi-chunk flushes would clobber each other.
+    // Unique by default: the upstream tells relays apart by this id
+    // (a federation child per id, and the id in each flush's trace
+    // id), so two siblings sharing one would be mistaken for one.
     ro.relay_id = opts.relay_id.empty()
                       ? format("relay-%ld", static_cast<long>(::getpid()))
                       : opts.relay_id;

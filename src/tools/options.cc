@@ -295,10 +295,8 @@ PushOptions::parse(int argc, char **argv)
     p.value("-o", &opts.profile_out);
     p.value("--event-log", &opts.event_log);
     p.count("--seq", &opts.seq, UINT32_MAX);
-    p.count("--chunks", &opts.chunks, UINT32_MAX);
+    p.count("--shards", &opts.shards, UINT32_MAX);
     p.count("--retries", &opts.retries,
-            static_cast<uint64_t>(INT_MAX));
-    p.count("--fail-after", &opts.fail_after,
             static_cast<uint64_t>(INT_MAX));
     p.count("--jobs", &opts.jobs, static_cast<uint64_t>(UINT_MAX));
     opts.workload = exactPositionals(p, 1, "workload")[0];

@@ -206,9 +206,9 @@ struct PushOptions
     /** Event and span log; also stamps the shard's trace id. */
     std::string event_log;
     uint32_t seq = 0;
-    uint32_t chunks = 1;
+    /** Parts to collect (with `jobs` workers) and merge into the shard. */
+    uint32_t shards = 1;
     int retries = 5;
-    int fail_after = -1; ///< Test hook: die after N acked chunks.
     unsigned jobs = 1;
 
     static PushOptions parse(int argc, char **argv);

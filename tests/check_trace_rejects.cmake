@@ -18,7 +18,7 @@ file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
 set(intact [=[
-{"ts_us":1000100,"level":"info","code":"push_start","node":"collector:hostA","fields":{"trace":"hostA-0-1","seq":"0","chunks":"1"}}
+{"ts_us":1000100,"level":"info","code":"push_start","node":"collector:hostA","fields":{"trace":"hostA-0-1","seq":"0"}}
 {"ts_us":1000150,"level":"warn","code":"push_retry","node":"relay1","fields":{"attempt":"1","error":"connection refused"}}
 {"ts_us":1000200,"level":"info","code":"relay_accept","node":"relay1","fields":{"trace":"hostA-0-1","from":"hostA"}}
 {"ts_us":1000250,"level":"info","code":"push_acked","node":"collector:hostA","fields":{"trace":"hostA-0-1","attempts":"1","duplicate":"0"}}

@@ -98,14 +98,14 @@ storm() {
 storm & stormpid=$!
 
 # Shards arrive mid-storm; after each wave the epoch must have moved.
-\"$tool\" push test40 --host hostA --to 127.0.0.1:$port --chunks 2 \\
+\"$tool\" push test40 --host hostA --to 127.0.0.1:$port --shards 2 \\
     --retries 20 --event-log \"$dir/events.jsonl\" \\
     -o \"$dir/a.profile\" > \"$dir/pushA.log\" 2>&1 || exit 1
 q epoch1 status || exit 1
-\"$tool\" push test40 --host hostB --to 127.0.0.1:$port --chunks 3 \\
+\"$tool\" push test40 --host hostB --to 127.0.0.1:$port --shards 3 \\
     --retries 20 -o \"$dir/b.profile\" > \"$dir/pushB.log\" 2>&1 &
 pb=$!
-\"$tool\" push test40 --host hostC --to 127.0.0.1:$port --chunks 1 \\
+\"$tool\" push test40 --host hostC --to 127.0.0.1:$port --shards 1 \\
     --retries 20 -o \"$dir/c.profile\" > \"$dir/pushC.log\" 2>&1 &
 pc=$!
 wait $pb || exit 1

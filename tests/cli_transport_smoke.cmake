@@ -2,11 +2,15 @@
 # ctest):
 #
 #   Phase 1: three hbbp-tool push senders run CONCURRENTLY against one
-#   `aggregate --listen` process. One sender (hostB) is killed
-#   mid-stream (after 2 of its 3 chunk frames, via the --fail-after
-#   test hook) and retried; the retry resumes through idempotent chunk
-#   re-delivery. The aggregate must be byte-identical to a single-run
-#   `hbbp-tool merge` of the same shards.
+#   `aggregate --listen` process. One sender (hostB) is SIGKILLed while
+#   it waits for its ack (the aggregator is SIGSTOPped, so no ack can
+#   come), then retried once the aggregator runs again. The retry
+#   resends the whole frame: it is a duplicate exactly when the killed
+#   push's frame had arrived whole, and the retry's `duplicate` marker
+#   must agree with the aggregator's `duplicates=`. A `shutdown` query
+#   stops the aggregator, which stays up for the retry. The aggregate
+#   must be byte-identical to a single-run `hbbp-tool merge` of the
+#   same shards.
 #
 #   Phase 2: an aggregator with --state is killed (SIGKILL) after two
 #   accepted shards — its per-accept checkpoint is the only survivor —
@@ -51,7 +55,7 @@ endfunction()
 set(phase1_script "
 dir='${WORK_DIR}'
 tool='${HBBP_TOOL}'
-\"$tool\" aggregate --listen 0 --port-file \"$dir/port1\" --expect 3 \\
+\"$tool\" aggregate --listen 0 --port-file \"$dir/port1\" \\
     --timeout-ms 120000 -o \"$dir/agg1.profile\" > \"$dir/agg1.log\" 2>&1 &
 aggpid=$!
 i=0
@@ -60,28 +64,46 @@ while [ ! -s \"$dir/port1\" ]; do
     sleep 0.1
 done
 port=$(cat \"$dir/port1\")
-\"$tool\" push test40 --host hostA --to 127.0.0.1:$port --chunks 2 \\
+\"$tool\" push test40 --host hostA --to 127.0.0.1:$port --shards 2 \\
     --retries 20 -o \"$dir/a.profile\" > \"$dir/pushA.log\" 2>&1 &
 pa=$!
-\"$tool\" push test40 --host hostC --to 127.0.0.1:$port --chunks 1 \\
+\"$tool\" push test40 --host hostC --to 127.0.0.1:$port --shards 1 \\
     --retries 20 -o \"$dir/c.profile\" > \"$dir/pushC.log\" 2>&1 &
 pc=$!
-\"$tool\" push test40 --host hostB --to 127.0.0.1:$port --chunks 3 \\
-    --fail-after 2 > \"$dir/pushB_crash.log\" 2>&1 &
+# hostB's push can send, but never be acknowledged: kill it while it
+# waits. Its push_start is logged after the collection, just before it
+# connects and sends.
+kill -STOP $aggpid
+\"$tool\" push test40 --host hostB --to 127.0.0.1:$port --shards 3 \\
+    --retries 1 --event-log \"$dir/pushB_crash.events\" \\
+    > \"$dir/pushB_crash.log\" 2>&1 &
 pb=$!
-rc=0
-wait $pa || rc=1
-wait $pc || rc=1
+i=0
+until grep -q push_start \"$dir/pushB_crash.events\" 2>/dev/null; do
+    i=$((i+1))
+    if [ $i -gt 600 ]; then
+        echo 'the killed push never started sending'
+        kill -CONT $aggpid; kill -9 $pb; exit 1
+    fi
+    sleep 0.1
+done
+sleep 1
+kill -9 $pb
 wait $pb
 crash_rc=$?
-if [ $crash_rc -ne 3 ]; then
-    echo \"expected the crashing sender to exit 3, got $crash_rc\"
+kill -CONT $aggpid
+rc=0
+if [ $crash_rc -ne 137 ]; then
+    echo \"expected the killed sender to die of SIGKILL, got $crash_rc\"
     rc=1
 fi
-# The retry: same host, same seq, same chunking — the receiver confirms
-# the chunks it already staged and the stream finalizes.
-\"$tool\" push test40 --host hostB --to 127.0.0.1:$port --chunks 3 \\
+wait $pa || rc=1
+wait $pc || rc=1
+# The retry: same host, same seq, same collection — the same frame.
+\"$tool\" push test40 --host hostB --to 127.0.0.1:$port --shards 3 \\
     --retries 20 -o \"$dir/b.profile\" > \"$dir/pushB.log\" 2>&1 || rc=1
+\"$tool\" query --from 127.0.0.1:$port shutdown > \"$dir/shutdown1.out\" \\
+    2>&1 || rc=1
 wait $aggpid || rc=1
 exit $rc
 ")
@@ -91,9 +113,17 @@ if(NOT rc EQUAL 0)
     message(FATAL_ERROR "phase 1 (concurrent pushes) failed (exit ${rc})\n${ALL_LOGS}")
 endif()
 
+# The retry was a duplicate exactly when the killed push's frame was
+# folded before the kill; either way, three shards were accepted.
+file(READ "${WORK_DIR}/pushB.log" pushB_log)
+if(pushB_log MATCHES ", duplicate\\)")
+    set(retry_duplicates 1)
+else()
+    set(retry_duplicates 0)
+endif()
 file(READ "${WORK_DIR}/agg1.log" agg1_log)
-if(NOT agg1_log MATCHES "accepted=3 duplicates=0 incompatible=0 malformed=0")
-    message(FATAL_ERROR "unexpected phase-1 aggregate stats: ${agg1_log}")
+if(NOT agg1_log MATCHES "accepted=3 duplicates=${retry_duplicates} incompatible=0 malformed=0")
+    message(FATAL_ERROR "aggregate stats disagree with the retry's duplicate marker (${retry_duplicates}): ${agg1_log}\n${pushB_log}")
 endif()
 if(NOT agg1_log MATCHES "hosts=3")
     message(FATAL_ERROR "expected 3 hosts: ${agg1_log}")
@@ -131,9 +161,9 @@ while [ ! -s \"$dir/port2\" ]; do
     sleep 0.1
 done
 port=$(cat \"$dir/port2\")
-\"$tool\" push test40 --host hostA --to 127.0.0.1:$port --chunks 2 \\
+\"$tool\" push test40 --host hostA --to 127.0.0.1:$port --shards 2 \\
     --retries 20 > \"$dir/push2A.log\" 2>&1 || exit 1
-\"$tool\" push test40 --host hostB --to 127.0.0.1:$port --chunks 3 \\
+\"$tool\" push test40 --host hostB --to 127.0.0.1:$port --shards 3 \\
     --retries 20 > \"$dir/push2B.log\" 2>&1 || exit 1
 kill -9 $aggpid 2>/dev/null
 wait $aggpid 2>/dev/null
@@ -155,7 +185,7 @@ while [ ! -s \"$dir/port3\" ]; do
     sleep 0.1
 done
 port=$(cat \"$dir/port3\")
-\"$tool\" push test40 --host hostC --to 127.0.0.1:$port --chunks 1 \\
+\"$tool\" push test40 --host hostC --to 127.0.0.1:$port --shards 1 \\
     --retries 20 > \"$dir/push2C.log\" 2>&1 || exit 1
 wait $agg2pid || exit 1
 \"$tool\" store stat --store \"$dir/store\" > \"$dir/store_stat.out\" || exit 1
@@ -228,4 +258,4 @@ if(NOT store_flipped MATCHES "checksum_mismatches=1 NOT OK")
     message(FATAL_ERROR "store verify missed a flipped byte: ${store_flipped}")
 endif()
 
-message(STATUS "transport smoke OK: 3 concurrent pushes (one crash + retry) -> byte-identical aggregate; kill -9 + --state resume -> same bytes, no pins left, store verify catches a flipped byte")
+message(STATUS "transport smoke OK: 3 concurrent pushes (one killed before its ack + retry, duplicates=${retry_duplicates}) -> byte-identical aggregate; kill -9 + --state resume -> same bytes, no pins left, store verify catches a flipped byte")

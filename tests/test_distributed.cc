@@ -90,7 +90,6 @@ TEST(Manifest, RenderParseRoundTrips)
     m.options_hash = 0xdeadbeefcafef00dULL;
     m.checksum = 0x0123456789abcdefULL;
     m.profile_file = "rack7-node03-5-0123456789abcdef.hbbp";
-    m.status = ShardStatus::Complete;
 
     std::string why;
     std::optional<ShardManifest> parsed =
@@ -250,7 +249,6 @@ TEST(ExportImport, RoundTripsProfileAndMetadata)
     EXPECT_EQ(shard->manifest.seq, 3u);
     EXPECT_EQ(shard->manifest.options_hash, 0xabcdULL);
     EXPECT_EQ(shard->manifest.checksum, pd.payloadChecksum());
-    EXPECT_EQ(shard->manifest.status, ShardStatus::Complete);
 }
 
 TEST(ExportImport, ImportRejectsMissingProfileFile)
@@ -303,19 +301,24 @@ TEST(ExportImport, ImportRejectsManifestProfileDisagreement)
 
 TEST(ExportImport, ImportRejectsPartialShards)
 {
-    // status=partial marks a shard an exporter is still streaming:
-    // importing it would bake truncated data into the aggregate.
+    // status=partial marked a shard an exporter was still streaming:
+    // only complete shards are exported, and importing anything else
+    // could bake truncated data into the aggregate.
     std::string dir = freshDir("partial_shard");
     ProfileData pd = shardProfile(1);
     std::string manifest_path =
         exportShard(pd, "hostA", "test40", 0, 1, dir);
-    ShardManifest m = ShardManifest::load(manifest_path);
-    m.status = ShardStatus::Partial;
-    m.save(manifest_path);
+    std::string text = readFile(manifest_path);
+    size_t at = text.find("status=complete");
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, 15, "status=partial");
+    writeFile(manifest_path, text);
 
     std::string why;
     EXPECT_EQ(importShard(manifest_path, &why), std::nullopt);
-    EXPECT_NE(why.find("status=partial"), std::string::npos) << why;
+    EXPECT_NE(why.find("unknown shard status 'partial'"),
+              std::string::npos)
+        << why;
 
     IncrementalAggregator agg;
     EXPECT_EQ(watchAndAggregate(agg, dir), 0u);

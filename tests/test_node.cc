@@ -18,7 +18,6 @@
 
 #include "fleet/aggregate.hh"
 #include "fleet/manifest.hh"
-#include "fleet/merge.hh"
 #include "fleet/node.hh"
 #include "fleet/store.hh"
 #include "fleet/transport.hh"
@@ -58,33 +57,24 @@ leafProfile(uint64_t tag)
     return pd;
 }
 
-/** A leaf shard as a collector sends it: @p n_chunks wire chunks. */
+/** A leaf shard as a collector sends it: one payload. */
 struct Leaf
 {
     ShardManifest manifest;
-    ProfileData profile; ///< The assembled shard.
-    std::vector<std::string> chunks;
+    ProfileData profile;
+    std::vector<std::string> payloads;
 };
 
 Leaf
-makeLeaf(const std::string &host, uint64_t tag, size_t n_chunks = 1)
+makeLeaf(const std::string &host, uint64_t tag)
 {
     Leaf leaf;
     leaf.manifest.host = host;
     leaf.manifest.workload = "test40";
     leaf.manifest.options_hash = 0x1234;
-    std::vector<ProfileData> parts;
-    for (size_t i = 0; i < n_chunks; i++)
-        parts.push_back(leafProfile(tag * 10 + i));
-    leaf.profile = mergeProfiles(parts);
-    if (n_chunks == 1) {
-        leaf.chunks.push_back(
-            leaf.profile.serialize(&leaf.manifest.checksum));
-    } else {
-        leaf.manifest.checksum = leaf.profile.payloadChecksum();
-        for (const ProfileData &part : parts)
-            leaf.chunks.push_back(part.serialize());
-    }
+    leaf.profile = leafProfile(tag * 10);
+    leaf.payloads.push_back(
+        leaf.profile.serialize(&leaf.manifest.checksum));
     return leaf;
 }
 
@@ -105,20 +95,20 @@ struct ServedNode
             lo.expect = expect;
             lo.on_accept = [this](const ShardManifest &m,
                                   const ProfileData &pd,
-                                  const std::vector<std::string> &chunks) {
-                node.accept(m, &pd, chunks);
+                                  const std::vector<std::string> &payloads) {
+                node.accept(m, &pd, payloads);
             };
             listener.serve(node.aggregator(), lo);
         });
     }
 
     void
-    push(const ShardManifest &m, const std::vector<std::string> &chunks)
+    push(const ShardManifest &m, const std::vector<std::string> &payloads)
     {
         SocketTransportOptions so;
         so.port = listener.port();
         so.backoff_ms = 10;
-        SendResult res = SocketTransport(so).sendShard(m, chunks);
+        SendResult res = SocketTransport(so).sendShard(m, payloads);
         ASSERT_TRUE(res.ok) << res.error;
     }
 
@@ -173,29 +163,11 @@ TEST(IngestNode, SingleChunkArrivalDepositsTheWireBytes)
     ServedNode served(io);
     EXPECT_EQ(served.node.restore(), 0u);
     served.start(1);
-    served.push(leaf.manifest, leaf.chunks);
+    served.push(leaf.manifest, leaf.payloads);
     served.thread.join();
 
-    EXPECT_EQ(storedBytes(io, leaf.manifest.checksum), leaf.chunks[0]);
+    EXPECT_EQ(storedBytes(io, leaf.manifest.checksum), leaf.payloads[0]);
     EXPECT_GT(journalBytes(io), 0u);
-    EXPECT_EQ(restoredBytes(io),
-              served.node.aggregator().aggregate().serialize());
-}
-
-TEST(IngestNode, MultiChunkArrivalDepositsTheAssembledProfile)
-{
-    IngestOptions io = statefulOptions(freshDir("multi"));
-    Leaf leaf = makeLeaf("hostA", 2, /*n_chunks=*/3);
-    ServedNode served(io);
-    served.start(1);
-    served.push(leaf.manifest, leaf.chunks);
-    served.thread.join();
-
-    ProfileStore store(io.store_dir);
-    ASSERT_TRUE(store.containsChecksum(leaf.manifest.checksum));
-    EXPECT_EQ(
-        ProfileData::load(store.pathForChecksum(leaf.manifest.checksum)),
-        leaf.profile);
     EXPECT_EQ(restoredBytes(io),
               served.node.aggregator().aggregate().serialize());
 }
@@ -216,16 +188,16 @@ TEST(IngestNode, AggregateArrivalDepositsTheFold)
     m.workload = ex.workload;
     m.checksum = ex.checksum;
     m.level = 1;
-    std::vector<std::string> chunks;
+    std::vector<std::string> payloads;
     for (HostPartial &hp : ex.partials) {
         m.covered.push_back({hp.host, hp.covered});
-        chunks.push_back(std::move(hp.bytes));
+        payloads.push_back(std::move(hp.bytes));
     }
 
     IngestOptions io = statefulOptions(freshDir("aggregate"));
     ServedNode served(io);
     served.start(2);
-    served.push(m, chunks);
+    served.push(m, payloads);
     served.thread.join();
 
     const ProfileData &fold = served.node.aggregator().aggregate();
@@ -306,7 +278,7 @@ TEST(IngestNode, OnlyANodeWithStatePins)
         ASSERT_TRUE(node.aggregator().addShard(leaf.manifest,
                                                leaf.profile, &why))
             << why;
-        node.accept(leaf.manifest, &leaf.profile, leaf.chunks);
+        node.accept(leaf.manifest, &leaf.profile, leaf.payloads);
     };
 
     // Stateless: the deposit lands, no pin file ever exists.

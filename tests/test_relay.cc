@@ -303,8 +303,8 @@ TEST(AggregateManifest, ParseRejectsDamagedCoverage)
 
 TEST(AggregateManifest, DropDirAndImportRefuseAggregates)
 {
-    // The per-host chunk split cannot ride in a single drop-dir file;
-    // both ends say so instead of silently flattening it.
+    // A flush's one payload per host cannot ride in a single drop-dir
+    // file; both ends say so instead of silently flattening it.
     std::string dir = freshDir("dropdir_refuses");
     AggregateShard shard =
         relayFold({makeLeaf("hostA", 0, 1)}, "relay1");
@@ -1148,8 +1148,8 @@ TEST(StateJournalTest, GrowingFlushesFromTwoRelaysStayCompact)
         size_t live_payload = 0;
         for (const AggregateShard &flush : latest) {
             live_payload += flush.manifest.render().size();
-            for (const std::string &chunk : flush.bytes)
-                live_payload += chunk.size();
+            for (const std::string &payload : flush.bytes)
+                live_payload += payload.size();
         }
         EXPECT_GE(journal.liveBytes(), live_payload);
         EXPECT_LT(journal.liveBytes(), live_payload + 2048);
@@ -1297,6 +1297,40 @@ TEST(StateJournalTest, JournalsAggregateArrivalsWithTheirSplit)
     EXPECT_EQ(restored.coveredShards(), 2u);
     EXPECT_EQ(restored.stats().aggregates, 1u);
     EXPECT_EQ(restored.aggregate().serialize(), flat);
+}
+
+TEST(StateJournalTest, RecordThatCannotBeReadBackDies)
+{
+    // A record restore cannot read back would stop every later
+    // restore there and drop the acknowledged arrivals behind it, so
+    // record() refuses it outright: a manifest that does not parse, or
+    // a payload count it does not allow. Only an in-process caller can
+    // hand one over. A manifest without a profile file is not one of
+    // them: it is logged under the name a drop-dir export gives it.
+    std::string dir = freshDir("journal_unreadable");
+    std::string state = dir + "/agg.state";
+    LeafShard leaf = makeLeaf("hostA", 0, 1);
+    AggregateShard flush =
+        relayFold({makeLeaf("hostB", 0, 2), makeLeaf("hostC", 0, 3)},
+                  "relay1");
+    IncrementalAggregator agg;
+    StateJournal journal(state);
+    ShardManifest nameless = leaf.manifest;
+    nameless.workload.clear();
+    EXPECT_DEATH(journal.record(agg, nameless, {leaf.bytes}),
+                 "cannot be recorded.*missing 'workload' field");
+    EXPECT_DEATH(journal.record(agg, flush.manifest, {flush.bytes[0]}),
+                 "cannot be recorded.*covering 2 hosts carries 1 payload");
+    EXPECT_DEATH(journal.record(agg, leaf.manifest, {}),
+                 "cannot be recorded.*leaf shard carries 0 payloads");
+
+    ShardManifest fileless = leaf.manifest;
+    fileless.profile_file.clear();
+    ASSERT_TRUE(agg.addShard(fileless, leaf.profile));
+    journal.record(agg, fileless, {leaf.bytes});
+    size_t replayed = 0;
+    EXPECT_EQ(restoredBytes(state, &replayed), agg.aggregate().serialize());
+    EXPECT_EQ(replayed, 1u);
 }
 
 TEST(StateJournalTest, ColdStartIsCleanWhenNothingExists)

@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the shard transport layer: the pluggable ShardTransport
- * interface (drop-directory and socket push), partial-chunk streaming
- * with out-of-order and duplicate frame delivery, sender retry/resume
- * and exhaustion, and aggregator state persistence (the StateJournal
- * arrival log, with the resume-vs-fresh byte-identity guarantee).
+ * interface (drop-directory and socket push), one frame per shard with
+ * duplicate delivery, torn and rejected frames, the rejection of an
+ * older build's chunked frames, sender retry and exhaustion, and
+ * aggregator state persistence (the StateJournal arrival log, with the
+ * resume-vs-fresh byte-identity guarantee).
  */
 
 #include <gtest/gtest.h>
@@ -48,7 +49,7 @@ freshDir(const char *tag)
 
 /** A small compatible profile whose content varies with @p tag. */
 ProfileData
-chunkProfile(uint64_t tag)
+partProfile(uint64_t tag)
 {
     ProfileData pd;
     pd.sim_periods = {1009, 101};
@@ -66,17 +67,17 @@ chunkProfile(uint64_t tag)
     return pd;
 }
 
-/** N compatible chunks for one shard, varied by @p base. */
+/** N compatible parts of one shard, varied by @p base. */
 std::vector<ProfileData>
-makeChunks(uint64_t base, size_t n)
+makeParts(uint64_t base, size_t n)
 {
-    std::vector<ProfileData> chunks;
+    std::vector<ProfileData> parts;
     for (size_t i = 0; i < n; i++)
-        chunks.push_back(chunkProfile(base + i));
-    return chunks;
+        parts.push_back(partProfile(base + i));
+    return parts;
 }
 
-/** Manifest + serialized chunk bytes for @p chunks as (host, seq). */
+/** A shard as it is pushed: its manifest, payloads and their profile. */
 struct PreparedShard
 {
     ShardManifest manifest;
@@ -84,19 +85,40 @@ struct PreparedShard
     ProfileData merged;
 };
 
+/** The merge of @p parts as (host, seq)'s shard. */
 PreparedShard
-prepareShard(const std::vector<ProfileData> &chunks,
+prepareShard(const std::vector<ProfileData> &parts,
              const std::string &host, uint32_t seq = 0)
 {
     PreparedShard p;
-    p.merged = mergeProfiles(chunks);
+    p.merged = mergeProfiles(parts);
     p.manifest.host = host;
     p.manifest.workload = "test40";
     p.manifest.seq = seq;
     p.manifest.options_hash = 0x1234;
+    p.bytes = {p.merged.serialize(&p.manifest.checksum)};
+    return p;
+}
+
+/**
+ * A relay flush of @p partials, one per host h0, h1, ... (each covering
+ * one leaf), as (relay, seq).
+ */
+PreparedShard
+prepareFlush(const std::vector<ProfileData> &partials, uint32_t seq = 0)
+{
+    PreparedShard p;
+    p.merged = mergeProfiles(partials);
+    p.manifest.version = kManifestVersionAggregate;
+    p.manifest.host = "relay1";
+    p.manifest.workload = "test40";
+    p.manifest.seq = seq;
+    p.manifest.level = 1;
     p.manifest.checksum = p.merged.payloadChecksum();
-    for (const ProfileData &c : chunks)
-        p.bytes.push_back(c.serialize());
+    for (size_t i = 0; i < partials.size(); i++) {
+        p.manifest.covered.push_back({"h" + std::to_string(i), 1});
+        p.bytes.push_back(partials[i].serialize());
+    }
     return p;
 }
 
@@ -145,29 +167,61 @@ fastOptions(uint16_t port, int attempts = 5)
 // documented frame format — it doubles as the wire-contract test.
 // ---------------------------------------------------------------------------
 
-constexpr uint64_t kFrameMagic = 0x48425053'46524d31ULL; // "HBPSFRM1"
+constexpr uint64_t kFrameMagic = 0x48425053'46524d32ULL;        // "HBPSFRM2"
+constexpr uint64_t kChunkedFrameMagic = 0x48425053'46524d31ULL; // "HBPSFRM1"
+
+/**
+ * One frame: u64 magic, u64 body length, u64 body checksum, then the
+ * envelope — u32 manifest length, the manifest, u32 payload count,
+ * and per payload its u64 length and bytes. The checksum is FNV-1a
+ * over the envelope with each payload cut to its 28-byte profile
+ * header.
+ */
+std::string
+rawFrame(const std::string &manifest_text,
+         const std::vector<std::string> &payloads)
+{
+    ByteWriter body, covered;
+    for (ByteWriter *w : {&body, &covered}) {
+        w->u32(static_cast<uint32_t>(manifest_text.size()));
+        w->raw(manifest_text.data(), manifest_text.size());
+        w->u32(static_cast<uint32_t>(payloads.size()));
+    }
+    for (const std::string &payload : payloads) {
+        body.u64(payload.size());
+        body.raw(payload.data(), payload.size());
+        covered.u64(payload.size());
+        covered.raw(payload.data(), std::min<size_t>(payload.size(), 28));
+    }
+    ByteWriter frame;
+    frame.u64(kFrameMagic);
+    frame.u64(body.bytes().size());
+    frame.u64(fnv1a(covered.bytes()));
+    return frame.bytes() + body.bytes();
+}
 
 std::string
-rawFrame(const ShardManifest &manifest, uint32_t chunk_index,
-         uint32_t chunk_count, const std::string &payload)
+rawFrame(const PreparedShard &shard)
 {
-    ShardManifest framed = manifest;
-    framed.status = chunk_index + 1 < chunk_count
-                        ? ShardStatus::Partial
-                        : ShardStatus::Complete;
-    if (framed.profile_file.empty())
-        framed.profile_file = "via-socket.hbbp";
-    std::string text = framed.render();
+    return rawFrame(shard.manifest.render(), shard.bytes);
+}
+
+/**
+ * A chunk frame of the protocol before HBPSFRM2: u64 magic, u32
+ * manifest length, u32 chunk index, u32 chunk count, u64 payload
+ * length, then the manifest and the payload.
+ */
+std::string
+rawChunkedFrame(const std::string &manifest_text,
+                const std::string &payload)
+{
     ByteWriter w;
-    w.u64(kFrameMagic);
-    w.u32(static_cast<uint32_t>(text.size()));
-    w.u32(chunk_index);
-    w.u32(chunk_count);
+    w.u64(kChunkedFrameMagic);
+    w.u32(static_cast<uint32_t>(manifest_text.size()));
+    w.u32(0);
+    w.u32(1);
     w.u64(payload.size());
-    std::string frame = w.bytes();
-    frame += text;
-    frame += payload;
-    return frame;
+    return w.bytes() + manifest_text + payload;
 }
 
 int
@@ -201,7 +255,7 @@ rawSend(int fd, const std::string &bytes)
 
 /** Read one ack; returns the code byte, or -1 on EOF/error. */
 int
-rawReadAck(int fd)
+rawReadAck(int fd, std::string *reason = nullptr)
 {
     char header[5];
     size_t off = 0;
@@ -213,19 +267,19 @@ rawReadAck(int fd)
     }
     uint32_t reason_len;
     std::memcpy(&reason_len, header + 1, 4);
-    std::string reason(reason_len, '\0');
+    std::string text(reason_len, '\0');
     off = 0;
     while (off < reason_len) {
-        ssize_t n =
-            ::recv(fd, reason.data() + off, reason_len - off, 0);
+        ssize_t n = ::recv(fd, text.data() + off, reason_len - off, 0);
         if (n <= 0)
             return -1;
         off += static_cast<size_t>(n);
     }
+    if (reason)
+        *reason = std::move(text);
     return header[0];
 }
 
-constexpr int kAckChunkAccepted = 0;
 constexpr int kAckShardAccepted = 1;
 constexpr int kAckDuplicate = 2;
 constexpr int kAckRejected = 3;
@@ -237,7 +291,7 @@ constexpr int kAckRejected = 3;
 TEST(DropDirTransport, DeliversShardsAnAggregatorCanImport)
 {
     std::string dir = freshDir("dropdir");
-    PreparedShard shard = prepareShard(makeChunks(1, 1), "hostA");
+    PreparedShard shard = prepareShard(makeParts(1, 1), "hostA");
 
     DropDirTransport transport(dir);
     SendResult res = transport.sendShard(shard.manifest, shard.bytes);
@@ -254,26 +308,10 @@ TEST(DropDirTransport, DeliversShardsAnAggregatorCanImport)
                     .duplicate);
 }
 
-TEST(DropDirTransport, AssemblesChunkedShardsBeforePublishing)
-{
-    // A directory has no streaming: a chunked send must publish one
-    // complete profile whose bytes match the merged chunks.
-    std::string dir = freshDir("dropdir_chunks");
-    PreparedShard shard = prepareShard(makeChunks(10, 3), "hostA");
-
-    SendResult res =
-        DropDirTransport(dir).sendShard(shard.manifest, shard.bytes);
-    EXPECT_TRUE(res.ok) << res.error;
-
-    IncrementalAggregator agg;
-    EXPECT_EQ(watchAndAggregate(agg, dir), 1u);
-    EXPECT_EQ(agg.aggregate(), shard.merged);
-}
-
 TEST(DropDirTransport, RejectsChecksumDisagreement)
 {
     std::string dir = freshDir("dropdir_bad_sum");
-    PreparedShard shard = prepareShard(makeChunks(1, 2), "hostA");
+    PreparedShard shard = prepareShard(makeParts(1, 2), "hostA");
     shard.manifest.checksum ^= 1;
 
     SendResult res =
@@ -293,16 +331,16 @@ TEST(DropDirTransport, RejectsChecksumDisagreement)
 TEST(SocketTransport, PushesACompleteShardInOneFrame)
 {
     ListenerHarness h;
-    PreparedShard shard = prepareShard(makeChunks(1, 1), "hostA");
+    PreparedShard shard = prepareShard(makeParts(1, 1), "hostA");
 
     std::vector<std::pair<std::string, size_t>> accepts;
     ListenOptions lo;
     lo.expect = 1;
     lo.on_accept = [&](const ShardManifest &m, const ProfileData &pd,
-                       const std::vector<std::string> &chunks) {
+                       const std::vector<std::string> &payloads) {
         // The transportable form rides along for journaling hooks: a
-        // leaf shard arrives as one assembled serialized profile.
-        EXPECT_EQ(chunks.size(), 1u);
+        // leaf shard arrives as its one serialized profile.
+        EXPECT_EQ(payloads, shard.bytes);
         accepts.emplace_back(m.host, pd.ebs.size());
     };
     h.start(lo);
@@ -316,37 +354,19 @@ TEST(SocketTransport, PushesACompleteShardInOneFrame)
     EXPECT_EQ(res.attempts, 1);
     EXPECT_EQ(h.served, 1u);
     EXPECT_EQ(h.agg.aggregate(), shard.merged);
-    // The accept callback saw the assembled profile (the deposit and
+    // The accept callback saw the shard's profile (the deposit and
     // checkpoint hook) before the sender's ack.
     ASSERT_EQ(accepts.size(), 1u);
     EXPECT_EQ(accepts[0].first, "hostA");
     EXPECT_EQ(accepts[0].second, shard.merged.ebs.size());
 }
 
-TEST(SocketTransport, StreamsPartialChunksAndFinalizes)
-{
-    ListenerHarness h;
-    PreparedShard shard = prepareShard(makeChunks(20, 4), "hostA");
-
-    ListenOptions lo;
-    lo.expect = 1;
-    h.start(lo);
-
-    SocketTransport transport(fastOptions(h.listener.port()));
-    SendResult res = transport.sendShard(shard.manifest, shard.bytes);
-    h.join();
-
-    EXPECT_TRUE(res.ok) << res.error;
-    EXPECT_EQ(h.agg.stats().accepted, 1u);
-    EXPECT_EQ(h.agg.aggregate(), shard.merged);
-}
-
 TEST(SocketTransport, ConcurrentSendersInterleaveSafely)
 {
     ListenerHarness h;
-    PreparedShard a = prepareShard(makeChunks(30, 3), "hostA");
-    PreparedShard b = prepareShard(makeChunks(40, 2), "hostB");
-    PreparedShard c = prepareShard(makeChunks(50, 1), "hostC");
+    PreparedShard a = prepareShard(makeParts(30, 3), "hostA");
+    PreparedShard b = prepareShard(makeParts(40, 2), "hostB");
+    PreparedShard c = prepareShard(makeParts(50, 1), "hostC");
 
     ListenOptions lo;
     lo.expect = 3;
@@ -383,67 +403,35 @@ TEST(SocketTransport, ConcurrentSendersInterleaveSafely)
 // Failure injection.
 // ---------------------------------------------------------------------------
 
-TEST(SocketTransport, OutOfOrderPartialFramesAssembleCanonically)
-{
-    ListenerHarness h;
-    PreparedShard shard = prepareShard(makeChunks(60, 3), "hostA");
-
-    ListenOptions lo;
-    lo.expect = 1;
-    h.start(lo);
-
-    // Deliver 1, then 0, then the final 2: staging is keyed by chunk
-    // index, so arrival order must not matter.
-    int fd = rawConnect(h.listener.port());
-    EXPECT_TRUE(rawSend(fd, rawFrame(shard.manifest, 1, 3,
-                                     shard.bytes[1])));
-    EXPECT_EQ(rawReadAck(fd), kAckChunkAccepted);
-    EXPECT_TRUE(rawSend(fd, rawFrame(shard.manifest, 0, 3,
-                                     shard.bytes[0])));
-    EXPECT_EQ(rawReadAck(fd), kAckChunkAccepted);
-    EXPECT_TRUE(rawSend(fd, rawFrame(shard.manifest, 2, 3,
-                                     shard.bytes[2])));
-    EXPECT_EQ(rawReadAck(fd), kAckShardAccepted);
-    ::close(fd);
-    h.join();
-
-    EXPECT_EQ(h.agg.aggregate(), shard.merged);
-}
-
 TEST(SocketTransport, DuplicateFrameDeliveryIsIdempotent)
 {
     ListenerHarness h;
-    PreparedShard shard = prepareShard(makeChunks(70, 3), "hostA");
+    PreparedShard shard = prepareShard(makeParts(70, 3), "hostA");
 
     ListenOptions lo;
-    lo.expect = 1;
+    lo.idle_timeout_ms = 300;
     h.start(lo);
 
+    // The same frame twice (a retransmit after a lost ack): folded
+    // once, then confirmed as a duplicate.
     int fd = rawConnect(h.listener.port());
-    // Chunk 0 delivered twice (a retransmit): both confirmed, staged
-    // once.
-    for (int round = 0; round < 2; round++) {
-        EXPECT_TRUE(rawSend(fd, rawFrame(shard.manifest, 0, 3,
-                                         shard.bytes[0])));
-        EXPECT_EQ(rawReadAck(fd), kAckChunkAccepted);
-    }
-    EXPECT_TRUE(rawSend(fd, rawFrame(shard.manifest, 1, 3,
-                                     shard.bytes[1])));
-    EXPECT_EQ(rawReadAck(fd), kAckChunkAccepted);
-    EXPECT_TRUE(rawSend(fd, rawFrame(shard.manifest, 2, 3,
-                                     shard.bytes[2])));
+    EXPECT_TRUE(rawSend(fd, rawFrame(shard)));
     EXPECT_EQ(rawReadAck(fd), kAckShardAccepted);
+    EXPECT_TRUE(rawSend(fd, rawFrame(shard)));
+    EXPECT_EQ(rawReadAck(fd), kAckDuplicate);
     ::close(fd);
     h.join();
 
+    EXPECT_EQ(h.served, 1u);
     EXPECT_EQ(h.agg.stats().accepted, 1u);
+    EXPECT_EQ(h.agg.stats().duplicates, 1u);
     EXPECT_EQ(h.agg.aggregate(), shard.merged);
 }
 
 TEST(SocketTransport, DroppedConnectionMidPayloadLeavesListenerServing)
 {
     ListenerHarness h;
-    PreparedShard shard = prepareShard(makeChunks(80, 1), "hostA");
+    PreparedShard shard = prepareShard(makeParts(80, 1), "hostA");
 
     ListenOptions lo;
     lo.expect = 1;
@@ -451,8 +439,7 @@ TEST(SocketTransport, DroppedConnectionMidPayloadLeavesListenerServing)
 
     // A sender dies mid-frame: half the bytes, then EOF. The listener
     // must discard the torso and keep serving.
-    std::string frame =
-        rawFrame(shard.manifest, 0, 1, shard.bytes[0]);
+    std::string frame = rawFrame(shard);
     int fd = rawConnect(h.listener.port());
     EXPECT_TRUE(rawSend(fd, frame.substr(0, frame.size() / 2)));
     ::close(fd);
@@ -473,84 +460,19 @@ TEST(SocketTransport, FinalFrameDeliveredBeforeEofIsStillFolded)
     // EOF usually land in the same poll round, and the frame must be
     // folded before the EOF closes the connection.
     ListenerHarness h;
-    PreparedShard shard = prepareShard(makeChunks(85, 1), "hostA");
+    PreparedShard shard = prepareShard(makeParts(85, 1), "hostA");
 
     ListenOptions lo;
     lo.expect = 1;
     h.start(lo);
 
     int fd = rawConnect(h.listener.port());
-    EXPECT_TRUE(rawSend(fd, rawFrame(shard.manifest, 0, 1,
-                                     shard.bytes[0])));
+    EXPECT_TRUE(rawSend(fd, rawFrame(shard)));
     ::close(fd); // Die before reading the ack.
     h.join();
 
     EXPECT_EQ(h.agg.stats().accepted, 1u);
     EXPECT_EQ(h.agg.aggregate(), shard.merged);
-}
-
-TEST(SocketTransport, CrashedChunkedSenderResumesViaFullRetry)
-{
-    ListenerHarness h;
-    PreparedShard shard = prepareShard(makeChunks(90, 3), "hostA");
-
-    ListenOptions lo;
-    lo.expect = 1;
-    h.start(lo);
-
-    // A chunked sender crashes after two staged chunks; the retry
-    // resends from the top and the already-staged chunks are confirmed
-    // idempotently.
-    int fd = rawConnect(h.listener.port());
-    EXPECT_TRUE(rawSend(fd, rawFrame(shard.manifest, 0, 3,
-                                     shard.bytes[0])));
-    EXPECT_EQ(rawReadAck(fd), kAckChunkAccepted);
-    EXPECT_TRUE(rawSend(fd, rawFrame(shard.manifest, 1, 3,
-                                     shard.bytes[1])));
-    EXPECT_EQ(rawReadAck(fd), kAckChunkAccepted);
-    ::close(fd); // Crash: no final frame.
-
-    SocketTransport transport(fastOptions(h.listener.port()));
-    SendResult res = transport.sendShard(shard.manifest, shard.bytes);
-    h.join();
-
-    EXPECT_TRUE(res.ok) << res.error;
-    EXPECT_EQ(h.agg.stats().accepted, 1u);
-    EXPECT_EQ(h.agg.aggregate(), shard.merged);
-}
-
-TEST(SocketTransport, RecollectedShardSupersedesAnAbandonedStream)
-{
-    // A host crashes mid-stream, re-collects (different data), and
-    // pushes the same (host, seq) slot: the staged chunks of the dead
-    // stream diverge from the new one at index 0 and must be
-    // superseded — permanently rejecting the only live sender would
-    // strand the slot forever.
-    ListenerHarness h;
-    PreparedShard old_stream = prepareShard(makeChunks(180, 3), "hostA");
-    PreparedShard new_stream = prepareShard(makeChunks(185, 3), "hostA");
-
-    ListenOptions lo;
-    lo.expect = 1;
-    h.start(lo);
-
-    int fd = rawConnect(h.listener.port());
-    EXPECT_TRUE(rawSend(fd, rawFrame(old_stream.manifest, 0, 3,
-                                     old_stream.bytes[0])));
-    EXPECT_EQ(rawReadAck(fd), kAckChunkAccepted);
-    EXPECT_TRUE(rawSend(fd, rawFrame(old_stream.manifest, 1, 3,
-                                     old_stream.bytes[1])));
-    EXPECT_EQ(rawReadAck(fd), kAckChunkAccepted);
-    ::close(fd); // The old collection dies here, chunks staged.
-
-    SocketTransport transport(fastOptions(h.listener.port()));
-    SendResult res =
-        transport.sendShard(new_stream.manifest, new_stream.bytes);
-    h.join();
-
-    EXPECT_TRUE(res.ok) << res.error;
-    EXPECT_EQ(h.agg.stats().accepted, 1u);
-    EXPECT_EQ(h.agg.aggregate(), new_stream.merged);
 }
 
 TEST(SocketTransport, RetryExhaustionFailsWithDiagnostic)
@@ -562,7 +484,7 @@ TEST(SocketTransport, RetryExhaustionFailsWithDiagnostic)
         dead_port = probe.port();
     }
 
-    PreparedShard shard = prepareShard(makeChunks(100, 1), "hostA");
+    PreparedShard shard = prepareShard(makeParts(100, 1), "hostA");
     SocketTransport transport(fastOptions(dead_port, /*attempts=*/3));
     SendResult res = transport.sendShard(shard.manifest, shard.bytes);
 
@@ -576,9 +498,9 @@ TEST(SocketTransport, RetryExhaustionFailsWithDiagnostic)
 TEST(SocketTransport, RejectionIsPermanentAndDoesNotRetry)
 {
     ListenerHarness h;
-    PreparedShard first = prepareShard(makeChunks(110, 1), "hostA");
+    PreparedShard first = prepareShard(makeParts(110, 1), "hostA");
     // Incompatible follow-up: different sampling periods.
-    ProfileData bad = chunkProfile(111);
+    ProfileData bad = partProfile(111);
     bad.sim_periods.ebs = 997;
     PreparedShard second = prepareShard({bad}, "hostB");
 
@@ -609,7 +531,7 @@ TEST(SocketTransport, RejectionIsPermanentAndDoesNotRetry)
 TEST(SocketTransport, DuplicateShardDeliveryIsReportedAsDuplicate)
 {
     ListenerHarness h;
-    PreparedShard shard = prepareShard(makeChunks(120, 2), "hostA");
+    PreparedShard shard = prepareShard(makeParts(120, 2), "hostA");
 
     ListenOptions lo;
     lo.expect = 1;
@@ -645,8 +567,8 @@ TEST(SocketTransport, SeqSlotConflictIsARejectionNotADuplicate)
     // rejection — acking it as a duplicate would report silent data
     // loss as success.
     ListenerHarness h;
-    PreparedShard first = prepareShard(makeChunks(150, 1), "hostA", 0);
-    PreparedShard second = prepareShard(makeChunks(151, 1), "hostA", 0);
+    PreparedShard first = prepareShard(makeParts(150, 1), "hostA", 0);
+    PreparedShard second = prepareShard(makeParts(151, 1), "hostA", 0);
 
     ListenOptions lo;
     lo.expect = 2;
@@ -675,7 +597,7 @@ TEST(SocketTransport, StructurallyCorruptChunkBehindValidChecksumIsRejected)
     // structural garbage must earn a rejection, never take the
     // listener down.
     ListenerHarness h;
-    PreparedShard shard = prepareShard(makeChunks(160, 1), "hostA");
+    PreparedShard shard = prepareShard(makeParts(160, 1), "hostA");
     std::string &bytes = shard.bytes[0];
     // Overwrite the whole payload with 0xFF (an implausible record
     // count at best) and restamp the header checksum to match.
@@ -691,12 +613,11 @@ TEST(SocketTransport, StructurallyCorruptChunkBehindValidChecksumIsRejected)
     SocketTransport t1(fastOptions(h.listener.port()));
     SendResult res = t1.sendShard(shard.manifest, shard.bytes);
     EXPECT_FALSE(res.ok);
-    EXPECT_NE(res.error.find("chunk payload invalid"),
-              std::string::npos)
+    EXPECT_NE(res.error.find("payload invalid"), std::string::npos)
         << res.error;
 
     // The listener survived and still accepts good shards.
-    PreparedShard good = prepareShard(makeChunks(161, 1), "hostB");
+    PreparedShard good = prepareShard(makeParts(161, 1), "hostB");
     SocketTransport t2(fastOptions(h.listener.port()));
     EXPECT_TRUE(t2.sendShard(good.manifest, good.bytes).ok);
     h.join();
@@ -706,50 +627,41 @@ TEST(SocketTransport, StructurallyCorruptChunkBehindValidChecksumIsRejected)
 
 TEST(SocketTransport, ConflictingModulesBetweenLaterChunksAreRejected)
 {
-    // Chunk 0 knows neither module record; chunks 1 and 2 conflict
-    // over them. The conflict must be caught at assembly — against
-    // the accumulated map, not just chunk 0 — instead of fatal()ing
-    // the listener inside mergeInto(). Two names over one address
-    // range conflict as much as one name placed twice, and an
-    // aggregate's per-host partials assemble through the same merge.
+    // A relay flush whose partials conflict over module records that
+    // partial 0 does not know: the conflict must be caught when the
+    // listener merges the partials to check the manifest — against the
+    // accumulated map, not just partial 0 — and earn a rejection
+    // instead of fatal()ing the listener inside mergeInto(). Two names
+    // over one address range conflict as much as one name placed
+    // twice.
     struct Case
     {
         const char *what;
-        MmapRecord in_c1, in_c2;
-        bool aggregate;
+        MmapRecord in_p1, in_p2;
         const char *expect;
     };
     const Case cases[] = {
         {"one name, two placements",
          {"extra.so", 0x700000, 0x1000, false},
-         {"extra.so", 0x800000, 0x1000, false}, false,
+         {"extra.so", 0x800000, 0x1000, false},
          "module 'extra.so' mapped at"},
         {"two names, overlapping ranges",
          {"a.so", 0x700000, 0x1000, false},
-         {"b.so", 0x700800, 0x1000, false}, false,
-         "modules 'a.so' (0x700000+0x1000) and 'b.so'"},
-        {"an aggregate's partials, overlapping ranges",
-         {"a.so", 0x700000, 0x1000, false},
-         {"b.so", 0x700800, 0x1000, false}, true,
+         {"b.so", 0x700800, 0x1000, false},
          "modules 'a.so' (0x700000+0x1000) and 'b.so'"},
     };
     for (const Case &c : cases) {
         ListenerHarness h;
-        ProfileData c0 = chunkProfile(170);
-        ProfileData c1 = chunkProfile(171);
-        c1.mmaps.push_back(c.in_c1);
-        ProfileData c2 = chunkProfile(172);
-        c2.mmaps.push_back(c.in_c2);
+        ProfileData p0 = partProfile(170);
+        ProfileData p1 = partProfile(171);
+        p1.mmaps.push_back(c.in_p1);
+        ProfileData p2 = partProfile(172);
+        p2.mmaps.push_back(c.in_p2);
 
-        PreparedShard shard;
-        shard.manifest.host = "hostA";
-        shard.manifest.workload = "test40";
-        shard.manifest.checksum = 0; // Never reached: assembly fails.
-        if (c.aggregate) {
-            shard.manifest.level = 1;
-            shard.manifest.covered = {{"h0", 1}, {"h1", 1}, {"h2", 1}};
-        }
-        shard.bytes = {c0.serialize(), c1.serialize(), c2.serialize()};
+        PreparedShard flush = prepareFlush({p0, p1});
+        flush.manifest.covered.push_back({"h2", 1});
+        flush.bytes.push_back(p2.serialize());
+        flush.manifest.checksum = 0; // Never reached: the merge fails.
 
         ListenOptions lo;
         lo.expect = 1;
@@ -757,10 +669,11 @@ TEST(SocketTransport, ConflictingModulesBetweenLaterChunksAreRejected)
         h.start(lo);
 
         SocketTransport transport(fastOptions(h.listener.port()));
-        SendResult res = transport.sendShard(shard.manifest, shard.bytes);
+        SendResult res = transport.sendShard(flush.manifest, flush.bytes);
         h.join();
 
         EXPECT_FALSE(res.ok) << c.what;
+        EXPECT_EQ(res.attempts, 1) << c.what;
         EXPECT_NE(res.error.find(c.expect), std::string::npos)
             << c.what << ": " << res.error;
         EXPECT_EQ(h.agg.stats().accepted, 0u) << c.what;
@@ -771,7 +684,7 @@ TEST(SocketTransport, ConflictingModulesBetweenLaterChunksAreRejected)
 TEST(SocketTransport, CorruptChunkPayloadIsRejected)
 {
     ListenerHarness h;
-    PreparedShard shard = prepareShard(makeChunks(130, 1), "hostA");
+    PreparedShard shard = prepareShard(makeParts(130, 1), "hostA");
     shard.bytes[0][shard.bytes[0].size() - 3] ^= 0x40;
 
     ListenOptions lo;
@@ -784,8 +697,7 @@ TEST(SocketTransport, CorruptChunkPayloadIsRejected)
     h.join();
 
     EXPECT_FALSE(res.ok);
-    EXPECT_NE(res.error.find("chunk payload invalid"),
-              std::string::npos)
+    EXPECT_NE(res.error.find("payload invalid"), std::string::npos)
         << res.error;
     EXPECT_EQ(h.agg.stats().accepted, 0u);
     EXPECT_EQ(h.agg.stats().malformed, 1u);
@@ -807,14 +719,17 @@ pushToFreshListener(const PreparedShard &shard, ListenerHarness &h,
 
 TEST(SocketTransport, ManifestChecksumMismatchIsRejected)
 {
-    // The manifest's checksum names the assembled shard. One chunk is
-    // held to the checksum its own header proved, several to their
-    // serialized assembly; a manifest that disagrees either way is a
-    // permanent rejection that reaches neither the fold nor on_accept.
-    for (size_t n_chunks : {1, 3}) {
+    // The manifest's checksum names the shard: a leaf's one payload,
+    // which its own header proves, or a flush's merged partials. A
+    // manifest that disagrees either way is a permanent rejection that
+    // reaches neither the fold nor on_accept.
+    const PreparedShard shards[] = {
+        prepareShard(makeParts(140, 1), "hostA"),
+        prepareFlush(makeParts(145, 2)),
+    };
+    for (PreparedShard shard : shards) {
+        SCOPED_TRACE(shard.manifest.host);
         ListenerHarness h;
-        PreparedShard shard =
-            prepareShard(makeChunks(140, n_chunks), "hostA");
         shard.manifest.checksum ^= 1;
         size_t accepts = 0;
         ListenOptions lo;
@@ -823,7 +738,7 @@ TEST(SocketTransport, ManifestChecksumMismatchIsRejected)
             accepts++;
         };
         SendResult res = pushToFreshListener(shard, h, lo);
-        EXPECT_FALSE(res.ok) << n_chunks << " chunks";
+        EXPECT_FALSE(res.ok);
         EXPECT_EQ(res.attempts, 1);
         EXPECT_NE(res.error.find("manifest promises"), std::string::npos)
             << res.error;
@@ -833,40 +748,22 @@ TEST(SocketTransport, ManifestChecksumMismatchIsRejected)
     }
 }
 
-TEST(SocketTransport, MultiChunkLeafHandsItsAssembledBytesToOnAccept)
-{
-    // The bytes that proved the manifest are the bytes on_accept
-    // deposits and journals: one serialization of the assembly.
-    ListenerHarness h;
-    PreparedShard shard = prepareShard(makeChunks(150, 3), "hostA");
-    std::vector<std::string> accepted;
-    ListenOptions lo;
-    lo.on_accept = [&](const ShardManifest &, const ProfileData &,
-                       const std::vector<std::string> &chunks) {
-        accepted = chunks;
-    };
-    SendResult res = pushToFreshListener(shard, h, lo);
-    ASSERT_TRUE(res.ok) << res.error;
-    ASSERT_EQ(accepted.size(), 1u);
-    EXPECT_EQ(accepted[0], shard.merged.serialize());
-}
-
 TEST(SocketTransport, SingleChunkPushFromAVersion3SenderIsAccepted)
 {
     // A build that still writes version 3 stamps its manifest with the
-    // version-3 payload checksum. Sent as one chunk, that is exactly
-    // the checksum the listener's parse verifies, so the shard folds,
-    // and on_accept gets the sender's bytes verbatim — stores and
-    // journals read version 3.
+    // version-3 payload checksum. A leaf's one payload is held to the
+    // checksum the listener's parse verifies on it, so the shard
+    // folds, and on_accept gets the sender's bytes verbatim — stores
+    // and journals read version 3.
     ListenerHarness h;
-    ProfileData pd = chunkProfile(160);
+    ProfileData pd = partProfile(160);
     PreparedShard shard = prepareShard({pd}, "hostA");
     shard.bytes = {testutil::encodeProfileV3(pd, &shard.manifest.checksum)};
     std::vector<std::string> accepted;
     ListenOptions lo;
     lo.on_accept = [&](const ShardManifest &, const ProfileData &,
-                       const std::vector<std::string> &chunks) {
-        accepted = chunks;
+                       const std::vector<std::string> &payloads) {
+        accepted = payloads;
     };
     SendResult res = pushToFreshListener(shard, h, lo);
     ASSERT_TRUE(res.ok) << res.error;
@@ -876,23 +773,36 @@ TEST(SocketTransport, SingleChunkPushFromAVersion3SenderIsAccepted)
     EXPECT_EQ(accepted[0], shard.bytes[0]);
 }
 
-TEST(SocketTransport, MultiChunkPushFromAVersion3SenderIsRejected)
+TEST(SocketTransport, ChunkedFrameFromAnOlderSenderIsRejected)
 {
-    // Several chunks are checked against their version-4 assembly, so
-    // a version-3 manifest checksum cannot match: chunked and relay
-    // pushes need version 4 on both ends, and say so by rejecting.
+    // A sender from before one-frame shards opens with HBPSFRM1: it
+    // gets a rejection in the ack layout it reads, naming the upgrade,
+    // and the listener keeps serving.
     ListenerHarness h;
-    std::vector<ProfileData> chunks = makeChunks(170, 2);
-    PreparedShard shard = prepareShard(chunks, "hostA");
-    shard.bytes.clear();
-    for (const ProfileData &c : chunks)
-        shard.bytes.push_back(testutil::encodeProfileV3(c));
-    testutil::encodeProfileV3(shard.merged, &shard.manifest.checksum);
-    SendResult res = pushToFreshListener(shard, h);
-    EXPECT_FALSE(res.ok);
-    EXPECT_NE(res.error.find("manifest promises"), std::string::npos)
-        << res.error;
-    EXPECT_EQ(h.agg.stats().accepted, 0u);
+    PreparedShard old_shard = prepareShard(makeParts(175, 1), "hostA");
+    PreparedShard good = prepareShard(makeParts(176, 1), "hostB");
+    ListenOptions lo;
+    lo.expect = 1;
+    lo.idle_timeout_ms = 10'000;
+    h.start(lo);
+
+    int fd = rawConnect(h.listener.port());
+    EXPECT_TRUE(rawSend(fd, rawChunkedFrame(old_shard.manifest.render(),
+                                            old_shard.bytes[0])));
+    std::string reason;
+    EXPECT_EQ(rawReadAck(fd, &reason), kAckRejected);
+    EXPECT_NE(reason.find("HBPSFRM1"), std::string::npos) << reason;
+    EXPECT_NE(reason.find("upgrade the sender"), std::string::npos)
+        << reason;
+    ::close(fd);
+
+    SocketTransport transport(fastOptions(h.listener.port()));
+    SendResult res = transport.sendShard(good.manifest, good.bytes);
+    h.join();
+    EXPECT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(h.agg.stats().accepted, 1u);
+    EXPECT_EQ(h.agg.stats().malformed, 1u);
+    EXPECT_EQ(h.agg.aggregate(), good.merged);
 }
 
 TEST(ShardListenerTest, IdleTimeoutExpiresWithoutSenders)
@@ -917,7 +827,7 @@ TEST(ShardListenerTest, ExpectCountsShardsAlreadyAggregated)
     // serve() with expect already satisfied (a restarted aggregator
     // whose restored state covers the fleet) returns immediately.
     ListenerHarness h;
-    PreparedShard shard = prepareShard(makeChunks(140, 1), "hostA");
+    PreparedShard shard = prepareShard(makeParts(140, 1), "hostA");
     ASSERT_TRUE(h.agg.addShard(shard.manifest, shard.merged));
     ListenOptions lo;
     lo.expect = 1;
@@ -931,7 +841,7 @@ TEST(ShardListenerTest, ExpectCountsShardsAlreadyAggregated)
 // Aggregator state persistence: the StateJournal arrival log.
 // ---------------------------------------------------------------------------
 
-/** Fold the single-chunk shard @p s in and log it, as a node would. */
+/** Fold the leaf shard @p s in and log it, as a node would. */
 void
 acceptLogged(IncrementalAggregator &agg, StateJournal &journal,
              const PreparedShard &s)
@@ -958,8 +868,8 @@ TEST(AggregatorState, ResumeIsByteIdenticalToAFreshRun)
     std::string dir = freshDir("state_identity");
     std::string state = dir + "/agg.state";
 
-    ProfileData a = chunkProfile(1), b = chunkProfile(2),
-                c = chunkProfile(3);
+    ProfileData a = partProfile(1), b = partProfile(2),
+                c = partProfile(3);
     PreparedShard sa = prepareShard({a}, "hostA");
     PreparedShard sb = prepareShard({b}, "hostB");
     PreparedShard sc = prepareShard({c}, "hostC");
@@ -995,8 +905,8 @@ TEST(AggregatorState, PendingOutOfOrderShardsSurviveRestarts)
     std::string dir = freshDir("state_pending");
     std::string state = dir + "/agg.state";
 
-    ProfileData s0 = chunkProfile(10), s1 = chunkProfile(11),
-                s2 = chunkProfile(12);
+    ProfileData s0 = partProfile(10), s1 = partProfile(11),
+                s2 = partProfile(12);
     PreparedShard m0 = prepareShard({s0}, "hostA", 0);
     PreparedShard m1 = prepareShard({s1}, "hostA", 1);
     PreparedShard m2 = prepareShard({s2}, "hostA", 2);
@@ -1021,7 +931,7 @@ TEST(AggregatorState, RestoredDuplicateDetectionStillRejects)
     std::string dir = freshDir("state_dedup");
     std::string state = dir + "/agg.state";
 
-    PreparedShard sa = prepareShard({chunkProfile(20)}, "hostA");
+    PreparedShard sa = prepareShard({partProfile(20)}, "hostA");
     {
         IncrementalAggregator before;
         StateJournal journal(state);
@@ -1044,7 +954,7 @@ TEST(AggregatorState, RestoredCompatibilityGateStillRejects)
     std::string dir = freshDir("state_compat");
     std::string state = dir + "/agg.state";
 
-    PreparedShard sa = prepareShard({chunkProfile(30)}, "hostA");
+    PreparedShard sa = prepareShard({partProfile(30)}, "hostA");
     {
         IncrementalAggregator before;
         StateJournal journal(state);
@@ -1053,7 +963,7 @@ TEST(AggregatorState, RestoredCompatibilityGateStillRejects)
 
     IncrementalAggregator resumed;
     restoreFrom(state, resumed);
-    ProfileData bad = chunkProfile(31);
+    ProfileData bad = partProfile(31);
     bad.sim_periods.ebs = 997;
     PreparedShard sb = prepareShard({bad}, "hostB");
     std::string why;
@@ -1063,7 +973,7 @@ TEST(AggregatorState, RestoredCompatibilityGateStillRejects)
     ShardManifest other = sb.manifest;
     other.workload = "kernelbench";
     other.checksum ^= 2;
-    EXPECT_FALSE(resumed.addShard(other, chunkProfile(32), &why));
+    EXPECT_FALSE(resumed.addShard(other, partProfile(32), &why));
     EXPECT_NE(why.find("workload"), std::string::npos) << why;
 }
 
@@ -1089,7 +999,7 @@ TEST(AggregatorState, CorruptOrForeignFilesAreRefused)
 {
     std::string dir = freshDir("state_corrupt");
     std::string state = dir + "/agg.state";
-    ProfileData a = chunkProfile(40);
+    ProfileData a = partProfile(40);
     PreparedShard sa = prepareShard({a}, "hostA");
     std::string intact;
     {
@@ -1131,8 +1041,8 @@ TEST(AggregatorState, CorruptOrForeignFilesAreRefused)
 
     // Structural garbage behind a self-consistent checksum (a crafted
     // file): still a cold start, never a crash. The record checksum
-    // covers the manifest, the chunk count and each chunk's length and
-    // 28-byte profile header.
+    // covers the manifest, the payload count and each payload's length
+    // and 28-byte profile header.
     std::string garbage(40, '\xff');
     ByteWriter body, covered;
     body.str(garbage);
@@ -1157,8 +1067,8 @@ TEST(AggregatorState, StatePersistsThroughTheListener)
     // "crash", restore, serve the rest, byte-identical result.
     std::string dir = freshDir("state_listener");
     std::string state = dir + "/agg.state";
-    PreparedShard sa = prepareShard(makeChunks(50, 2), "hostA");
-    PreparedShard sb = prepareShard(makeChunks(55, 1), "hostB");
+    PreparedShard sa = prepareShard(makeParts(50, 2), "hostA");
+    PreparedShard sb = prepareShard(makeParts(55, 1), "hostB");
 
     {
         ListenerHarness h;
@@ -1166,8 +1076,8 @@ TEST(AggregatorState, StatePersistsThroughTheListener)
         ListenOptions lo;
         lo.expect = 1;
         lo.on_accept = [&](const ShardManifest &m, const ProfileData &,
-                           const std::vector<std::string> &chunks) {
-            journal.record(h.agg, m, chunks);
+                           const std::vector<std::string> &payloads) {
+            journal.record(h.agg, m, payloads);
         };
         h.start(lo);
         SocketTransport t(fastOptions(h.listener.port()));
