@@ -300,8 +300,10 @@ StateJournal::record(IncrementalAggregator &agg,
     // What replay accepts: a manifest that parses back, carrying one
     // payload per covered host. A record replay refuses would stop
     // every later restore there and drop the acknowledged arrivals
-    // behind it. The listener and the watcher only hand over arrivals
-    // they parsed, so a failure here is an in-process caller's bug.
+    // behind it. Every manifest ShardManifest::parse() accepts renders
+    // back to text it accepts, and the listener and the watcher only
+    // hand over arrivals they parsed and counted, so a failure here
+    // is an in-process caller's bug.
     ArrivalParts parts{manifest.render(),
                        {payloads.begin(), payloads.end()}};
     std::string why;

@@ -96,7 +96,7 @@ parseCoverage(const std::string &value,
         }
         hc.count = static_cast<uint32_t>(count);
         // Sorted and duplicate-free, so coverage order is canonical
-        // and chunk i always means covered[i]'s partial.
+        // and payload i always means covered[i]'s partial.
         if (!out->empty() && out->back().host >= hc.host) {
             *why = format(
                 "hosts list is not sorted and duplicate-free at '%s'",
@@ -230,6 +230,21 @@ ShardManifest::parse(const std::string &text, std::string *why)
                                lines[i].c_str()));
         std::string key = lines[i].substr(0, eq);
         std::string value = lines[i].substr(eq + 1);
+        // The free-text fields render back verbatim, with %s, which
+        // stops at a NUL; the others take only digits or one word.
+        // Refusing control bytes in them keeps every manifest accepted
+        // here rendering back to text that parses to it, which the
+        // state log's replay relies on.
+        if (key == "host" || key == "workload" || key == "profile" ||
+            key == "hosts" || key == "trace" || key == "metrics") {
+            for (char c : value)
+                if (std::iscntrl(static_cast<unsigned char>(c)))
+                    return fail(format(
+                        "control byte 0x%02x in manifest field '%s'",
+                        static_cast<unsigned>(
+                            static_cast<unsigned char>(c)),
+                        key.c_str()));
+        }
         if (key == "host") {
             // Validated at the parse chokepoint, not just the drop-dir
             // writer: a socket-pushed shard whose host id holds ','

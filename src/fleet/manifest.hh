@@ -154,8 +154,9 @@ struct ShardManifest
     /**
      * Parse a manifest out of @p text. Returns std::nullopt with
      * *@p why describing the failure on truncated input, unknown
-     * versions, missing fields, malformed values or a status other
-     * than `complete`.
+     * versions, missing fields, malformed values (a control byte in a
+     * text field among them) or a status other than `complete`. Every
+     * manifest it returns renders back to text it parses again.
      */
     static std::optional<ShardManifest> parse(const std::string &text,
                                               std::string *why);
@@ -193,9 +194,9 @@ std::string shardTraceId(const ShardManifest &m);
  * `<host>-<seq>-<checksum>.hbbp` (the bytes as-is) then the matching
  * `.manifest` (manifest last, both atomically, so a watcher that sees
  * the manifest is guaranteed a complete profile beside it). @p m names
- * the shard; its profile_file and status are set here. fatal() on an
- * invalid host id or I/O failure. Returns the manifest path;
- * *@p manifest_out, when non-null, receives the written manifest.
+ * the shard; its profile_file is set here. fatal() on an invalid host
+ * id or I/O failure. Returns the manifest path; *@p manifest_out, when
+ * non-null, receives the written manifest.
  */
 std::string writeShardFiles(ShardManifest m, const std::string &bytes,
                             const std::string &dir,

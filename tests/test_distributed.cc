@@ -181,6 +181,13 @@ TEST(Manifest, ParseRejectsMalformedValues)
     EXPECT_NE(mutate("status=complete", "status=exploded")
                   .find("unknown shard status"),
               std::string::npos);
+    // render() prints the text fields with %s, which stops at a NUL:
+    // none may hold a control byte.
+    for (std::string field : {"host=", "workload=", "profile="})
+        for (char c : {'\0', '\r', '\x7f'})
+            EXPECT_NE(mutate(field, field + c).find("control byte"),
+                      std::string::npos)
+                << field << int(c);
 }
 
 TEST(Manifest, ParseRejectsNonCanonicalDecimalValues)

@@ -1102,5 +1102,56 @@ TEST(AggregatorState, StatePersistsThroughTheListener)
               fresh.aggregate().serialize());
 }
 
+TEST(AggregatorState, NulInAManifestFieldIsRejectedBeforeTheLog)
+{
+    // A manifest renders its text fields with %s, which stops at a
+    // NUL: folded and logged, such a frame would leave a record that
+    // does not parse back, and record() fatal()s on one. The listener
+    // must reject the frame with a reason, and keep serving and
+    // logging.
+    std::string dir = freshDir("state_nul");
+    std::string state = dir + "/agg.state";
+    PreparedShard good = prepareShard(makeParts(185, 1), "hostB");
+    {
+        ListenerHarness h;
+        StateJournal journal(state);
+        ListenOptions lo;
+        lo.expect = 1;
+        lo.idle_timeout_ms = 10'000;
+        lo.on_accept = [&](const ShardManifest &m, const ProfileData &,
+                           const std::vector<std::string> &payloads) {
+            journal.record(h.agg, m, payloads);
+        };
+        h.start(lo);
+        for (std::string field : {"host=", "workload=", "profile="}) {
+            SCOPED_TRACE(field);
+            PreparedShard bad = prepareShard(makeParts(180, 1), "hostA");
+            std::string text = bad.manifest.render();
+            size_t at = text.find("\n" + field);
+            ASSERT_NE(at, std::string::npos);
+            at += 1 + field.size();
+            text.replace(at, text.find('\n', at) - at, 1, '\0');
+            int fd = rawConnect(h.listener.port());
+            EXPECT_TRUE(rawSend(fd, rawFrame(text, bad.bytes)));
+            std::string reason;
+            EXPECT_EQ(rawReadAck(fd, &reason), kAckRejected);
+            EXPECT_NE(reason.find("control byte 0x00"), std::string::npos)
+                << reason;
+            ::close(fd);
+        }
+        SocketTransport t(fastOptions(h.listener.port()));
+        SendResult res = t.sendShard(good.manifest, good.bytes);
+        h.join();
+        EXPECT_TRUE(res.ok) << res.error;
+        EXPECT_EQ(h.agg.stats().accepted, 1u);
+        EXPECT_EQ(h.agg.stats().malformed, 3u);
+    }
+
+    IncrementalAggregator restored;
+    restoreFrom(state, restored);
+    EXPECT_EQ(restored.restoredShards(), 1u);
+    EXPECT_EQ(restored.aggregate(), good.merged);
+}
+
 } // namespace
 } // namespace hbbp

@@ -8,12 +8,14 @@
  * the payload count, a payload length and a payload, an oversized
  * body length and payload count, a foreign magic and the chunked magic
  * of older builds, a leaf with zero or two payloads, a flush whose
- * payload count differs from its covered hosts, and a manifest whose
- * checksum lies behind an envelope restamped to match. Each mutant
- * goes to a live ShardListener on its own connection and must end in
- * a Rejected ack with a reason, or in a closed connection with a
- * warning — never a fold, a fatal() or a crash — and valid frames sent
- * afterwards must be accepted.
+ * payload count differs from its covered hosts, and, behind an
+ * envelope restamped to match, a manifest whose checksum lies or one
+ * with a control byte in a text field. Each mutant goes to a live
+ * ShardListener on its own connection and must end in a Rejected ack
+ * with a reason, or in a closed connection with a warning — never a
+ * fold, a fatal() or a crash — and valid frames sent afterwards must
+ * be accepted. The listener logs what it accepts to a state log, as
+ * a daemon with --state does, and the log must restore them.
  */
 
 #include <gtest/gtest.h>
@@ -28,12 +30,14 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "fleet/aggregate.hh"
+#include "fleet/journal.hh"
 #include "fleet/manifest.hh"
 #include "fleet/merge.hh"
 #include "fleet/transport.hh"
@@ -189,15 +193,16 @@ enum Kind
     LeafPayloadCount,
     FlushPayloadCount,
     ManifestChecksumLie,
+    ControlByte,
     kKinds
 };
 
 const char *const kKindNames[kKinds] = {
-    "cut stream",          "cut body",        "flip header",
-    "flip manifest",       "flip count",      "flip payload length",
-    "flip payload",        "oversized body",  "oversized count",
-    "foreign magic",       "chunked magic",   "leaf payload count",
-    "flush payload count", "manifest checksum lie"};
+    "cut stream",          "cut body",              "flip header",
+    "flip manifest",       "flip count",            "flip payload length",
+    "flip payload",        "oversized body",        "oversized count",
+    "foreign magic",       "chunked magic",         "leaf payload count",
+    "flush payload count", "manifest checksum lie", "control byte"};
 
 /** How the listener must answer a mutant. */
 enum class Outcome
@@ -329,6 +334,31 @@ mutants(const Arrival &a, Rng &rng)
     return out;
 }
 
+/**
+ * One control byte in each text field of @p a's manifest, restamped:
+ * render() prints those fields with %s, which stops at a NUL, so a
+ * folded one would reach the state log as text it cannot replay.
+ */
+std::vector<Mutant>
+controlByteMutants(const Arrival &a, Rng &rng)
+{
+    static const char kControls[] = {'\0', '\r', '\t', '\x1b', '\x7f'};
+    std::vector<Mutant> out;
+    std::string text = a.manifest.render();
+    for (std::string field : {"host=", "workload=", "profile=", "hosts="}) {
+        size_t at = text.find("\n" + field);
+        if (at == std::string::npos)
+            continue; // A leaf has no hosts line.
+        at += 1 + field.size();
+        std::string bad = text;
+        bad[at + rng.nextBelow(text.find('\n', at) - at)] =
+            kControls[rng.nextBelow(sizeof(kControls))];
+        out.push_back({ControlByte, frameOf(bad, a.payloads),
+                       Outcome::Rejected});
+    }
+    return out;
+}
+
 int
 connectTo(uint16_t port)
 {
@@ -410,14 +440,20 @@ constexpr int kAckRejected = 3;
 
 TEST(WireMutation, EveryMutantIsRejectedOrDropped)
 {
+    std::string state = ::testing::TempDir() + "/hbbp_wire_mutation.state";
+    std::filesystem::remove(state);
     IncrementalAggregator agg;
+    StateJournal journal(state);
     ShardListener listener(0);
     std::atomic<size_t> folds{0};
     std::atomic<bool> stop{false};
     ListenOptions lo;
     lo.idle_timeout_ms = -1;
-    lo.on_accept = [&](const ShardManifest &, const ProfileData &,
-                       const std::vector<std::string> &) { folds++; };
+    lo.on_accept = [&](const ShardManifest &m, const ProfileData &,
+                       const std::vector<std::string> &payloads) {
+        folds++;
+        journal.record(agg, m, payloads);
+    };
     lo.should_stop = [&] { return stop.load(); };
     std::thread serving([&] { listener.serve(agg, lo); });
 
@@ -428,6 +464,9 @@ TEST(WireMutation, EveryMutantIsRejectedOrDropped)
     std::vector<Mutant> all = mutants(leaf, rng);
     for (Mutant &m : mutants(flush, rng))
         all.push_back(std::move(m));
+    for (const Arrival *a : {&leaf, &flush})
+        for (Mutant &m : controlByteMutants(*a, rng))
+            all.push_back(std::move(m));
     size_t tried[kKinds] = {};
     for (size_t n = 0; n < all.size(); n++) {
         const Mutant &mu = all[n];
@@ -480,6 +519,14 @@ TEST(WireMutation, EveryMutantIsRejectedOrDropped)
     EXPECT_EQ(agg.stats().accepted, 2u);
     EXPECT_EQ(agg.stats().aggregates, 1u);
     EXPECT_EQ(agg.coveredShards(), 3u);
+
+    // The state log holds the two arrivals, and only them.
+    IncrementalAggregator restored;
+    StateJournal replay(state);
+    std::string why;
+    ASSERT_TRUE(replay.restore(restored, &why)) << why;
+    EXPECT_EQ(restored.restoredShards(), 2u);
+    EXPECT_EQ(restored.aggregate().serialize(), agg.aggregate().serialize());
 }
 
 } // namespace
