@@ -192,6 +192,17 @@ SocketTransport::sendShard(const ShardManifest &manifest,
         return res;
     }
     std::string frame = encodeFrame(manifest, payloads);
+    if (frame.size() - kFrameHeaderBytes > kMaxFrameBodyBytes) {
+        // A listener drops such a frame unanswered, so every retry
+        // would fail the same way.
+        res.error = format(
+            "shard frame of %zu bytes exceeds the %llu-byte frame "
+            "limit (a leaf's payload, or a relay flush's partials "
+            "together, must fit in one frame)",
+            frame.size() - kFrameHeaderBytes,
+            static_cast<unsigned long long>(kMaxFrameBodyBytes));
+        return res;
+    }
     int backoff_ms = options_.backoff_ms;
 
     static telemetry::Counter &m_frames_sent =
