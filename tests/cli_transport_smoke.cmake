@@ -6,11 +6,12 @@
 #   it waits for its ack (the aggregator is SIGSTOPped, so no ack can
 #   come), then retried once the aggregator runs again. The retry
 #   resends the whole frame: it is a duplicate exactly when the killed
-#   push's frame had arrived whole, and the retry's `duplicate` marker
-#   must agree with the aggregator's `duplicates=`. A `shutdown` query
-#   stops the aggregator, which stays up for the retry. The aggregate
-#   must be byte-identical to a single-run `hbbp-tool merge` of the
-#   same shards.
+#   push's frame had arrived whole. hostA and hostC push meanwhile and
+#   may time out waiting for an ack and resend too, so the `duplicate`
+#   markers of all three pushes must add up to the aggregator's
+#   `duplicates=`. A `shutdown` query stops the aggregator, which
+#   stays up for the retry. The aggregate must be byte-identical to a
+#   single-run `hbbp-tool merge` of the same shards.
 #
 #   Phase 2: an aggregator with --state is killed (SIGKILL) after two
 #   accepted shards — its per-accept checkpoint is the only survivor —
@@ -113,17 +114,24 @@ if(NOT rc EQUAL 0)
     message(FATAL_ERROR "phase 1 (concurrent pushes) failed (exit ${rc})\n${ALL_LOGS}")
 endif()
 
-# The retry was a duplicate exactly when the killed push's frame was
-# folded before the kill; either way, three shards were accepted.
-file(READ "${WORK_DIR}/pushB.log" pushB_log)
-if(pushB_log MATCHES ", duplicate\\)")
-    set(retry_duplicates 1)
-else()
-    set(retry_duplicates 0)
-endif()
+# hostB's retry was a duplicate exactly when the killed push's frame
+# was folded before the kill. hostA's and hostC's pushes may have
+# outwaited their ack timeout while the aggregator was stopped; a
+# resend whose first frame was folded on SIGCONT is a duplicate too.
+# Either way, three shards were accepted, and every duplicate the
+# aggregator counted is one a push reported.
+set(push_duplicates 0)
+set(push_logs "")
+foreach(push IN ITEMS pushA pushB pushC)
+    file(READ "${WORK_DIR}/${push}.log" push_log)
+    string(APPEND push_logs "--- ${push}.log ---\n${push_log}")
+    if(push_log MATCHES ", duplicate\\)")
+        math(EXPR push_duplicates "${push_duplicates} + 1")
+    endif()
+endforeach()
 file(READ "${WORK_DIR}/agg1.log" agg1_log)
-if(NOT agg1_log MATCHES "accepted=3 duplicates=${retry_duplicates} incompatible=0 malformed=0")
-    message(FATAL_ERROR "aggregate stats disagree with the retry's duplicate marker (${retry_duplicates}): ${agg1_log}\n${pushB_log}")
+if(NOT agg1_log MATCHES "accepted=3 duplicates=${push_duplicates} incompatible=0 malformed=0")
+    message(FATAL_ERROR "aggregate stats disagree with the pushes' duplicate markers (${push_duplicates}): ${agg1_log}\n${push_logs}")
 endif()
 if(NOT agg1_log MATCHES "hosts=3")
     message(FATAL_ERROR "expected 3 hosts: ${agg1_log}")
