@@ -44,10 +44,9 @@ main()
         Counter<Mnemonic> true_kernel;
         {
             const Program &p = *w.program;
-            Instrumenter instr(p, true);
             ExecutionEngine engine(p, MachineConfig{}, w.exec_seed);
-            engine.addObserver(&instr);
             engine.run(w.max_instructions);
+            Instrumenter instr(engine, true);
             for (const BasicBlock &blk : p.blocks()) {
                 const Function &fn = p.function(blk.func);
                 if (!p.module(fn.module).isKernel())

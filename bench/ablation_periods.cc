@@ -43,10 +43,8 @@ main()
         pmu_config.ebs_period = sim.ebs;
         pmu_config.lbr_period = sim.lbr;
         DualCollectionPmu pmu(pmu_config);
-        Instrumenter counter(*w.program, true);
         ExecutionEngine engine(*w.program, MachineConfig{}, w.exec_seed);
         engine.addObserver(&pmu);
-        engine.addObserver(&counter);
         ExecStats stats = engine.run(w.max_instructions);
 
         ProfileData pd;
@@ -60,13 +58,8 @@ main()
         Profiler profiler;
         AnalysisResult res = profiler.analyze(w, pd);
 
-        // Ground truth.
-        Counter<Mnemonic> ref;
-        for (const BasicBlock &blk : w.program->blocks()) {
-            uint64_t n = counter.bbec(blk.id);
-            for (const Instruction &i : blk.instrs)
-                ref.add(i.mnemonic, static_cast<double>(n));
-        }
+        // Ground truth, from the same run.
+        Counter<Mnemonic> ref = Instrumenter(engine, true).mnemonicCounts();
         double eh = avgWeightedError(
             ref, res.hbbpMix().mnemonicCounts());
         double el = avgWeightedError(ref, res.lbrMix().mnemonicCounts());

@@ -23,19 +23,10 @@ namespace {
 RunFeatures
 features(const Workload &w)
 {
-    Instrumenter instr(*w.program, true);
     ExecutionEngine engine(*w.program, MachineConfig{}, w.exec_seed);
-    engine.addObserver(&instr);
     ExecStats stats = engine.run(w.max_instructions);
-    uint64_t simd = 0;
-    Counter<Mnemonic> counts = instr.mnemonicCounts();
-    for (const auto &[m, c] : counts.items()) {
-        IsaExt ext = info(m).ext;
-        if (ext == IsaExt::Sse || ext == IsaExt::Avx ||
-            ext == IsaExt::Avx2)
-            simd += static_cast<uint64_t>(c);
-    }
-    return makeRunFeatures(stats, simd);
+    return makeRunFeatures(
+        stats, Instrumenter(engine, true).simdInstructions());
 }
 
 struct Row

@@ -29,10 +29,9 @@ main()
     // Ground truth and track count.
     std::vector<double> truth =
         trueMapBbec(a.analysis.map, a.run.true_bbec_by_addr);
-    Instrumenter instr(*w.program, true);
     ExecutionEngine engine(*w.program, MachineConfig{}, w.exec_seed);
-    engine.addObserver(&instr);
     engine.run(w.max_instructions);
+    Instrumenter instr(engine, true);
     uint64_t tracks = fitterTrackCount(*w.program, instr.bbecs());
 
     const double paper_scale = 3.0; // millions of tracks in the paper

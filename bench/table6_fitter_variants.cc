@@ -71,11 +71,10 @@ main()
         Workload ref_w = makeFitter(healthy);
         Profiler ref_profiler;
         ProfiledRun ref_run = ref_profiler.run(ref_w);
-        Instrumenter ref_instr(*ref_w.program, true);
         ExecutionEngine ref_engine(*ref_w.program, MachineConfig{},
                                    ref_w.exec_seed);
-        ref_engine.addObserver(&ref_instr);
         ExecStats ref_stats = ref_engine.run(ref_w.max_instructions);
+        Instrumenter ref_instr(ref_engine, true);
         uint64_t ref_tracks =
             fitterTrackCount(*ref_w.program, ref_instr.bbecs());
         expected.push_back(fromCounts(
@@ -89,10 +88,9 @@ main()
         // the same instruction budget.
         Workload w = makeFitter(v);
         Analyzed a = analyzeWorkload(profiler, w);
-        Instrumenter instr(*w.program, true);
         ExecutionEngine engine(*w.program, MachineConfig{}, w.exec_seed);
-        engine.addObserver(&instr);
         ExecStats stats = engine.run(w.max_instructions);
+        Instrumenter instr(engine, true);
         uint64_t tracks = fitterTrackCount(*w.program, instr.bbecs());
         Counter<Mnemonic> counts =
             Profiler::userMnemonics(a.analysis.hbbpMix());

@@ -33,21 +33,21 @@ main()
         };
     };
 
+    // References from one run: software instrumentation sees the
+    // user side only; the simulator sees both rings.
+    const Program &p = *w.program;
+    ExecutionEngine engine(p, MachineConfig{}, w.exec_seed);
+    engine.run(w.max_instructions);
+    Instrumenter sde(engine);
+    Instrumenter simulator(engine, /*include_kernel=*/true);
+
     // Reference: the user-side function from software instrumentation.
     Counter<Mnemonic> sde_user;
-    {
-        const Program &p = *w.program;
-        Instrumenter instr(p, false);
-        ExecutionEngine engine(p, MachineConfig{}, w.exec_seed);
-        engine.addObserver(&instr);
-        engine.run(w.max_instructions);
-        for (const BasicBlock &blk : p.blocks()) {
-            if (p.function(blk.func).name != kKernelBenchUserFunc)
-                continue;
-            for (const Instruction &i : blk.instrs)
-                sde_user.add(i.mnemonic,
-                             static_cast<double>(instr.bbec(blk.id)));
-        }
+    for (const BasicBlock &blk : p.blocks()) {
+        if (p.function(blk.func).name != kKernelBenchUserFunc)
+            continue;
+        for (const Instruction &i : blk.instrs)
+            sde_user.add(i.mnemonic, static_cast<double>(sde.bbec(blk.id)));
     }
 
     InstructionMix hbbp_mix = a.analysis.hbbpMix();
@@ -96,19 +96,12 @@ main()
     // kernel reference (which stands in for ground truth SDE cannot
     // provide).
     Counter<Mnemonic> true_kernel;
-    {
-        const Program &p = *w.program;
-        Instrumenter instr(p, true);
-        ExecutionEngine engine(p, MachineConfig{}, w.exec_seed);
-        engine.addObserver(&instr);
-        engine.run(w.max_instructions);
-        for (const BasicBlock &blk : p.blocks()) {
-            if (p.function(blk.func).name != kKernelBenchKernelFunc)
-                continue;
-            for (const Instruction &i : blk.instrs)
-                true_kernel.add(i.mnemonic,
-                                static_cast<double>(instr.bbec(blk.id)));
-        }
+    for (const BasicBlock &blk : p.blocks()) {
+        if (p.function(blk.func).name != kKernelBenchKernelFunc)
+            continue;
+        for (const Instruction &i : blk.instrs)
+            true_kernel.add(i.mnemonic,
+                            static_cast<double>(simulator.bbec(blk.id)));
     }
     std::printf("hello_k HBBP error vs simulator ground truth: %s\n",
                 percentStr(avgWeightedError(true_kernel, hbbp_kernel), 2)

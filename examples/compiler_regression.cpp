@@ -35,10 +35,9 @@ measure(FitterVariant variant)
     AnalysisResult res = profiler.analyze(w, run.profile);
 
     // Track count for time-per-track.
-    Instrumenter instr(*w.program, true);
     ExecutionEngine engine(*w.program, MachineConfig{}, w.exec_seed);
-    engine.addObserver(&instr);
     ExecStats stats = engine.run(w.max_instructions);
+    Instrumenter instr(engine, true);
     uint64_t tracks = fitterTrackCount(*w.program, instr.bbecs());
 
     MixFacts facts;

@@ -32,25 +32,14 @@ Collector::collect(const Program &prog, const MachineConfig &machine,
     pmu_config.lbr_period = pd.sim_periods.lbr;
     DualCollectionPmu pmu(pmu_config);
 
-    // An instrumenter rides along solely to compute the SIMD instruction
-    // count for the overhead model; it is not part of the collection.
-    Instrumenter counter(prog, /*include_kernel=*/true);
-
     ExecutionEngine engine(prog, machine, config.seed);
     engine.addObserver(&pmu);
-    engine.addObserver(&counter);
     ExecStats stats = engine.run(config.max_instructions);
 
-    uint64_t simd = 0;
-    const Counter<Mnemonic> mnemonic_counts = counter.mnemonicCounts();
-    for (const auto &[mn, count] : mnemonic_counts.items()) {
-        IsaExt ext = info(mn).ext;
-        if (ext == IsaExt::Sse || ext == IsaExt::Avx ||
-            ext == IsaExt::Avx2)
-            simd += static_cast<uint64_t>(count);
-    }
-
-    pd.features = makeRunFeatures(stats, simd);
+    // The overhead model's SIMD count is read from the engine's block
+    // counts after the run; it is not part of the collection.
+    Instrumenter counts(engine, /*include_kernel=*/true);
+    pd.features = makeRunFeatures(stats, counts.simdInstructions());
     pd.pmi_count = pmu.pmiCount();
     pd.ebs = pmu.takeEbsSamples();
     pd.lbr = pmu.takeLbrSamples();

@@ -9,11 +9,12 @@
  * runtime class (Table 4), scaled down for simulation. The output is a
  * ProfileData, our perf.data equivalent, including module map records.
  *
- * The engine hands the PMU one executed basic block at a time, and the
- * PMU looks at single instructions only in the few blocks where a PMI
- * falls due or its EBS counter overflows (see pmu.hh). An Instrumenter
- * rides along for the SIMD instruction count the overhead model needs;
- * it too counts once per block.
+ * The engine hands the PMU, its one observer, one executed basic block
+ * at a time, with the block's taken branch, and the PMU looks at single
+ * instructions only in the few blocks where a PMI falls due or its EBS
+ * counter overflows (see pmu.hh). The SIMD instruction count the
+ * overhead model needs comes after the run, from an Instrumenter view
+ * over the engine's block counts.
  */
 
 #ifndef HBBP_COLLECT_COLLECTOR_HH

@@ -76,17 +76,20 @@ droppedFrame(const std::vector<uint64_t> &checksums)
 
 /**
  * Walk the frames in @p bytes, calling @p fn(magic, offset, body,
- * checksum) on each one that sits at its position and passes its
- * checksum; @p fn returning false stops the scan (its frame is not
- * counted as consumed). Returns the offset one past the last consumed
- * frame. When that is short of bytes.size(), *@p why describes the
- * damage — a torn append, a checksum failure, a foreign magic, a frame
- * out of place — unless @p fn already did.
+ * parts) on each one that sits at its position and passes its
+ * checksum. An arrival passes its checksum by splitting, and @p parts
+ * is what the split gave (null for the dropped-checksums record), so
+ * the replay need not split the body again. @p fn returning false
+ * stops the scan (its frame is not counted as consumed). Returns the
+ * offset one past the last consumed frame. When that is short of
+ * bytes.size(), *@p why describes the damage — a torn append, a
+ * checksum failure, a foreign magic, a frame out of place — unless
+ * @p fn already did.
  */
 size_t
 scanRecords(std::string_view bytes,
             const std::function<bool(uint64_t, size_t, std::string_view,
-                                     uint64_t)> &fn,
+                                     const ArrivalParts *)> &fn,
             std::string *why)
 {
     why->clear();
@@ -119,9 +122,11 @@ scanRecords(std::string_view bytes,
         std::string_view body = bytes.substr(
             off + kFrameHeaderBytes, static_cast<size_t>(body_len));
         bool intact = magic == kDroppedMagic && stored == fnv1a(body);
+        std::optional<ArrivalParts> parts;
         if (magic == kArrivalMagic) {
             try {
-                splitArrival(body, stored, "state log record", "state log");
+                parts = splitArrival(body, stored, "state log record",
+                                     "state log");
                 intact = true;
             } catch (const ByteParseError &) {
             }
@@ -130,7 +135,7 @@ scanRecords(std::string_view bytes,
             *why = format("record checksum failure at offset %zu", off);
             return off;
         }
-        if (!fn(magic, off, body, stored))
+        if (!fn(magic, off, body, parts ? &*parts : nullptr))
             return off;
         off += kFrameHeaderBytes + static_cast<size_t>(body_len);
     }
@@ -151,41 +156,32 @@ parseDropped(std::string_view body, const std::string &path)
 }
 
 /**
- * Replay one arrival body (whose envelope checksum is @p checksum) into
- * @p agg. Returns its manifest, or std::nullopt (with *@p why) on
- * structural damage — nothing is folded then. A fold rejection is not
- * damage: it leaves @p agg exactly as it was, and the record stays in
- * the log.
+ * Replay one arrival, split by scanRecords(), into @p agg. Returns its
+ * manifest, or std::nullopt (with *@p why) on structural damage —
+ * nothing is folded then. A fold rejection is not damage: it leaves
+ * @p agg exactly as it was, and the record stays in the log.
  */
 std::optional<ShardManifest>
-replayBody(IncrementalAggregator &agg, std::string_view body,
-           uint64_t checksum, const std::string &path, std::string *why)
+replayArrival(IncrementalAggregator &agg, const ArrivalParts &parts,
+              const std::string &path, std::string *why)
 {
-    try {
-        ArrivalParts parts =
-            splitArrival(body, checksum, path, "state log");
-        std::optional<ShardManifest> m = parseArrival(parts, why);
-        if (!m)
-            return std::nullopt;
-        std::vector<ProfileData> profiles;
-        profiles.reserve(parts.payloads.size());
-        for (std::string_view bytes : parts.payloads) {
-            std::optional<ProfileData> pd =
-                ProfileData::parse(bytes, path, why);
-            if (!pd)
-                return std::nullopt;
-            profiles.push_back(std::move(*pd));
-        }
-        std::string fold_why;
-        if (m->level > 0)
-            agg.addAggregateShard(*m, std::move(profiles), &fold_why);
-        else
-            agg.addShard(*m, std::move(profiles[0]), &fold_why);
-        return m;
-    } catch (const ByteParseError &e) {
-        *why = e.what();
+    std::optional<ShardManifest> m = parseArrival(parts, why);
+    if (!m)
         return std::nullopt;
+    std::vector<ProfileData> profiles;
+    profiles.reserve(parts.payloads.size());
+    for (std::string_view bytes : parts.payloads) {
+        std::optional<ProfileData> pd = ProfileData::parse(bytes, path, why);
+        if (!pd)
+            return std::nullopt;
+        profiles.push_back(std::move(*pd));
     }
+    std::string fold_why;
+    if (m->level > 0)
+        agg.addAggregateShard(*m, std::move(profiles), &fold_why);
+    else
+        agg.addShard(*m, std::move(profiles[0]), &fold_why);
+    return m;
 }
 
 } // namespace
@@ -231,7 +227,7 @@ StateJournal::restore(IncrementalAggregator &agg, std::string *why)
     size_t off = scanRecords(
         bytes,
         [&](uint64_t kind, size_t at, std::string_view body,
-            uint64_t checksum) {
+            const ArrivalParts *parts) {
             std::string replay_why;
             uint64_t size = kFrameHeaderBytes + body.size();
             if (kind == kDroppedMagic) {
@@ -252,7 +248,7 @@ StateJournal::restore(IncrementalAggregator &agg, std::string *why)
                 return true;
             }
             std::optional<ShardManifest> m =
-                replayBody(agg, body, checksum, path_, &replay_why);
+                replayArrival(agg, *parts, path_, &replay_why);
             if (!m) {
                 damage = format("record at offset %zu does not replay "
                                 "(%s)", at, replay_why.c_str());

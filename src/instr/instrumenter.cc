@@ -2,18 +2,15 @@
 
 namespace hbbp {
 
-Instrumenter::Instrumenter(const Program &prog, bool include_kernel)
-    : prog_(prog), include_kernel_(include_kernel),
-      bbec_(prog.blocks().size(), 0)
+Instrumenter::Instrumenter(const ExecutionEngine &engine,
+                           bool include_kernel)
+    : prog_(engine.program()), bbec_(engine.blockCounts())
 {
-}
-
-void
-Instrumenter::onBlock(const BlockRetire &blk)
-{
-    if (blk.ring == Ring::Kernel && !include_kernel_)
+    if (include_kernel)
         return;
-    bbec_[blk.block->id]++;
+    for (const BasicBlock &blk : prog_.blocks())
+        if (prog_.module(prog_.function(blk.func).module).isKernel())
+            bbec_[blk.id] = 0;
 }
 
 std::unordered_map<uint64_t, uint64_t>
@@ -47,6 +44,21 @@ Instrumenter::totalInstructions() const
     for (const BasicBlock &blk : prog_.blocks())
         total += bbec_[blk.id] * blk.instrs.size();
     return total;
+}
+
+uint64_t
+Instrumenter::simdInstructions() const
+{
+    uint64_t simd = 0;
+    for (const BasicBlock &blk : prog_.blocks()) {
+        for (const Instruction &instr : blk.instrs) {
+            IsaExt ext = info(instr.mnemonic).ext;
+            if (ext == IsaExt::Sse || ext == IsaExt::Avx ||
+                ext == IsaExt::Avx2)
+                simd += bbec_[blk.id];
+        }
+    }
+    return simd;
 }
 
 } // namespace hbbp

@@ -1,11 +1,14 @@
 /**
  * @file
- * Software instrumentation: the ground-truth observer.
+ * Software instrumentation: the ground-truth view of a run.
  *
- * Stands in for Intel SDE / PIN. Counts exact basic block execution
- * counts and derives exact per-mnemonic instruction counts. Like the
- * real tools it observes user-mode code only — kernel blocks are
- * invisible to it, which is one of HBBP's selling points.
+ * Stands in for Intel SDE / PIN. The execution engine counts every
+ * block's executions; an Instrumenter is built over an engine after its
+ * run and derives exact basic block execution counts and per-mnemonic
+ * instruction counts from them. Like the real tools it sees user-mode
+ * code only by default — kernel blocks are invisible to it, which is
+ * one of HBBP's selling points — and the simulator's privilege to count
+ * ring 0 too is a constructor flag.
  */
 
 #ifndef HBBP_INSTR_INSTRUMENTER_HH
@@ -16,25 +19,24 @@
 #include <vector>
 
 #include "program/program.hh"
-#include "sim/observer.hh"
+#include "sim/engine.hh"
 #include "support/histogram.hh"
 
 namespace hbbp {
 
-/** Exact BBEC / instruction mix reference collector (user mode only). */
-class Instrumenter : public ExecObserver
+/** Exact BBEC / instruction mix reference over one engine run. */
+class Instrumenter
 {
   public:
     /**
-     * @param prog           program being profiled
+     * @param engine         engine whose last run to read (its program
+     *                       must outlive the view)
      * @param include_kernel count ring-0 blocks too (OFF by default to
      *                       match PIN/SDE; the kernel-mix experiment
      *                       enables it to obtain a kernel reference)
      */
-    explicit Instrumenter(const Program &prog,
+    explicit Instrumenter(const ExecutionEngine &engine,
                           bool include_kernel = false);
-
-    void onBlock(const BlockRetire &blk) override;
 
     /** Exact execution count of program block @p id. */
     uint64_t bbec(BlockId id) const { return bbec_[id]; }
@@ -54,9 +56,14 @@ class Instrumenter : public ExecObserver
     /** Total instructions executed in counted blocks. */
     uint64_t totalInstructions() const;
 
+    /**
+     * Executed SSE, AVX and AVX2 instructions in counted blocks: the
+     * SIMD count of RunFeatures, which the overhead models read.
+     */
+    uint64_t simdInstructions() const;
+
   private:
     const Program &prog_;
-    bool include_kernel_;
     std::vector<uint64_t> bbec_;
 };
 

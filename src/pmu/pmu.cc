@@ -43,10 +43,24 @@ DualCollectionPmu::onBlock(const BlockRetire &blk)
                     ebs_counter_ + blk.size() >= config_.ebs_period;
     if (!declined) {
         ebs_counter_ += blk.size();
-        return;
+    } else {
+        for (size_t i = 0; i < blk.size(); i++)
+            retire(blk.block->instrs[i].addr, blk.instrEnd(i), blk.ring);
     }
-    for (size_t i = 0; i < blk.size(); i++)
-        retire(blk.block->instrs[i].addr, blk.instrEnd(i), blk.ring);
+    if (!blk.taken)
+        return;
+
+    // LBR hardware logs every taken branch, as its block's last
+    // instruction retires.
+    ring_.insert(blk.block->instrs.back().addr, blk.taken_target);
+
+    // Counter B: taken branches retired.
+    lbr_counter_++;
+    if (lbr_counter_ >= config_.lbr_period && !lbr_pmi_pending_) {
+        lbr_counter_ = 0;
+        lbr_pmi_cycle_ = end + config_.lbr_pmi_delay_cycles;
+        lbr_pmi_pending_ = true;
+    }
 }
 
 void
@@ -85,24 +99,6 @@ DualCollectionPmu::retire(uint64_t ip, uint64_t cycle_end, Ring ring)
                         (span ? rng_.nextBelow(span + 1) : 0);
         ebs_pmi_cycle_ = cycle_end + skid;
         ebs_pmi_pending_ = true;
-    }
-}
-
-void
-DualCollectionPmu::onTakenBranch(const TakenBranch &branch)
-{
-    if (!config_.monitor_kernel && branch.ring == Ring::Kernel)
-        return;
-
-    // LBR hardware logs every taken branch.
-    ring_.insert(branch.source, branch.target);
-
-    // Counter B: taken branches retired.
-    lbr_counter_++;
-    if (lbr_counter_ >= config_.lbr_period && !lbr_pmi_pending_) {
-        lbr_counter_ = 0;
-        lbr_pmi_cycle_ = branch.cycle + config_.lbr_pmi_delay_cycles;
-        lbr_pmi_pending_ = true;
     }
 }
 

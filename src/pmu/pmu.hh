@@ -28,8 +28,9 @@
  * or LBR PMI falls due by the block's last retire cycle, or when the
  * EBS counter would reach its period inside the block, and then
  * retires the block one instruction at a time. Nothing else happens
- * inside a block: taken branches, and with them the LBR ring and
- * counter, arrive only between blocks, and the skid, the PMU's only
+ * inside a block: a taken branch can only be a block's last
+ * instruction, so the LBR ring and counter B see it after every
+ * instruction of the block has retired, and the skid, the PMU's only
  * random draw, is drawn only at an overflow. Both paths therefore
  * collect exactly the same samples.
  */
@@ -115,7 +116,6 @@ class DualCollectionPmu : public ExecObserver
     explicit DualCollectionPmu(const PmuConfig &config);
 
     void onBlock(const BlockRetire &blk) override;
-    void onTakenBranch(const TakenBranch &branch) override;
 
     /** EBS samples collected so far. */
     const std::vector<EbsSample> &ebsSamples() const { return ebs_; }

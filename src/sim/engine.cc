@@ -6,7 +6,8 @@ namespace hbbp {
 
 ExecutionEngine::ExecutionEngine(const Program &prog,
                                  const MachineConfig &config, uint64_t seed)
-    : prog_(prog), config_(config), rng_(seed)
+    : prog_(prog), config_(config), rng_(seed),
+      block_counts_(prog.blocks().size(), 0)
 {
     behavior_state_.assign(prog.blocks().size(), 0);
     block_ring_.reserve(prog.blocks().size());
@@ -79,20 +80,12 @@ ExecutionEngine::pickTarget(const BasicBlock &blk)
     return bh.targets.back().first;
 }
 
-void
-ExecutionEngine::notifyTaken(uint64_t source, uint64_t target, Ring ring)
-{
-    stats_.taken_branches++;
-    TakenBranch tb{source, target, cycle_, ring};
-    for (ExecObserver *obs : observers_)
-        obs->onTakenBranch(tb);
-}
-
 ExecStats
 ExecutionEngine::run(uint64_t max_instructions)
 {
     stats_ = ExecStats{};
-    cycle_ = 0;
+    block_counts_.assign(prog_.blocks().size(), 0);
+    uint64_t cycle = 0;
 
     std::vector<BlockId> call_stack;
     call_stack.reserve(256);
@@ -100,103 +93,74 @@ ExecutionEngine::run(uint64_t max_instructions)
     const Function &entry_fn = prog_.function(prog_.entryFunction());
     BlockId cur = entry_fn.entry;
 
-    bool running = true;
-    while (running && cur != kNoBlock) {
+    while (cur != kNoBlock) {
         const BasicBlock &blk = prog_.block(cur);
-        Ring ring = block_ring_[cur];
-        stats_.block_entries++;
-
-        BlockRetire retired{&blk, ring, cycle_,
-                            &retire_cost_[cost_offset_[cur]]};
-        for (ExecObserver *obs : observers_)
-            obs->onBlock(retired);
-        cycle_ = retired.cycleEnd();
+        block_counts_[cur]++;
         stats_.instructions += blk.instrs.size();
-        if (ring == Ring::User)
-            stats_.user_instructions += blk.instrs.size();
-        else
-            stats_.kernel_instructions += blk.instrs.size();
-        if (stats_.instructions >= max_instructions)
-            running = false;
 
-        const Instruction *ctrl = blk.instrs.empty()
-            ? nullptr : &blk.instrs.back();
-
+        // Resolve the successor first, so that the block reaches the
+        // observers together with its taken transfer. Every transfer
+        // but a fall-through, a not-taken branch and the end of the
+        // program is taken.
+        BlockId next = kNoBlock;
+        bool taken = true;
         switch (blk.term) {
           case TermKind::FallThrough:
-            cur = blk.fall_target;
+            next = blk.fall_target;
+            taken = false;
             break;
-          case TermKind::Jump: {
-            const BasicBlock &tgt = prog_.block(blk.taken_target);
-            notifyTaken(ctrl->addr, tgt.start, ring);
-            cur = blk.taken_target;
+          case TermKind::Jump:
+            next = blk.taken_target;
             break;
-          }
-          case TermKind::CondBranch: {
-            if (condTaken(blk)) {
-                const BasicBlock &tgt = prog_.block(blk.taken_target);
-                notifyTaken(ctrl->addr, tgt.start, ring);
-                cur = blk.taken_target;
-            } else {
-                cur = blk.fall_target;
+          case TermKind::CondBranch:
+            taken = condTaken(blk);
+            next = taken ? blk.taken_target : blk.fall_target;
+            break;
+          case TermKind::IndirectJump:
+            next = pickTarget(blk);
+            break;
+          case TermKind::Call:
+          case TermKind::Syscall:
+            call_stack.push_back(blk.fall_target);
+            next = prog_.function(blk.callee).entry;
+            break;
+          case TermKind::IndirectCall:
+            call_stack.push_back(blk.fall_target);
+            next = prog_.function(pickTarget(blk)).entry;
+            break;
+          case TermKind::Return:
+            taken = !call_stack.empty();
+            if (taken) {
+                next = call_stack.back();
+                call_stack.pop_back();
             }
             break;
-          }
-          case TermKind::IndirectJump: {
-            BlockId tgt_id = pickTarget(blk);
-            const BasicBlock &tgt = prog_.block(tgt_id);
-            notifyTaken(ctrl->addr, tgt.start, ring);
-            cur = tgt_id;
-            break;
-          }
-          case TermKind::Call: {
-            const Function &callee = prog_.function(blk.callee);
-            const BasicBlock &tgt = prog_.block(callee.entry);
-            call_stack.push_back(blk.fall_target);
-            notifyTaken(ctrl->addr, tgt.start, ring);
-            cur = callee.entry;
-            break;
-          }
-          case TermKind::IndirectCall: {
-            FuncId callee_id = pickTarget(blk);
-            const Function &callee = prog_.function(callee_id);
-            const BasicBlock &tgt = prog_.block(callee.entry);
-            call_stack.push_back(blk.fall_target);
-            notifyTaken(ctrl->addr, tgt.start, ring);
-            cur = callee.entry;
-            break;
-          }
-          case TermKind::Syscall: {
-            const Function &handler = prog_.function(blk.callee);
-            const BasicBlock &tgt = prog_.block(handler.entry);
-            call_stack.push_back(blk.fall_target);
-            notifyTaken(ctrl->addr, tgt.start, ring);
-            cur = handler.entry;
-            break;
-          }
-          case TermKind::Return: {
-            if (call_stack.empty()) {
-                running = false;
-                cur = kNoBlock;
-                break;
-            }
-            BlockId resume = call_stack.back();
-            call_stack.pop_back();
-            const BasicBlock &tgt = prog_.block(resume);
-            notifyTaken(ctrl->addr, tgt.start, ring);
-            cur = resume;
-            break;
-          }
           case TermKind::Exit:
-            running = false;
-            cur = kNoBlock;
+            taken = false;
             break;
         }
+
+        BlockRetire retired{&blk, block_ring_[cur], cycle,
+                            &retire_cost_[cost_offset_[cur]], taken,
+                            taken ? prog_.block(next).start : 0};
+        if (taken)
+            stats_.taken_branches++;
+        for (ExecObserver *obs : observers_)
+            obs->onBlock(retired);
+        cycle = retired.cycleEnd();
+        cur = stats_.instructions >= max_instructions ? kNoBlock : next;
     }
 
-    stats_.cycles = cycle_;
-    for (ExecObserver *obs : observers_)
-        obs->onFinish(cycle_);
+    stats_.cycles = cycle;
+    for (BlockId id = 0; id < block_counts_.size(); id++) {
+        uint64_t n = block_counts_[id];
+        uint64_t instructions = n * prog_.block(id).instrs.size();
+        stats_.block_entries += n;
+        if (block_ring_[id] == Ring::User)
+            stats_.user_instructions += instructions;
+        else
+            stats_.kernel_instructions += instructions;
+    }
     return stats_;
 }
 

@@ -8,9 +8,13 @@
  * attached observers. The basic block is the unit of retirement: the
  * engine computes every block's cumulative per-instruction retire costs
  * once, when it is constructed, then advances the clock a whole block at
- * a time and hands each executed block to the observers as one
- * BlockRetire. Execution is fully deterministic for a given Program and
- * seed.
+ * a time. It resolves each executed block's successor first and hands
+ * the block, with its taken transfer, to the observers as one
+ * BlockRetire. It also counts every block's executions: blockCounts()
+ * is the run's exact ground truth (the Instrumenter is a view over it),
+ * and the block and per-ring instruction totals in ExecStats are
+ * derived from it. Execution is fully deterministic for a given Program
+ * and seed.
  */
 
 #ifndef HBBP_SIM_ENGINE_HH
@@ -32,9 +36,9 @@ struct ExecStats
     uint64_t instructions = 0;   ///< Total retired instructions.
     uint64_t cycles = 0;         ///< Final cycle count.
     uint64_t taken_branches = 0; ///< Taken control transfers.
-    uint64_t user_instructions = 0;
-    uint64_t kernel_instructions = 0;
-    uint64_t block_entries = 0;  ///< Basic block executions.
+    uint64_t user_instructions = 0;   ///< Retired in ring-3 blocks.
+    uint64_t kernel_instructions = 0; ///< Retired in ring-0 blocks.
+    uint64_t block_entries = 0;       ///< Basic block executions.
 
     /** Instructions per cycle. */
     double
@@ -69,6 +73,12 @@ class ExecutionEngine
     /** Statistics of the last run. */
     const ExecStats &stats() const { return stats_; }
 
+    /** Executions of every program block in the last run, by BlockId. */
+    const std::vector<uint64_t> &blockCounts() const { return block_counts_; }
+
+    /** The program being run. */
+    const Program &program() const { return prog_; }
+
     /** Machine configuration in use. */
     const MachineConfig &machine() const { return config_; }
 
@@ -78,8 +88,6 @@ class ExecutionEngine
 
     /** Pick an indirect target id from @p blk's behaviour. */
     uint32_t pickTarget(const BasicBlock &blk);
-
-    void notifyTaken(uint64_t source, uint64_t target, Ring ring);
 
     const Program &prog_;
     MachineConfig config_;
@@ -100,7 +108,7 @@ class ExecutionEngine
     std::vector<uint64_t> retire_cost_;
     std::vector<size_t> cost_offset_;
 
-    uint64_t cycle_ = 0;
+    std::vector<uint64_t> block_counts_;
     ExecStats stats_;
 };
 

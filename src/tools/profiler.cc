@@ -27,11 +27,10 @@ Profiler::run(const Workload &w) const
     cc.seed = w.exec_seed;
     out.profile = Collector::collect(*w.program, machine_, cc);
 
-    // Run 2: the software-instrumented reference run. Determinism for a
-    // fixed seed guarantees it observes the same execution.
-    Instrumenter instr(*w.program, /*include_kernel=*/true);
+    // Run 2: the reference run, read through the Instrumenter views
+    // below. Determinism for a fixed seed guarantees it observes the
+    // same execution.
     ExecutionEngine engine(*w.program, machine_, w.exec_seed);
-    engine.addObserver(&instr);
     out.stats = engine.run(w.max_instructions);
 
     if (out.stats.instructions != out.profile.features.instructions)
@@ -41,21 +40,11 @@ Profiler::run(const Workload &w) const
               static_cast<unsigned long long>(
                   out.profile.features.instructions));
 
-    out.true_bbec_by_addr = instr.bbecByAddr();
-    out.true_all_mnemonics = instr.mnemonicCounts();
-
+    Instrumenter all(engine, /*include_kernel=*/true);
+    out.true_bbec_by_addr = all.bbecByAddr();
+    out.true_all_mnemonics = all.mnemonicCounts();
     // PIN/SDE view: user-mode blocks only.
-    for (const BasicBlock &blk : w.program->blocks()) {
-        const Function &fn = w.program->function(blk.func);
-        if (w.program->module(fn.module).isKernel())
-            continue;
-        uint64_t n = instr.bbec(blk.id);
-        if (n == 0)
-            continue;
-        for (const Instruction &i : blk.instrs)
-            out.true_user_mnemonics.add(i.mnemonic,
-                                        static_cast<double>(n));
-    }
+    out.true_user_mnemonics = Instrumenter(engine).mnemonicCounts();
     return out;
 }
 

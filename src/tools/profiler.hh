@@ -5,9 +5,11 @@
  * This is the equivalent of the paper's Section V tool: the collector
  * produces a profile from one (simulated) execution; the analyzer turns
  * it into instruction mixes; and — because the simulator is
- * deterministic for a fixed seed — a second, software-instrumented run
- * of the same workload provides the ground truth that the paper obtains
- * from SDE/PIN.
+ * deterministic for a fixed seed — a second run of the same workload,
+ * read through two Instrumenter views (all rings, and user mode only as
+ * SDE/PIN see it), provides the ground truth that the paper obtains
+ * from SDE/PIN. The second run must retire as many instructions as the
+ * first, or Profiler::run panics.
  */
 
 #ifndef HBBP_TOOLS_PROFILER_HH

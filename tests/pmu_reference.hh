@@ -4,10 +4,13 @@
  * retirement became block-granular, with its LBR ring as it was before
  * that became a circular buffer. The bodies of the per-instruction
  * hook (renamed retire(); the engine used to call it once per retired
- * instruction), onTakenBranch and the ring are copied verbatim.
- * onBlock() expands each executed block into the per-instruction calls
- * the engine used to make. The property tests require the production
- * PMU to collect exactly what this one does; keep it unchanged.
+ * instruction), the taken-branch hook onTakenBranch() (the engine used
+ * to call it after the block that ends in the branch) and the ring are
+ * copied verbatim. onBlock() expands each executed block into the
+ * per-instruction calls the engine used to make, then makes the
+ * taken-branch call when the block's terminator was taken. The
+ * property tests require the production PMU to collect exactly what
+ * this one does; keep it unchanged.
  */
 
 #ifndef HBBP_TESTS_PMU_REFERENCE_HH
@@ -82,6 +85,15 @@ class LbrRing
     uint32_t persist_count_ = 0;
 };
 
+/** A taken control transfer, as the engine used to report it. */
+struct TakenBranch
+{
+    uint64_t source = 0; ///< Address of the branch instruction.
+    uint64_t target = 0; ///< Address control arrived at.
+    uint64_t cycle = 0;  ///< Retirement cycle of the branch.
+    Ring ring = Ring::User;
+};
+
 /** The dual collection, one retired instruction at a time. */
 class DualCollectionPmu : public ExecObserver
 {
@@ -98,6 +110,9 @@ class DualCollectionPmu : public ExecObserver
         for (size_t i = 0; i < blk.size(); i++)
             retire(blk.block->instrs[i], *blk.block, blk.instrStart(i),
                    blk.instrEnd(i), blk.ring);
+        if (blk.taken)
+            onTakenBranch({blk.block->instrs.back().addr, blk.taken_target,
+                           blk.cycleEnd(), blk.ring});
     }
 
     void
@@ -146,7 +161,7 @@ class DualCollectionPmu : public ExecObserver
     }
 
     void
-    onTakenBranch(const TakenBranch &branch) override
+    onTakenBranch(const TakenBranch &branch)
     {
         if (!config_.monitor_kernel && branch.ring == Ring::Kernel)
             return;

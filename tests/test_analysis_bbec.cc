@@ -34,10 +34,9 @@ capture(const Workload &w, bool quirk_enabled = true)
     cc.pmu.quirk.enabled = quirk_enabled;
     out.profile = Collector::collect(*w.program, MachineConfig{}, cc);
 
-    Instrumenter instr(*w.program, true);
     ExecutionEngine engine(*w.program, MachineConfig{}, w.exec_seed);
-    engine.addObserver(&instr);
     engine.run(w.max_instructions);
+    Instrumenter instr(engine, true);
     out.truth = instr.bbecByAddr();
     return out;
 }
@@ -321,10 +320,9 @@ TEST(Analyzer, FeaturesMatchMapBlocks)
 TEST(Analyzer, TrueMapBbecProjectsByAddress)
 {
     auto lp = testutil::makeLoopProgram(9);
-    Instrumenter instr(*lp.program, true);
     ExecutionEngine engine(*lp.program, MachineConfig{}, 1);
-    engine.addObserver(&instr);
     engine.run();
+    Instrumenter instr(engine, true);
 
     BlockMap map(*lp.program);
     std::vector<double> truth = trueMapBbec(map, instr.bbecByAddr());

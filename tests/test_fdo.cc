@@ -14,10 +14,9 @@ namespace {
 TEST(Fdo, LoopProgramCountsAndBranches)
 {
     auto lp = testutil::makeLoopProgram(10, /*body_len=*/6);
-    Instrumenter instr(*lp.program, true);
     ExecutionEngine engine(*lp.program, MachineConfig{}, 1);
-    engine.addObserver(&instr);
     engine.run();
+    Instrumenter instr(engine, true);
 
     BlockMap map(*lp.program);
     std::vector<double> truth = trueMapBbec(map, instr.bbecByAddr());
@@ -102,10 +101,9 @@ TEST(Fdo, EstimatedProbsTrackTrueProbs)
 TEST(Fdo, TextFormatRoundTripsKeyFields)
 {
     auto lp = testutil::makeLoopProgram(4);
-    Instrumenter instr(*lp.program, true);
     ExecutionEngine engine(*lp.program, MachineConfig{}, 1);
-    engine.addObserver(&instr);
     engine.run();
+    Instrumenter instr(engine, true);
     BlockMap map(*lp.program);
     FdoProfile fdo(map, trueMapBbec(map, instr.bbecByAddr()));
 

@@ -17,10 +17,9 @@ namespace {
 TEST(Instrumenter, ExactBbecOnLoop)
 {
     auto lp = testutil::makeLoopProgram(42);
-    Instrumenter instr(*lp.program, true);
     ExecutionEngine engine(*lp.program, MachineConfig{}, 1);
-    engine.addObserver(&instr);
     engine.run();
+    Instrumenter instr(engine, true);
 
     EXPECT_EQ(instr.bbec(lp.entry), 1u);
     EXPECT_EQ(instr.bbec(lp.body), 42u);
@@ -30,10 +29,9 @@ TEST(Instrumenter, ExactBbecOnLoop)
 TEST(Instrumenter, MnemonicCountsDeriveFromBbecs)
 {
     auto lp = testutil::makeLoopProgram(10, /*body_len=*/6);
-    Instrumenter instr(*lp.program, true);
     ExecutionEngine engine(*lp.program, MachineConfig{}, 1);
-    engine.addObserver(&instr);
     ExecStats stats = engine.run();
+    Instrumenter instr(engine, true);
 
     Counter<Mnemonic> counts = instr.mnemonicCounts();
     EXPECT_DOUBLE_EQ(counts.get(Mnemonic::ADD), 60.0);
@@ -47,12 +45,10 @@ TEST(Instrumenter, MnemonicCountsDeriveFromBbecs)
 TEST(Instrumenter, UserModeOnlyByDefault)
 {
     auto kp = testutil::makeKernelProgram(100);
-    Instrumenter pin_like(*kp.program, /*include_kernel=*/false);
-    Instrumenter full(*kp.program, /*include_kernel=*/true);
     ExecutionEngine engine(*kp.program, MachineConfig{}, 1);
-    engine.addObserver(&pin_like);
-    engine.addObserver(&full);
     ExecStats stats = engine.run();
+    Instrumenter pin_like(engine, /*include_kernel=*/false);
+    Instrumenter full(engine, /*include_kernel=*/true);
 
     EXPECT_EQ(pin_like.totalInstructions(), stats.user_instructions);
     EXPECT_EQ(full.totalInstructions(), stats.instructions);
@@ -65,10 +61,9 @@ TEST(Instrumenter, UserModeOnlyByDefault)
 TEST(Instrumenter, BbecByAddrComplete)
 {
     auto lp = testutil::makeLoopProgram(3);
-    Instrumenter instr(*lp.program, true);
     ExecutionEngine engine(*lp.program, MachineConfig{}, 1);
-    engine.addObserver(&instr);
     engine.run();
+    Instrumenter instr(engine, true);
     auto by_addr = instr.bbecByAddr();
     EXPECT_EQ(by_addr.size(), lp.program->blocks().size());
     EXPECT_EQ(by_addr.at(lp.program->block(lp.body).start), 3u);

@@ -93,9 +93,8 @@ TEST(Builder, DiamondExecutionCountsExact)
     for (uint64_t iters : {1ULL, 4ULL, 7ULL}) {
         auto dp = testutil::makeDiamondProgram(iters);
         ExecutionEngine engine(*dp.program, MachineConfig{}, 1);
-        Instrumenter instr(*dp.program, true);
-        engine.addObserver(&instr);
         engine.run();
+        Instrumenter instr(engine, true);
 
         EXPECT_EQ(instr.bbec(dp.entry), 1u) << "iters=" << iters;
         EXPECT_EQ(instr.bbec(dp.head), iters) << "iters=" << iters;

@@ -106,10 +106,9 @@ TEST_P(FuzzedPrograms, MapMatchesExecutionAndStreamsWalk)
         << "clean LBR streams must all validate";
     EXPECT_EQ(est.ebs_samples_unmapped, 0u);
 
-    Instrumenter instr(*w.program, true);
     ExecutionEngine engine(*w.program, MachineConfig{}, w.exec_seed);
-    engine.addObserver(&instr);
     engine.run(w.max_instructions);
+    Instrumenter instr(engine, true);
     std::vector<double> truth = trueMapBbec(map, instr.bbecByAddr());
 
     // Aggregate instruction totals from both estimators are close to

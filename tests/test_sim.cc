@@ -12,14 +12,23 @@
 namespace hbbp {
 namespace {
 
+/** A taken control transfer, as the LBR hardware would see it. */
+struct Branch
+{
+    uint64_t source = 0; ///< Address of the branch instruction.
+    uint64_t target = 0; ///< Address control arrived at.
+    uint64_t cycle = 0;  ///< Retirement cycle of the branch.
+    Ring ring = Ring::User;
+};
+
 /** Records every event for inspection. */
 class RecordingObserver : public ExecObserver
 {
   public:
     std::vector<BlockId> block_entries;
     std::vector<Mnemonic> retires;
-    std::vector<TakenBranch> branches;
-    uint64_t finish_cycle = 0;
+    std::vector<Branch> branches;
+    uint64_t last_block_end = 0; ///< cycleEnd() of the last block.
     uint64_t last_cycle_end = 0;
     bool cycles_monotone = true;
 
@@ -35,17 +44,11 @@ class RecordingObserver : public ExecObserver
                 cycles_monotone = false;
             last_cycle_end = cycle_end;
         }
-    }
-
-    void
-    onTakenBranch(const TakenBranch &branch) override
-    {
-        branches.push_back(branch);
-    }
-
-    void onFinish(uint64_t final_cycle) override
-    {
-        finish_cycle = final_cycle;
+        last_block_end = blk.cycleEnd();
+        if (blk.taken)
+            branches.push_back({blk.block->instrs.back().addr,
+                                blk.taken_target, blk.cycleEnd(),
+                                blk.ring});
     }
 };
 
@@ -54,9 +57,8 @@ TEST(Engine, LoopCountSemanticsExact)
     for (uint64_t trips : {1ULL, 2ULL, 5ULL, 100ULL}) {
         auto lp = testutil::makeLoopProgram(trips);
         ExecutionEngine engine(*lp.program, MachineConfig{}, 1);
-        Instrumenter instr(*lp.program, true);
-        engine.addObserver(&instr);
         ExecStats stats = engine.run();
+        Instrumenter instr(engine, true);
 
         EXPECT_EQ(instr.bbec(lp.entry), 1u) << "trips=" << trips;
         EXPECT_EQ(instr.bbec(lp.body), trips) << "trips=" << trips;
@@ -99,19 +101,21 @@ TEST(Engine, ObserverStreamsByteIdenticalAcrossRuns)
     {
         std::vector<BlockId> block_entries;
         std::vector<Mnemonic> retires;
-        std::vector<TakenBranch> branches;
-        uint64_t finish_cycle = 0;
+        std::vector<Branch> branches;
+        uint64_t last_block_end = 0;
+        uint64_t cycles = 0;
     };
     auto run_once = [&]() {
         ExecutionEngine engine(*w.program, MachineConfig{}, w.exec_seed);
         RecordingObserver rec;
         engine.addObserver(&rec);
-        engine.run(w.max_instructions);
+        ExecStats stats = engine.run(w.max_instructions);
         Capture c;
         c.block_entries = rec.block_entries;
         c.retires = rec.retires;
         c.branches = rec.branches;
-        c.finish_cycle = rec.finish_cycle;
+        c.last_block_end = rec.last_block_end;
+        c.cycles = stats.cycles;
         return c;
     };
 
@@ -120,7 +124,9 @@ TEST(Engine, ObserverStreamsByteIdenticalAcrossRuns)
 
     EXPECT_EQ(a.block_entries, b.block_entries);
     EXPECT_EQ(a.retires, b.retires);
-    EXPECT_EQ(a.finish_cycle, b.finish_cycle);
+    EXPECT_EQ(a.last_block_end, a.cycles);
+    EXPECT_EQ(b.last_block_end, b.cycles);
+    EXPECT_EQ(a.last_block_end, b.last_block_end);
     ASSERT_EQ(a.branches.size(), b.branches.size());
     for (size_t i = 0; i < a.branches.size(); i++) {
         EXPECT_EQ(a.branches[i].source, b.branches[i].source) << i;
@@ -172,9 +178,8 @@ TEST(Engine, PatternBehaviourCycles)
     Program p = pb.build();
 
     ExecutionEngine engine(p, MachineConfig{}, 1);
-    Instrumenter instr(p, true);
-    engine.addObserver(&instr);
     engine.run();
+    Instrumenter instr(engine, true);
     EXPECT_EQ(instr.bbec(loop), 3u);
 }
 
@@ -183,9 +188,7 @@ TEST(Engine, RingTransitionsViaSyscall)
     auto kp = testutil::makeKernelProgram(10);
     ExecutionEngine engine(*kp.program, MachineConfig{}, 1);
     RecordingObserver rec;
-    Instrumenter instr(*kp.program, true);
     engine.addObserver(&rec);
-    engine.addObserver(&instr);
     ExecStats stats = engine.run();
 
     // Kernel handler runs exactly `iterations` times: 3 instructions
@@ -198,7 +201,7 @@ TEST(Engine, RingTransitionsViaSyscall)
     // SYSCALL and SYSRET both appear as taken branches.
     int syscalls = 0, sysrets = 0;
     const Program &p = *kp.program;
-    for (const TakenBranch &tb : rec.branches) {
+    for (const Branch &tb : rec.branches) {
         BlockId b = p.blockAt(tb.source);
         ASSERT_NE(b, kNoBlock);
         Mnemonic m = p.block(b).instrs.back().mnemonic;
@@ -213,6 +216,25 @@ TEST(Engine, RingTransitionsViaSyscall)
     }
     EXPECT_EQ(syscalls, static_cast<int>(kp.iterations));
     EXPECT_EQ(sysrets, static_cast<int>(kp.iterations));
+
+    // The engine's one block counter is the recorder's tally, and the
+    // block total and the per-ring instruction split derive from it.
+    std::vector<uint64_t> tally(p.blocks().size(), 0);
+    for (BlockId b : rec.block_entries)
+        tally[b]++;
+    EXPECT_EQ(engine.blockCounts(), tally);
+    uint64_t entries = 0, user = 0, kernel = 0;
+    for (const BasicBlock &blk : p.blocks()) {
+        uint64_t n = engine.blockCounts()[blk.id];
+        entries += n;
+        if (p.module(p.function(blk.func).module).isKernel())
+            kernel += n * blk.instrs.size();
+        else
+            user += n * blk.instrs.size();
+    }
+    EXPECT_EQ(entries, stats.block_entries);
+    EXPECT_EQ(user, stats.user_instructions);
+    EXPECT_EQ(kernel, stats.kernel_instructions);
 }
 
 TEST(Engine, CallReturnBalanced)
@@ -281,7 +303,7 @@ TEST(Engine, ObserverCyclesMonotone)
     engine.addObserver(&rec);
     ExecStats stats = engine.run(100'000);
     EXPECT_TRUE(rec.cycles_monotone);
-    EXPECT_EQ(rec.finish_cycle, stats.cycles);
+    EXPECT_EQ(rec.last_block_end, stats.cycles);
     EXPECT_EQ(rec.retires.size(), stats.instructions);
     EXPECT_EQ(rec.block_entries.size(), stats.block_entries);
     EXPECT_EQ(rec.branches.size(), stats.taken_branches);
@@ -320,9 +342,8 @@ TEST(Engine, IndirectCallDistributesOverTargets)
     Program p = pb.build();
 
     ExecutionEngine engine(p, MachineConfig{}, 99);
-    Instrumenter instr(p, true);
-    engine.addObserver(&instr);
     engine.run();
+    Instrumenter instr(engine, true);
     double ratio = static_cast<double>(instr.bbec(b1)) /
                    static_cast<double>(instr.bbec(b2));
     EXPECT_NEAR(ratio, 3.0, 0.3);

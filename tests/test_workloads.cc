@@ -21,10 +21,9 @@ namespace {
 Counter<Mnemonic>
 quickMix(const Workload &w, uint64_t budget = 400'000)
 {
-    Instrumenter instr(*w.program, true);
     ExecutionEngine engine(*w.program, MachineConfig{}, w.exec_seed);
-    engine.addObserver(&instr);
     engine.run(budget);
+    Instrumenter instr(engine, true);
     return instr.mnemonicCounts();
 }
 
@@ -232,10 +231,9 @@ TEST(Fitter, Table3ExecutionShape)
     // Per-track execution counts follow the designed multiset:
     // one block at 2x, two at ~1/6, one at ~3.5x, one at ~7/3, one 3x.
     Workload w = makeFitter(FitterVariant::Sse);
-    Instrumenter instr(*w.program, true);
     ExecutionEngine engine(*w.program, MachineConfig{}, w.exec_seed);
-    engine.addObserver(&instr);
     engine.run(2'000'000);
+    Instrumenter instr(engine, true);
 
     uint64_t tracks = fitterTrackCount(*w.program, instr.bbecs());
     ASSERT_GT(tracks, 1000u);
@@ -299,10 +297,9 @@ TEST(ClForward, TotalWorkShrinks)
 TEST(KernelBench, UserAndKernelFunctionsShareMnemonicProfile)
 {
     Workload w = makeKernelBench();
-    Instrumenter instr(*w.program, true);
     ExecutionEngine engine(*w.program, MachineConfig{}, w.exec_seed);
-    engine.addObserver(&instr);
     engine.run(2'000'000);
+    Instrumenter instr(engine, true);
 
     // Accumulate per-function mnemonic counts.
     Counter<Mnemonic> user, kernel;
